@@ -25,8 +25,12 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     InstabilityError,
+    InvalidQuoteInput,
+    NonFiniteSpot,
     NSBFError,
     PositivityError,
+    SpotOutsideBarriers,
+    TimeOutsideHorizon,
     VegaUndefined,
 )
 from .fd import FDGrid, FDSolution, fd_price, solve_pde

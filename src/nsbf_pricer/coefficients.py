@@ -13,6 +13,7 @@ exhaust the representation's accuracy.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,6 +25,7 @@ from .model import SLCoefficients
 from .spps import FormalPowerTable, ParticularSolution
 
 DEFAULT_ORDER_CAP = 60
+PLATEAU_PATIENCE = 3  # orders without a new best identity residual before the search stops
 DEFAULT_EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 
 
@@ -52,7 +54,15 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class NSBFCoefficients:
-    """alpha/beta families (rows indexed by order) with their scaled forms."""
+    """alpha/beta families (rows indexed by order) with their scaled forms.
+
+    Rows run over orders 0..M_trunc.  check_residuals holds the pointwise
+    residuals of the four identities at M_trunc (beta entries None on the
+    price-only path); residual_by_order has one row per order built.
+    order_stop says why the build stopped ("plateau", "cap" or "fixed"),
+    and plateau_residual is the best worst-identity residual over the
+    built orders, against which the order was chosen.
+    """
 
     mesh: Mesh
     alpha: np.ndarray
@@ -66,6 +76,8 @@ class NSBFCoefficients:
     check_residuals: Optional[tuple] = None
     residual_by_order: Optional[np.ndarray] = None
     suggested_order: Optional[int] = None
+    order_stop: Optional[str] = None
+    plateau_residual: Optional[float] = None
 
     @property
     def max_residual(self) -> float:
@@ -232,19 +244,8 @@ def recurrence_step(
     return A_n, B_n, RecurrenceIntermediates(theta_tilde=theta, eta_tilde=eta)
 
 
-def check_identities(
-    alpha: np.ndarray,
-    beta: Optional[np.ndarray],
-    c: SLCoefficients,
-    h_tilde: float,
-    G2: np.ndarray,
-) -> IdentityReport:
-    """Residuals of the four sum identities for every truncation order.
-
-    Also suggests the truncation: the earliest order whose max residual is
-    within a factor two of the best achieved (the curves plateau once the
-    retained orders exhaust the attainable accuracy).
-    """
+def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tuple:
+    """Right-hand sides of the four sum identities, in IdentityReport order."""
     l, rho, w, q, p = (
         c.l.values,
         c.rho.values,
@@ -263,40 +264,62 @@ def check_identities(
     rhs_b_alt = l * (
         (q[0] / w[0] - rho[0] / w[0] * bracket[0]) / (4.0 * rho) + h_tilde * G2 / (2.0 * rho)
     )
+    return rhs_a_sum, rhs_a_alt, rhs_b_sum, rhs_b_alt
 
-    n_orders = alpha.shape[0]
-    signs = np.where(np.arange(n_orders) % 2 == 0, 1.0, -1.0)[:, None]
-    partial_a = np.cumsum(alpha, axis=0)
-    partial_a_alt = np.cumsum(alpha * signs, axis=0)
-    res = np.full((n_orders, 4), np.nan)
-    res[:, 0] = np.max(np.abs(partial_a - rhs_a_sum), axis=1)
-    res[:, 1] = np.max(np.abs(partial_a_alt - rhs_a_alt), axis=1)
-    pw_beta = (None, None)
-    if beta is not None:
-        partial_b = np.cumsum(beta, axis=0)
-        partial_b_alt = np.cumsum(beta * signs, axis=0)
-        res[:, 2] = np.max(np.abs(partial_b - rhs_b_sum), axis=1)
-        res[:, 3] = np.max(np.abs(partial_b_alt - rhs_b_alt), axis=1)
 
-    worst = np.nanmax(res, axis=1)
-    best = float(np.min(worst))
-    suggested = int(np.argmax(worst <= 2.0 * best))
+def _suggested_order(worst: np.ndarray) -> int:
+    """Earliest order whose worst residual is within a factor two of the best."""
+    return int(np.argmax(worst <= 2.0 * float(np.min(worst))))
 
-    def _pointwise(m: int):
-        out = [
-            np.abs(partial_a[m] - rhs_a_sum),
-            np.abs(partial_a_alt[m] - rhs_a_alt),
-        ]
-        if beta is not None:
-            out.append(np.abs(partial_b[m] - rhs_b_sum))
-            out.append(np.abs(partial_b_alt[m] - rhs_b_alt))
-        else:
-            out.extend(pw_beta)
-        return tuple(out)
 
+class _IdentitySums:
+    """Running partial sums of the four identities, fed one order at a time."""
+
+    def __init__(self, c: SLCoefficients, h_tilde: float, G2: np.ndarray, with_beta: bool):
+        self._targets = _identity_targets(c, h_tilde, G2)
+        self._sums = [np.zeros(c.mesh.M) for _ in range(4 if with_beta else 2)]
+        self._sign = 1.0
+
+    def add(self, alpha_n: np.ndarray, beta_n: Optional[np.ndarray]) -> tuple:
+        """Pointwise residuals with the sums truncated at this order.
+
+        The beta entries are None on the price-only path.
+        """
+        for k, row in enumerate((alpha_n,) if beta_n is None else (alpha_n, beta_n)):
+            self._sums[2 * k] += row
+            self._sums[2 * k + 1] += self._sign * row
+        self._sign = -self._sign
+        pointwise = [np.abs(s - t) for s, t in zip(self._sums, self._targets)]
+        return tuple(pointwise + [None] * (4 - len(pointwise)))
+
+
+def _residual_row(pointwise: tuple) -> np.ndarray:
+    """Sup-norm residual of each identity (NaN where beta was not built)."""
+    return np.array([np.nan if r is None else float(np.max(r)) for r in pointwise])
+
+
+def check_identities(
+    alpha: np.ndarray,
+    beta: Optional[np.ndarray],
+    c: SLCoefficients,
+    h_tilde: float,
+    G2: np.ndarray,
+) -> IdentityReport:
+    """Residuals of the four sum identities for every truncation order.
+
+    Also suggests the truncation: the earliest order whose max residual is
+    within a factor two of the best achieved (the curves plateau once the
+    retained orders exhaust the attainable accuracy).
+    """
+    sums = _IdentitySums(c, h_tilde, G2, beta is not None)
+    pointwise = [
+        sums.add(alpha[n], None if beta is None else beta[n]) for n in range(alpha.shape[0])
+    ]
+    res = np.array([_residual_row(pw) for pw in pointwise])
+    suggested = _suggested_order(np.nanmax(res, axis=1))
     return IdentityReport(
         residual_by_order=res,
-        pointwise=_pointwise(suggested),
+        pointwise=pointwise[suggested],
         suggested_order=suggested,
     )
 
@@ -312,10 +335,19 @@ def build_nsbf_coefficients(
 ) -> NSBFCoefficients:
     """Run the full coefficient pipeline and pick the truncation order.
 
-    With order=None the recurrence runs to order_cap and the stored arrays
-    are truncated at the identity-residual plateau; an explicit order skips
-    the search.  with_beta=False runs the price-only reduced path (no beta
-    family, no derivative representation).
+    With order=None the orders are built one at a time while the worst of
+    the identity residuals is tracked through running partial sums.  The
+    search stops once that residual has not improved on its best for
+    PLATEAU_PATIENCE orders (order_stop "plateau"), or at order_cap, a
+    safety limit that warns when reached (order_stop "cap").  The
+    truncation is then the earliest built order whose residual is within a
+    factor two of the best.  On every reference model, with and without
+    beta, a patience of two already picks the order a full run to order 60
+    picks; one does not (the price-only curve of (beta, gamma) = (-2, 0)
+    fails to improve from order 0 to order 1), and three leaves an order of
+    margin.  An explicit order builds exactly orders 0..order and skips the
+    search (order_stop "fixed").  with_beta=False runs the price-only
+    reduced path (no beta family, no derivative representation).
     """
     mesh = c.mesh
     l = c.l.values
@@ -323,46 +355,61 @@ def build_nsbf_coefficients(
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
     G1 = GridFunction(mesh, h_t + G2.values)
-
-    n_orders = (order if order is not None else order_cap) + 1
     n_edge = int(round(edge_fraction * (mesh.M - 1))) + 1
-
-    A = np.zeros((n_orders, mesh.M))
-    B = np.zeros((n_orders, mesh.M)) if with_beta else None
-
     init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge, with_beta)
-    A[0] = init.A0
-    if with_beta:
-        B[0] = init.B0
-    if n_orders > 1:
-        A[1] = init.A1
-        if with_beta:
-            B[1] = init.B1
 
-    for n in range(2, n_orders):
-        A[n], B_n, _ = recurrence_step(n, A[n - 2], B[n - 2] if with_beta else None, c, sol)
+    sums = _IdentitySums(c, h_t, G2.values, with_beta)
+    last = order if order is not None else order_cap
+    A_rows, B_rows, alpha_rows, beta_rows, pointwise, residual_rows = [], [], [], [], [], []
+    best, best_at = np.inf, 0
+    stop = "fixed" if order is not None else "cap"
+    for n in range(last + 1):
+        if n < 2:
+            A_n, B_n = (init.A0, init.B0) if n == 0 else (init.A1, init.B1)
+        else:
+            B_prev = B_rows[n - 2] if with_beta else None
+            A_n, B_n, _ = recurrence_step(n, A_rows[n - 2], B_prev, c, sol)
+        A_rows.append(A_n)
+        alpha_rows.append(recover_row(A_n, l, n, n_edge))
         if with_beta:
-            B[n] = B_n
+            B_rows.append(B_n)
+            beta_rows.append(recover_row(B_n, l, n, n_edge))
+        pointwise.append(sums.add(alpha_rows[n], beta_rows[n] if with_beta else None))
+        residual_rows.append(_residual_row(pointwise[n]))
 
-    alpha, beta = recover_alpha_beta(A, B, l, n_edge)
-    report = check_identities(alpha, beta, c, h_t, G2.values)
-    m_trunc = order if order is not None else report.suggested_order
+        worst = float(np.nanmax(residual_rows[n]))
+        if worst < best:
+            best, best_at = worst, n
+        elif order is None and n - best_at >= PLATEAU_PATIENCE:
+            stop = "plateau"
+            break
+
+    residual_by_order = np.array(residual_rows)
+    suggested = _suggested_order(np.nanmax(residual_by_order, axis=1))
+    if stop == "cap":
+        warnings.warn(
+            f"coefficient order search reached the cap {order_cap} before the identity "
+            f"residual plateaued; best residual {best:.3e} at order {best_at}",
+            stacklevel=2,
+        )
+    m_trunc = order if order is not None else suggested
     m_keep = m_trunc + 1
 
-    report_at_m = check_identities(alpha[:m_keep], None if beta is None else beta[:m_keep], c, h_t, G2.values)
     return NSBFCoefficients(
         mesh=mesh,
-        alpha=alpha[:m_keep],
-        A=A[:m_keep],
-        beta=None if beta is None else beta[:m_keep],
-        B=None if B is None else B[:m_keep],
+        alpha=np.array(alpha_rows[:m_keep]),
+        A=np.array(A_rows[:m_keep]),
+        beta=np.array(beta_rows[:m_keep]) if with_beta else None,
+        B=np.array(B_rows[:m_keep]) if with_beta else None,
         G1=G1,
         G2=G2,
         h_tilde=h_t,
         M_trunc=m_trunc,
-        check_residuals=report_at_m.pointwise,
-        residual_by_order=report.residual_by_order,
-        suggested_order=report.suggested_order,
+        check_residuals=pointwise[m_trunc],
+        residual_by_order=residual_by_order,
+        suggested_order=suggested,
+        order_stop=stop,
+        plateau_residual=best,
     )
 
 

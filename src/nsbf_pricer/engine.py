@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pricing
 from .coefficients import NSBFCoefficients, build_nsbf_coefficients
-from .errors import VegaUndefined
+from .errors import NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
 from .pricing import ContributionReport, OptionContract, PricingResult
@@ -134,8 +134,18 @@ class DoubleBarrierSolver:
         bands: Optional[list[tuple]] = None,
         t: float = 0.0,
     ) -> PricingResult:
-        """Price (and optionally Greeks / band contributions) at (y0, t)."""
+        """Price (and optionally Greeks / band contributions) at (y0, t).
+
+        y0 must be finite and in [L, U], and t in [0, T]; each violation
+        raises its own InvalidQuoteInput subclass before any work is done.
+        """
         self._check_contract(contract)
+        if not np.isfinite(y0):
+            raise NonFiniteSpot(f"spot y0 = {y0} is not finite")
+        if not self.L <= y0 <= self.U:
+            raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{self.L}, {self.U}]")
+        if not 0.0 <= t <= contract.T:
+            raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
         self._ensure_solved(greeks)
         pairs = self.retained_pairs(contract)
         px = pricing.value(y0, t, contract, pairs, self.sl)
@@ -178,6 +188,9 @@ class DoubleBarrierSolver:
             "mesh_points": self.mesh.M,
             "nsbf_order": self.coeffs.M_trunc,
             "nsbf_suggested_order": self.coeffs.suggested_order,
+            "nsbf_orders_built": int(self.coeffs.residual_by_order.shape[0]),
+            "nsbf_order_stop": self.coeffs.order_stop,
+            "nsbf_plateau_residual": float(self.coeffs.plateau_residual),
             "identity_residual_alpha_sum": float(np.max(res[0])),
             "identity_residual_alpha_alt": float(np.max(res[1])),
             "eigenvalues_found": len(self.pairs),

@@ -27,3 +27,19 @@ class InstabilityError(NSBFError):
 
 class ConfigError(NSBFError):
     """A run configuration is missing fields or holds inconsistent values."""
+
+
+class InvalidQuoteInput(NSBFError, ValueError):
+    """A quote request lies outside the domain the solved basis covers."""
+
+
+class NonFiniteSpot(InvalidQuoteInput):
+    """The spot y0 is NaN or infinite."""
+
+
+class SpotOutsideBarriers(InvalidQuoteInput):
+    """The spot y0 lies outside the barrier interval [L, U]."""
+
+
+class TimeOutsideHorizon(InvalidQuoteInput):
+    """The evaluation time t lies outside [0, T]."""

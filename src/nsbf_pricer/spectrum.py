@@ -42,19 +42,30 @@ class EigenPair:
     f_n: Optional[float] = None
 
 
-def _odd_bessel_sum(coeff_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _odd_block(x: np.ndarray, n_orders: int) -> np.ndarray:
+    """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1."""
+    n_odd = n_orders // 2
+    if n_odd == 0:
+        return np.zeros((0,) + np.shape(x))
+    return spherical_jn_block(x, 2 * n_odd - 1)[1::2]
+
+
+def _odd_bessel_sum(coeff_rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     """2 sum_m (-1)^m c_{2m+1} j_{2m+1}(x) for coefficient rows indexed by order."""
     odd = coeff_rows[1::2]
     if odd.shape[0] == 0:
-        return np.zeros_like(x)
-    top_order = 2 * (odd.shape[0] - 1) + 1
-    block = spherical_jn_block(x, top_order)[1::2]
+        return np.zeros(block.shape[1:])
     signs = np.where(np.arange(odd.shape[0]) % 2 == 0, 1.0, -1.0)
     if odd.ndim == 1:
         # coefficients fixed at one point (the upper barrier), x varies
         return 2.0 * np.tensordot(signs * odd, block, axes=(0, 0))
     # coefficient rows sampled on the mesh, x = omega * l on the same mesh
     return 2.0 * np.sum(signs[:, None] * odd * block, axis=0)
+
+
+def eigenfunction_block(omega: float, coeffs: NSBFCoefficients, c: SLCoefficients) -> np.ndarray:
+    """Odd-order Bessel rows at omega * l on the mesh, shared by phi_n and phi_n'."""
+    return _odd_block(omega * c.l.values, coeffs.alpha.shape[0])
 
 
 def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
@@ -64,7 +75,7 @@ def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     alpha_u = coeffs.alpha[:, -1]
     om = np.asarray(omega, dtype=float)
     x = om * l_u
-    val = np.sin(x) / rho_u + _odd_bessel_sum(alpha_u, x)
+    val = np.sin(x) / rho_u + _odd_bessel_sum(alpha_u, _odd_block(x, alpha_u.shape[0]))
     return val if np.ndim(omega) else float(val)
 
 
@@ -127,16 +138,21 @@ def find_eigenvalues(
     ]
 
 
-def _phi_values(omega: float, coeffs: NSBFCoefficients, c: SLCoefficients) -> np.ndarray:
-    x = omega * c.l.values
-    return np.sin(x) / c.rho.values + _odd_bessel_sum(coeffs.alpha, x)
-
-
 def build_eigenfunction(
-    pair: EigenPair, coeffs: NSBFCoefficients, c: SLCoefficients
+    pair: EigenPair,
+    coeffs: NSBFCoefficients,
+    c: SLCoefficients,
+    block: Optional[np.ndarray] = None,
 ) -> EigenPair:
-    """Assemble phi_n on the mesh and attach its squared norm."""
-    phi_vals = _phi_values(pair.omega, coeffs, c)
+    """Assemble phi_n on the mesh and attach its squared norm.
+
+    block is eigenfunction_block(pair.omega, coeffs, c); it is computed
+    here when the caller does not pass it.
+    """
+    if block is None:
+        block = eigenfunction_block(pair.omega, coeffs, c)
+    x = pair.omega * c.l.values
+    phi_vals = np.sin(x) / c.rho.values + _odd_bessel_sum(coeffs.alpha, block)
     sup = float(np.max(np.abs(phi_vals)))
     if abs(phi_vals[-1]) > BOUNDARY_TOL * sup:
         raise BoundaryViolation(
@@ -148,18 +164,27 @@ def build_eigenfunction(
 
 
 def build_eigenfunction_derivative(
-    pair: EigenPair, coeffs: NSBFCoefficients, c: SLCoefficients
+    pair: EigenPair,
+    coeffs: NSBFCoefficients,
+    c: SLCoefficients,
+    block: Optional[np.ndarray] = None,
 ) -> GridFunction:
-    """phi_n' from the beta-coefficient representation (no differencing)."""
+    """phi_n' from the beta-coefficient representation (no differencing).
+
+    block is the same Bessel block phi_n was assembled from; it is
+    computed here when the caller does not pass it.
+    """
     if coeffs.beta is None:
         raise ValueError("beta coefficients were not built (price-only reduced path)")
     if pair.phi is None:
         raise ValueError("build the eigenfunction before its derivative")
+    if block is None:
+        block = eigenfunction_block(pair.omega, coeffs, c)
     l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
     sqrt_wp = np.sqrt(c.w.values / c.p.values)
     x = pair.omega * l
     g2 = coeffs.G2.values
-    inner = (g2 * np.sin(x) + pair.omega * np.cos(x)) / rho + _odd_bessel_sum(coeffs.beta, x)
+    inner = (g2 * np.sin(x) + pair.omega * np.cos(x)) / rho + _odd_bessel_sum(coeffs.beta, block)
     vals = sqrt_wp * inner - rho_p / rho * pair.phi.values
     return GridFunction(c.mesh, vals)
 
@@ -170,11 +195,16 @@ def assemble_pairs(
     c: SLCoefficients,
     with_derivatives: bool = False,
 ) -> list[EigenPair]:
-    """Eigenfunctions (and derivatives) for every located root."""
+    """Eigenfunctions (and derivatives) for every located root.
+
+    Each root's Bessel block is computed once and serves phi_n and phi_n'.
+    """
     out = []
     for sk in skeletons:
-        pair = build_eigenfunction(sk, coeffs, c)
+        block = eigenfunction_block(sk.omega, coeffs, c)
+        pair = build_eigenfunction(sk, coeffs, c, block)
         if with_derivatives:
-            pair = replace(pair, phi_prime=build_eigenfunction_derivative(pair, coeffs, c))
+            dphi = build_eigenfunction_derivative(pair, coeffs, c, block)
+            pair = replace(pair, phi_prime=dphi)
         out.append(pair)
     return out

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -87,3 +88,26 @@ def test_scalar_and_array_shapes():
     assert spherical_jn_block(np.ones((2, 3)), 4).shape == (5, 2, 3)
     with pytest.raises(ValueError):
         spherical_jn_block(-1.0, 3)
+
+
+def _mpmath_jn(m, x):
+    """j_m(x) = sqrt(pi / 2x) J_{m+1/2}(x) at 40 significant digits."""
+    if x == 0.0:
+        return 1.0 if m == 0 else 0.0
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        return float(mpmath.sqrt(mpmath.pi / (2 * xm)) * mpmath.besselj(m + mpmath.mpf(1) / 2, xm))
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 5, 11, 21, 61])
+def test_block_against_mpmath(m_max):
+    # every regime and both switch points: the series below 2, Miller on
+    # [2, m_max), upward recursion from max(m_max, 2) on
+    top = float(m_max)
+    x = [0.0, 1e-8, 1e-3, 0.5, 1.99, 2.0,
+         math.nextafter(top, 0.0), top, math.nextafter(top, math.inf),
+         top - 0.5, top + 0.5, 30.3, 75.0, 200.0]
+    x = np.array(sorted({v for v in x if v >= 0.0}))
+    block = spherical_jn_block(x, m_max)
+    ref = np.array([[_mpmath_jn(m, v) for v in x] for m in range(m_max + 1)])
+    assert np.max(np.abs(block - ref)) <= 1e-15

@@ -247,3 +247,55 @@ class TestDirectAlpha:
         sel = s.sl.mesh.points >= 90 + 30.0 / 4
         rel = np.abs(a4[sel] - s.coeffs.alpha[4][sel]) / np.max(np.abs(s.coeffs.alpha[4][sel]))
         assert np.max(rel) < 1e-5
+
+
+# table1-medium's 4 x 3 and table3-short's 2 x 4 (beta, gamma) models
+PRESET_MODELS = [("medium", b, g) for b in (0.5, 0.0, -1.0, -2.0) for g in (0.0, 1.0, 2.0)] + [
+    ("short", b, g) for b in (-2.0, 1.0) for g in (3.0, 2.0, 1.0, 0.0)
+]
+
+
+class TestOrderSearch:
+    def test_plateau_stop_keeps_the_full_search_order(self, medium, short):
+        solvers = {"medium": medium, "short": short}
+        mismatches = []
+        for horizon, beta, gamma in PRESET_MODELS:
+            s = solvers[horizon](beta, gamma)
+            powers = build_formal_powers(s.particular, s.sl, K=1)
+            for with_beta in (True, False):
+                if with_beta:
+                    early = s.coeffs
+                else:
+                    early = build_nsbf_coefficients(s.sl, s.particular, powers, with_beta=False)
+                full = build_nsbf_coefficients(
+                    s.sl, s.particular, powers, order=60, with_beta=with_beta
+                )
+                assert early.order_stop == "plateau"
+                assert early.residual_by_order.shape[0] < 25
+                if early.M_trunc != full.suggested_order:
+                    mismatches.append((horizon, beta, gamma, with_beta, early.M_trunc, full.suggested_order))
+        assert not mismatches
+
+    def test_cap_before_plateau_warns(self, medium):
+        s = medium(-1.0, 2.0)
+        powers = build_formal_powers(s.particular, s.sl, K=1)
+        with pytest.warns(UserWarning, match="cap 5"):
+            coeffs = build_nsbf_coefficients(s.sl, s.particular, powers, order_cap=5)
+        assert coeffs.order_stop == "cap"
+        assert coeffs.residual_by_order.shape[0] == 6
+        assert coeffs.M_trunc <= 5
+
+    def test_explicit_order_is_fixed(self, flat_sl):
+        _, _, coeffs = build_coeffs(flat_sl, order=8)
+        assert coeffs.order_stop == "fixed"
+        assert coeffs.M_trunc == 8
+        assert coeffs.residual_by_order.shape[0] == 9
+
+    def test_diagnostics_report_the_stop(self, medium):
+        s = medium(-1.0, 2.0)
+        diag = s.diagnostics()
+        worst = np.nanmax(s.coeffs.residual_by_order, axis=1)
+        assert diag["nsbf_order_stop"] == "plateau"
+        assert diag["nsbf_orders_built"] == worst.size
+        assert diag["nsbf_plateau_residual"] == float(np.min(worst))
+        assert worst[diag["nsbf_order"]] <= 2.0 * diag["nsbf_plateau_residual"]

@@ -87,6 +87,34 @@ class TestValue:
             pricing.value(125.0, 0.0, c, pairs, s.sl)
 
 
+
+class TestQuoteInputValidation:
+    @pytest.mark.parametrize("y0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spot(self, medium, y0):
+        with pytest.raises(nb.NonFiniteSpot):
+            medium(-1.0, 2.0).price(contract(), y0)
+
+    @pytest.mark.parametrize("y0", [L - 1e-9, U + 1.0])
+    def test_spot_outside_barriers(self, medium, y0):
+        with pytest.raises(nb.SpotOutsideBarriers):
+            medium(-1.0, 2.0).price(contract(), y0)
+
+    @pytest.mark.parametrize("t", [-0.01, 0.6, math.nan])
+    def test_time_outside_horizon(self, medium, t):
+        with pytest.raises(nb.TimeOutsideHorizon):
+            medium(-1.0, 2.0).price(contract(), Y0, t=t)
+
+    def test_errors_are_value_errors(self, medium):
+        with pytest.raises(ValueError):
+            medium(-1.0, 2.0).price(contract(), math.nan)
+        assert issubclass(nb.InvalidQuoteInput, nb.NSBFError)
+
+    def test_barriers_and_horizon_ends_accepted(self, medium):
+        s = medium(-1.0, 2.0)
+        assert abs(s.price(contract(), L).price) < 1e-8
+        assert abs(s.price(contract(), U, t=0.5).price) < 1e-8
+
+
 class TestValueSurface:
     def test_consistency_with_point_value(self, medium):
         s = medium(-1.0, 2.0)
