@@ -100,6 +100,8 @@ def spherical_jn_block(x, m_max: int) -> np.ndarray:
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("argument must be finite")
     if np.any(x_arr < 0.0):
         raise ValueError("argument must be non-negative")
     flat = x_arr.ravel()

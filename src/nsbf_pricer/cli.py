@@ -219,6 +219,7 @@ def cmd_contrib(cfg: dict) -> int:
         for n1, n2, val in result.contributions.bands:
             label = f"{n1}-{n2}" if n2 is not None else f">{n1 - 1}"
             lines.append(f"{label},{val:.5f}")
+        lines.append(f"steady,{result.contributions.steady:.5f}")
         lines.append(f"price,{result.price:.5f}")
         _emit("\n".join(lines) + "\n", cfg)
     else:

@@ -8,19 +8,24 @@ eigenfunction derivatives; asking for Greeks builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import pricing
-from .coefficients import NSBFCoefficients, build_nsbf_coefficients
+from .coefficients import (
+    DEFAULT_EDGE_FRACTION,
+    DEFAULT_ORDER_CAP,
+    NSBFCoefficients,
+    build_nsbf_coefficients,
+)
 from .errors import NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
 from .pricing import ContributionReport, OptionContract, PricingResult
 from .spectrum import EigenPair, assemble_pairs, find_eigenvalues
-from .spps import ParticularSolution, build_formal_powers, solve_particular
+from .spps import ParticularSolution, build_formal_powers, solve_particular, steady_state
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class NumericsConfig:
 
     mesh_points: int = 10001
     nsbf_order: Optional[int] = None  # None: choose by identity-residual plateau
-    nsbf_order_cap: int = 60
+    nsbf_order_cap: int = DEFAULT_ORDER_CAP
     omega_max: float = 15.0
     omega_grid_count: int = 100
     refine_tol: float = 1e-12
@@ -38,19 +43,23 @@ class NumericsConfig:
     n_max: Optional[int] = None  # explicit eigenterm count override
     spps_tol: float = 1e-14
     spps_max_terms: int = 64
-    edge_fraction: float = 0.01
+    edge_fraction: float = DEFAULT_EDGE_FRACTION
 
 
 def solve_from_sl(
     sl: SLCoefficients, config: NumericsConfig, with_derivatives: bool = True
-) -> tuple[ParticularSolution, NSBFCoefficients, list[EigenPair]]:
+) -> tuple[SLCoefficients, ParticularSolution, NSBFCoefficients, list[EigenPair]]:
     """Coefficient and spectral stages for pre-built Sturm-Liouville data.
 
-    Entry point for synthetic problems and gauge-invariance checks that
-    construct or rescale the coefficients directly.
+    Returns sl with its steady state attached (pricing needs it), the
+    particular solution, the coefficients and the eigenpairs.  Entry point
+    for synthetic problems and gauge-invariance checks that construct or
+    rescale the coefficients directly.
     """
     particular = solve_particular(sl, tol=config.spps_tol, max_terms=config.spps_max_terms)
     powers = build_formal_powers(particular, sl, K=1)
+    steady, steady_prime = steady_state(particular, powers, sl)
+    sl = replace(sl, steady=steady, steady_prime=steady_prime)
     coeffs = build_nsbf_coefficients(
         sl,
         particular,
@@ -64,7 +73,7 @@ def solve_from_sl(
         coeffs, sl, config.omega_max, config.omega_grid_count, config.refine_tol
     )
     pairs = assemble_pairs(skeletons, coeffs, sl, with_derivatives)
-    return particular, coeffs, pairs
+    return sl, particular, coeffs, pairs
 
 
 class DoubleBarrierSolver:
@@ -87,15 +96,17 @@ class DoubleBarrierSolver:
         self.coeffs: Optional[NSBFCoefficients] = None
         self.pairs: Optional[list[EigenPair]] = None
         self._has_derivatives = False
+        self._diagnostics: Optional[dict] = None
 
     def solve(self, with_derivatives: bool = True) -> "DoubleBarrierSolver":
         """Build coefficients, locate the spectrum, assemble eigenfunctions."""
         self.mesh = build_mesh(self.L, self.U, self.config.mesh_points)
-        self.sl = build_sl_coefficients(self.spec, self.mesh)
-        self.particular, self.coeffs, self.pairs = solve_from_sl(
-            self.sl, self.config, with_derivatives
+        sl = build_sl_coefficients(self.spec, self.mesh)
+        self.sl, self.particular, self.coeffs, self.pairs = solve_from_sl(
+            sl, self.config, with_derivatives
         )
         self._has_derivatives = with_derivatives
+        self._diagnostics = self._solve_report()
         return self
 
     def _ensure_solved(self, with_derivatives: bool):
@@ -107,19 +118,8 @@ class DoubleBarrierSolver:
         return np.array([p.lam for p in self.pairs])
 
     def retained_pairs(self, contract: OptionContract) -> list[EigenPair]:
-        cfg = self.config
-        if contract.rebate != 0.0:
-            # the rebate source term decays only like 1/lambda_n, so the
-            # exponential-decay truncation does not apply; keep the window
-            kept = self.pairs if cfg.n_max is None else self.pairs[: cfg.n_max]
-        elif cfg.lambda_cutoff is not None:
-            kept = [p for p in self.pairs if p.lam <= cfg.lambda_cutoff] or self.pairs[:1]
-            if cfg.n_max is not None:
-                kept = kept[: cfg.n_max]
-        else:
-            kept = pricing.select_pairs(
-                self.pairs, contract.T, decay_cap=cfg.lambda_decay_cap, n_max=cfg.n_max
-            )
+        """The pairs the truncation rule keeps, with the contract's coefficients attached."""
+        kept = pricing.select_pairs(self.pairs, contract.T, self.config)
         return pricing.fourier_coefficients(contract, kept, self.sl)
 
     def _check_contract(self, contract: OptionContract):
@@ -180,10 +180,11 @@ class DoubleBarrierSolver:
         return pricing.value_surface(contract, pairs, self.sl, t_count, y_count)
 
     def diagnostics(self) -> dict:
+        """Facts about the current solve; computed once per solve, copied per call."""
+        return dict(self._diagnostics)
+
+    def _solve_report(self) -> dict:
         res = self.coeffs.check_residuals
-        boundary = max(
-            abs(p.phi.values[-1]) / np.max(np.abs(p.phi.values)) for p in self.pairs
-        )
         out = {
             "mesh_points": self.mesh.M,
             "nsbf_order": self.coeffs.M_trunc,
@@ -194,7 +195,7 @@ class DoubleBarrierSolver:
             "identity_residual_alpha_sum": float(np.max(res[0])),
             "identity_residual_alpha_alt": float(np.max(res[1])),
             "eigenvalues_found": len(self.pairs),
-            "max_boundary_residual": float(boundary),
+            "max_boundary_residual": max(p.boundary_residual for p in self.pairs),
             "spps_terms": self.particular.series_order,
         }
         if res[2] is not None:

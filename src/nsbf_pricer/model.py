@@ -65,7 +65,12 @@ class EJDCEVParams:
 
 @dataclass(frozen=True)
 class SLCoefficients:
-    """Sturm-Liouville data p, q, w plus the Liouville transform l, rho on a mesh."""
+    """Sturm-Liouville data p, q, w plus the Liouville transform l, rho on a mesh.
+
+    steady is the lambda = 0 solution h of (p h')' = q h with h(L) = 0 and
+    h(U) = 1, and steady_prime its derivative; the solve attaches both
+    (engine.solve_from_sl) and every price uses them.
+    """
 
     mesh: Mesh
     p: GridFunction
@@ -74,7 +79,8 @@ class SLCoefficients:
     l: GridFunction
     rho: GridFunction
     rho_prime: GridFunction
-    spec: Optional[DiffusionSpec] = None
+    steady: Optional[GridFunction] = None
+    steady_prime: Optional[GridFunction] = None
 
 
 def calibrate_delta(sigma0: float, y0: float, beta: float) -> float:
@@ -153,7 +159,6 @@ def build_sl_coefficients(spec: DiffusionSpec, mesh: Mesh) -> SLCoefficients:
         l=GridFunction(mesh, l),
         rho=GridFunction(mesh, rho),
         rho_prime=GridFunction(mesh, rho_prime),
-        spec=spec,
     )
 
 

@@ -1,4 +1,7 @@
-"""Named run configurations reproducing the reference parameter sets."""
+"""Named run configurations reproducing the reference parameter sets.
+
+Each numerics block holds only what differs from the NumericsConfig defaults.
+"""
 
 from __future__ import annotations
 
@@ -25,18 +28,6 @@ _BASE_CONTRACT = {
     "rebate": 0.0,
 }
 
-_BASE_NUMERICS = {
-    "mesh_points": 10001,
-    "nsbf_order": None,
-    "nsbf_order_cap": 60,
-    "omega_max": 15.0,
-    "omega_grid_count": 100,
-    "refine_tol": 1e-12,
-    "lambda_decay_cap": 35.0,
-    "lambda_cutoff": None,
-    "n_max": None,
-}
-
 _BASE_OUTPUT = {"format": "json", "path": None}
 
 PRESETS = {
@@ -44,7 +35,7 @@ PRESETS = {
     "table1-medium": {
         "model": dict(_BASE_MODEL),
         "contract": dict(_BASE_CONTRACT),
-        "numerics": dict(_BASE_NUMERICS),
+        "numerics": {},  # NumericsConfig defaults
         "output": dict(_BASE_OUTPUT),
         "sweep": {
             "K": [95.0, 100.0, 105.0],
@@ -56,7 +47,7 @@ PRESETS = {
     "table3-short": {
         "model": dict(_BASE_MODEL, beta=-2.0),
         "contract": dict(_BASE_CONTRACT, T=1.0 / 360.0),
-        "numerics": dict(_BASE_NUMERICS, omega_max=100.0, omega_grid_count=1000),
+        "numerics": {"omega_max": 100.0, "omega_grid_count": 1000},
         "output": dict(_BASE_OUTPUT),
         "sweep": {
             "K": [100.0],

@@ -1,26 +1,35 @@
-"""Payoff decomposition, the truncated pricing series, Greeks and rebates.
+"""Payoff projection, the truncated pricing series, Greeks and band reports.
 
-The value function is v(y, t) = sum_n f_n phi_n(y) exp(-lambda_n (T-t))
-with f_n the weighted Fourier coefficients of the payoff.  Greeks reuse
-the same eigendata: Delta sums f_n phi_n'(y0), Theta sums f_n lambda_n
-phi_n(y0), and Vega is Delta / sigma'(y0) by the chain rule.  A constant
-rebate paid at the upper barrier is handled by homogenizing the boundary
-condition and integrating the resulting constant-in-time source term.
+Every contract is priced from one series.  With R >= 0 the rebate paid on
+knock-out at the upper barrier (R = 0 for a plain contract),
+
+    v(y, t) = R h(y) + sum_n g_n phi_n(y) exp(-lambda_n (T - t)),
+    g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w,
+
+where f is the payoff and h the steady state: the lambda = 0 solution of
+the Sturm-Liouville equation with h(L) = 0 and h(U) = 1, which the solve
+keeps on its Sturm-Liouville data (spps.steady_state).  R h carries the
+boundary values, so every modal weight decays like exp(-lambda_n (T - t))
+and the same truncation rule serves every contract.  Greeks reuse the
+eigendata: Delta sums g_n phi_n'(y0) and adds R h'(y0), Theta sums
+g_n lambda_n phi_n(y0) (the steady part does not depend on time), and
+Vega is Delta / sigma'(y0) by the chain rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import VegaUndefined
 from .mesh import GridFunction, Mesh, inner_product, interpolate_values
-from .model import DiffusionSpec, SLCoefficients, drift_of
+from .model import DiffusionSpec, SLCoefficients
 from .spectrum import EigenPair
 
-LAMBDA_DECAY_CAP = 35.0  # keep terms with lambda_n * T <= cap; exp(-35) ~ 6e-16
+if TYPE_CHECKING:
+    from .engine import NumericsConfig
 
 
 @dataclass(frozen=True)
@@ -56,10 +65,15 @@ class OptionContract:
 
 @dataclass(frozen=True)
 class ContributionReport:
-    """Partial-sum contributions per eigenindex band at (y0, t)."""
+    """Band partial sums of the modal terms at (y0, t) and the steady part R h(y0).
+
+    total is steady plus the band sums: the price when the bands cover
+    every retained pair.
+    """
 
     bands: tuple
     total: float
+    steady: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,34 +104,24 @@ def payoff_grid(contract: OptionContract, mesh: Mesh) -> GridFunction:
 def fourier_coefficients(
     contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients
 ) -> list[EigenPair]:
-    """Attach f_n = <f, phi_n> / <phi_n, phi_n> to every pair."""
+    """Attach g_n = <f - R h, phi_n> / <phi_n, phi_n> to every pair (f_n when R = 0)."""
     f = payoff_grid(contract, c.mesh)
-    return project_coefficients(f, pairs, c)
+    d = GridFunction(c.mesh, f.values - contract.rebate * c.steady.values)
+    return [replace(p, f_n=inner_product(d, p.phi, c.w) / p.norm_sq) for p in pairs]
 
 
-def project_coefficients(
-    f: GridFunction, pairs: list[EigenPair], c: SLCoefficients
-) -> list[EigenPair]:
-    out = []
-    for pair in pairs:
-        fn = inner_product(f, pair.phi, c.w) / pair.norm_sq
-        out.append(replace(pair, f_n=fn))
-    return out
+def select_pairs(pairs: list[EigenPair], T: float, config: "NumericsConfig") -> list[EigenPair]:
+    """Truncation rule, the same for every contract.
 
-
-def select_pairs(
-    pairs: list[EigenPair],
-    T: float,
-    decay_cap: float = LAMBDA_DECAY_CAP,
-    n_max: Optional[int] = None,
-) -> list[EigenPair]:
-    """Truncation rule: keep lambda_n * T <= decay_cap, optionally capped at n_max."""
-    kept = [p for p in pairs if p.lam * T <= decay_cap]
-    if not kept:
-        kept = pairs[:1]
-    if n_max is not None:
-        kept = kept[:n_max]
-    return kept
+    Keep lambda_n <= config.lambda_cutoff when it is set, otherwise
+    lambda_n T <= config.lambda_decay_cap; at least the first pair, and
+    at most config.n_max pairs.
+    """
+    if config.lambda_cutoff is None:
+        kept = [p for p in pairs if p.lam * T <= config.lambda_decay_cap]
+    else:
+        kept = [p for p in pairs if p.lam <= config.lambda_cutoff]
+    return (kept or pairs[:1])[: config.n_max]
 
 
 def _phi_at(pairs: list[EigenPair], y, mesh: Mesh, prime: bool = False) -> np.ndarray:
@@ -128,16 +132,22 @@ def _phi_at(pairs: list[EigenPair], y, mesh: Mesh, prime: bool = False) -> np.nd
     return np.array(rows)
 
 
+def _steady_at(contract: OptionContract, c: SLCoefficients, y, prime: bool = False):
+    """R h(y), or R h'(y) with prime."""
+    gf = c.steady_prime if prime else c.steady
+    return contract.rebate * interpolate_values(c.mesh, gf.values, y)
+
+
 def value(y, t: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients):
     """Truncated series value at price(s) y and calendar time t <= T."""
     if t > contract.T:
         raise ValueError("evaluation time beyond maturity")
-    if contract.rebate != 0.0:
-        return rebate_value(y, t, contract, pairs, c)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     fn = np.array([p.f_n for p in pairs])
     lam = np.array([p.lam for p in pairs])
-    phis = _phi_at(pairs, np.atleast_1d(np.asarray(y, dtype=float)), c.mesh)
+    phis = _phi_at(pairs, y_arr, c.mesh)
     out = np.tensordot(fn * np.exp(-lam * (contract.T - t)), phis, axes=(0, 0))
+    out = out + _steady_at(contract, c, y_arr)
     return out if np.ndim(y) else float(out[0])
 
 
@@ -151,17 +161,11 @@ def value_surface(
     """Value on a (t, y) grid; rows are times from 0 to T, columns prices."""
     t_grid = np.linspace(0.0, contract.T, t_count)
     y_grid = np.linspace(contract.L, contract.U, y_count)
+    fn = np.array([p.f_n for p in pairs])
     lam = np.array([p.lam for p in pairs])
     phis = _phi_at(pairs, y_grid, c.mesh)  # (N, y_count)
     tau = (contract.T - t_grid)[:, None]
-    if contract.rebate != 0.0:
-        dn, sn, _ = _rebate_decomposition(contract, pairs, c)
-        coef = dn * np.exp(-lam * tau) + sn / lam * (1.0 - np.exp(-lam * tau))
-        lin_at = contract.rebate * (y_grid - contract.L) / (contract.U - contract.L)
-        surface = coef @ phis + lin_at[None, :]
-    else:
-        fn = np.array([p.f_n for p in pairs])
-        surface = (fn * np.exp(-lam * tau)) @ phis
+    surface = (fn * np.exp(-lam * tau)) @ phis + _steady_at(contract, c, y_grid)
     return t_grid, y_grid, surface
 
 
@@ -172,13 +176,8 @@ def delta(y0: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoef
     fn = np.array([p.f_n for p in pairs])
     lam = np.array([p.lam for p in pairs])
     dphis = _phi_at(pairs, np.array([y0]), c.mesh, prime=True)[:, 0]
-    base = float(np.sum(fn * dphis * np.exp(-lam * contract.T)))
-    if contract.rebate != 0.0:
-        dn, sn, _ = _rebate_decomposition(contract, pairs, c)
-        decay = np.exp(-lam * contract.T)
-        coef = dn * decay + sn / lam * (1.0 - decay)
-        base = float(np.sum(coef * dphis)) + contract.rebate / (contract.U - contract.L)
-    return base
+    modes = float(np.sum(fn * dphis * np.exp(-lam * contract.T)))
+    return modes + _steady_at(contract, c, y0, prime=True)
 
 
 def vega(y0: float, delta_value: float, spec: DiffusionSpec) -> float:
@@ -199,11 +198,7 @@ def theta(y0: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoef
     fn = np.array([p.f_n for p in pairs])
     lam = np.array([p.lam for p in pairs])
     phis = _phi_at(pairs, np.array([y0]), c.mesh)[:, 0]
-    if contract.rebate == 0.0:
-        return float(np.sum(fn * lam * phis * np.exp(-lam * contract.T)))
-    dn, sn, _ = _rebate_decomposition(contract, pairs, c)
-    decay = np.exp(-lam * contract.T)
-    return float(np.sum((dn * lam - sn) * decay * phis))
+    return float(np.sum(fn * lam * phis * np.exp(-lam * contract.T)))
 
 
 def contribution(
@@ -215,7 +210,7 @@ def contribution(
     pairs: list[EigenPair],
     c: SLCoefficients,
 ) -> float:
-    """Partial sum of the pricing series over eigenindices n1..n2 at (y0, t)."""
+    """Partial sum of the modal terms over eigenindices n1..n2 at (y0, t)."""
     if not (1 <= n1 <= n2 <= len(pairs)):
         raise ValueError(f"band {n1}-{n2} outside the retained 1..{len(pairs)} pairs")
     sel = pairs[n1 - 1 : n2]
@@ -234,8 +229,9 @@ def contribution_report(
     c: SLCoefficients,
 ) -> ContributionReport:
     """Contributions for explicit (n1, n2) bands; n2 = None runs to the last pair."""
+    steady = _steady_at(contract, c, y0)
     rows = []
-    total = 0.0
+    total = steady
     for n1, n2 in bands:
         hi = len(pairs) if n2 is None else min(n2, len(pairs))
         if n1 > len(pairs):
@@ -244,45 +240,4 @@ def contribution_report(
         val = contribution(n1, hi, y0, t, contract, pairs, c)
         rows.append((n1, n2, val))
         total += val
-    return ContributionReport(bands=tuple(rows), total=total)
-
-
-def _rebate_decomposition(
-    contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients
-):
-    """Fourier data for the homogenized problem with Dirichlet R at U.
-
-    Subtracting the linear interpolant lin(y) = R (y-L)/(U-L) zeroes the
-    boundary values; the PDE then gains the constant-in-time source
-    s = A lin, handled exactly per mode.  Returns (d_n, s_n, lin values).
-    """
-    if c.spec is None:
-        raise ValueError("rebate pricing needs the model attached to the coefficients")
-    mesh = c.mesh
-    y = mesh.points
-    R = contract.rebate
-    lin = R * (y - contract.L) / (contract.U - contract.L)
-    f = payoff_grid(contract, mesh)
-    d = GridFunction(mesh, f.values - lin)
-    mu = drift_of(c.spec)(y)
-    kill = np.asarray(c.spec.rbar(y), dtype=float) + np.asarray(c.spec.hazard(y), dtype=float)
-    source = R / (contract.U - contract.L) * mu * y - kill * lin
-    s = GridFunction(mesh, source)
-    dn = np.array([inner_product(d, p.phi, c.w) / p.norm_sq for p in pairs])
-    sn = np.array([inner_product(s, p.phi, c.w) / p.norm_sq for p in pairs])
-    return dn, sn, lin
-
-
-def rebate_value(y, t: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients):
-    """Value of a contract paying R on upper knock-out (reduces to value at R=0)."""
-    if contract.rebate == 0.0:
-        return value(y, t, contract, pairs, c)
-    dn, sn, _ = _rebate_decomposition(contract, pairs, c)
-    lam = np.array([p.lam for p in pairs])
-    tau = contract.T - t
-    coef = dn * np.exp(-lam * tau) + sn / lam * (1.0 - np.exp(-lam * tau))
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    phis = _phi_at(pairs, y_arr, c.mesh)
-    lin_at = contract.rebate * (y_arr - contract.L) / (contract.U - contract.L)
-    out = np.tensordot(coef, phis, axes=(0, 0)) + lin_at
-    return out if np.ndim(y) else float(out[0])
+    return ContributionReport(bands=tuple(rows), total=total, steady=steady)

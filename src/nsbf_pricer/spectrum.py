@@ -29,8 +29,9 @@ class EigenPair:
     """One term of the pricing series.
 
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
-    norm_sq carries the normalization.  f_n is the Fourier coefficient of
-    the payoff currently under consideration (set by the pricing stage).
+    norm_sq carries the normalization, and boundary_residual is
+    |phi(U)| / sup |phi|.  f_n is the modal coefficient of the contract
+    currently under consideration (set by the pricing stage).
     """
 
     n: int
@@ -39,6 +40,7 @@ class EigenPair:
     phi: Optional[GridFunction] = None
     phi_prime: Optional[GridFunction] = None
     norm_sq: Optional[float] = None
+    boundary_residual: Optional[float] = None
     f_n: Optional[float] = None
 
 
@@ -160,7 +162,9 @@ def build_eigenfunction(
         )
     phi = GridFunction(c.mesh, phi_vals)
     norm_sq = inner_product(phi, phi, c.w)
-    return replace(pair, phi=phi, norm_sq=norm_sq)
+    return replace(
+        pair, phi=phi, norm_sq=norm_sq, boundary_residual=float(abs(phi_vals[-1]) / sup)
+    )
 
 
 def build_eigenfunction_derivative(

@@ -5,7 +5,9 @@ parameter: iterated integrals X0 = 1, X_odd = int X_prev q, X_even =
 int X_prev / p give g = (1/rho(L)) sum X_even with g(L) = 1/rho(L) and
 g'(L) = 0.  For q >= 0 every even iterate is non-negative, so g can
 never vanish.  The formal powers Phi_k generalize (y-L)^k and feed both
-the coefficient recurrences and the direct-formula cross-check.
+the coefficient recurrences and the direct-formula cross-check; Phi_1,
+the lambda = 0 solution vanishing at L, also gives the steady state that
+carries a rebate's boundary value (Kravchenko & Porter 2010).
 """
 
 from __future__ import annotations
@@ -109,3 +111,16 @@ def build_formal_powers(
 
     Phi = np.where((np.arange(K + 1) % 2 == 1)[:, None], Y, Yt) * g[None, :]
     return FormalPowerTable(Phi=Phi, Y=Y, Ytilde=Yt, K=K)
+
+
+def steady_state(
+    sol: ParticularSolution, powers: FormalPowerTable, c: SLCoefficients
+) -> tuple[GridFunction, GridFunction]:
+    """h = Phi_1 / Phi_1(U), the solution of (p h')' = q h with h(L) = 0, h(U) = 1, and h'.
+
+    Phi_1 = g Y_1 with Y_1 = int_L^y ds / (p g^2), so Phi_1' = g' Y_1 + 1 / (p g).
+    """
+    scale = powers.Phi[1, -1]
+    h = powers.Phi[1] / scale
+    h_prime = (sol.g_prime.values * powers.Y[1] + 1.0 / (c.p.values * sol.g.values)) / scale
+    return GridFunction(c.mesh, h), GridFunction(c.mesh, h_prime)

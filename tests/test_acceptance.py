@@ -281,8 +281,8 @@ def test_criterion_6_spectral_properties(medium, short):
     base_price = base.price(c, Y0).price
     for kappa in (0.1, 10.0):
         scaled = nb.scale_gauge(base.sl, kappa)
-        _, _, pairs_k = solve_from_sl(scaled, nb.NumericsConfig(), with_derivatives=False)
-        kept = pricing.select_pairs(pairs_k, c.T)
+        *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig(), with_derivatives=False)
+        kept = pricing.select_pairs(pairs_k, c.T, nb.NumericsConfig())
         kept = pricing.fourier_coefficients(c, kept, scaled)
         price_k = pricing.value(Y0, 0.0, c, kept, scaled)
         rel = abs(price_k - base_price) / base_price
@@ -346,26 +346,36 @@ def test_criterion_8_oracle_equivalence(medium, short):
     assert ok, detail
 
 
+# largest R=5 pricer-CN gap allowed in criterion 9; measured 4.4e-7 on the
+# six-month grid models (CN 1601x800) and 3.9e-7 on the one-day models
+# (CN 6401x300), about CN's own discretisation error on those grids
+REBATE_ORACLE_BOUND = 1e-6
+
+
 def test_criterion_9_rebate(medium, short):
     problems = []
     solver = medium(-1.0, 2.0)
-    # bit-identical reduction at R = 0
+    # R = 0 is the plain series: coefficients <f, phi_n> / <phi_n, phi_n> and
+    # no steady term, bit for bit
     plain = contract()
     pairs = solver.retained_pairs(plain)
+    f = pricing.payoff_grid(plain, solver.mesh)
+    fn = np.array([inner_product(f, p.phi, solver.sl.w) / p.norm_sq for p in pairs])
+    lam = np.array([p.lam for p in pairs])
     ys = np.linspace(L + 0.5, U - 0.5, 11)
-    a = pricing.value(ys, 0.1, plain, pairs, solver.sl)
-    b = pricing.rebate_value(ys, 0.1, contract(rebate=0.0), pairs, solver.sl)
-    if not np.array_equal(a, b):
-        problems.append("R=0 path is not bit-identical")
-    # consistent boundary data reconstructs at least 5x better in L2_w
+    phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
+    series = np.tensordot(fn * np.exp(-lam * (MEDIUM_T - 0.1)), phis, axes=(0, 0))
+    if not (np.array_equal(fn, [p.f_n for p in pairs])
+            and np.array_equal(pricing.value(ys, 0.1, plain, pairs, solver.sl), series)):
+        problems.append("R=0 path is not bit-identical to the plain series")
+    # consistent boundary data reconstructs at least 5x better in L2_w: with
+    # R = U - K the modal part f - R h vanishes at U
     s = short(-1.0, 2.0)
-    n_keep = 27
-    kept = s.pairs[:n_keep]
-    f = pricing.payoff_grid(plain, s.mesh)
-    pairs0 = pricing.fourier_coefficients(plain, kept, s.sl)
-    recon0 = sum(p.f_n * p.phi.values for p in pairs0)
-    dn, _, lin = pricing._rebate_decomposition(contract(rebate=U - 100.0), kept, s.sl)
-    recon_r = sum(d * p.phi.values for d, p in zip(dn, kept)) + lin
+    kept = s.pairs[:27]
+    rebate = contract(rebate=U - 100.0)
+    recon0 = sum(p.f_n * p.phi.values for p in pricing.fourier_coefficients(plain, kept, s.sl))
+    recon_r = sum(p.f_n * p.phi.values for p in pricing.fourier_coefficients(rebate, kept, s.sl))
+    recon_r = recon_r + rebate.rebate * s.sl.steady.values
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)
     ratio = math.sqrt(
@@ -373,15 +383,26 @@ def test_criterion_9_rebate(medium, short):
     )
     if ratio < 5.0:
         problems.append(f"smoothing ratio {ratio:.2f} < 5")
-    # positive rebate against the Dirichlet oracle
-    c5 = contract(rebate=5.0)
-    gap = abs(solver.price(c5, Y0).price - fd_price(solver.spec, c5, FDGrid(1601, 800), Y0))
-    if gap > 2e-3:
-        problems.append(f"R=5 oracle gap {gap:.1e} > 2e-3")
+    # positive rebate against the Dirichlet oracle: every six-month grid
+    # model and every one-day sweep model
+    cases = [(medium(beta, gamma), MEDIUM_T, FDGrid(1601, 800), (beta, gamma))
+             for beta in (0.5, 0.0, -1.0, -2.0) for gamma in (0.0, 1.0, 2.0)]
+    cases += [(short(beta, gamma), SHORT_T, FDGrid(6401, 300), (beta, gamma))
+              for beta, gamma in TABLE3]
+    worst = {}
+    for model_solver, T, grid, key in cases:
+        c5 = contract(rebate=5.0, T=T)
+        gap = abs(model_solver.price(c5, Y0).price - fd_price(model_solver.spec, c5, grid, Y0))
+        worst[T] = max(worst.get(T, (0.0, ())), (gap, key))
+    for T, (gap, key) in worst.items():
+        if gap > REBATE_ORACLE_BOUND:
+            problems.append(f"R=5 oracle gap {gap:.1e} > {REBATE_ORACLE_BOUND:g} at T={T:.4g} {key}")
     ok = not problems
     detail = (
         f"R=0 bit-identical; terminal L2 reconstruction {ratio:.1f}x better at R=U-K; "
-        f"R=5 oracle gap {gap:.1e}"
+        f"R=5 worst oracle gap {worst[MEDIUM_T][0]:.1e} over 12 six-month models, "
+        f"{worst[SHORT_T][0]:.1e} over {len(TABLE3)} one-day models "
+        f"(bound {REBATE_ORACLE_BOUND:g})"
         if ok
         else "; ".join(problems)
     )

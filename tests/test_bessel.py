@@ -90,6 +90,13 @@ def test_scalar_and_array_shapes():
         spherical_jn_block(-1.0, 3)
 
 
+@pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf]])
+def test_non_finite_argument_rejected(x):
+    # a NaN fails every regime test, so its column would be left unwritten
+    with pytest.raises(ValueError, match="finite"):
+        spherical_jn_block(np.array(x), 3)
+
+
 def _mpmath_jn(m, x):
     """j_m(x) = sqrt(pi / 2x) J_{m+1/2}(x) at 40 significant digits."""
     if x == 0.0:

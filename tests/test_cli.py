@@ -1,8 +1,9 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from nsbf_pricer.cli import main
+from nsbf_pricer.cli import build_parser, load_config, main, numerics_from_config
 
 
 def run_cli(capsys, *args):
@@ -146,3 +147,29 @@ class TestSubcommands:
         code, _, err = run_cli(capsys, "table", "--config", fast_config)
         assert code == 2
         assert "sweep" in err
+
+
+class TestPresets:
+    # the NumericsConfig each preset resolves to, written out in full
+    EXPECTED = {
+        "table1-medium": dict(omega_max=15.0, omega_grid_count=100),
+        "table3-short": dict(omega_max=100.0, omega_grid_count=1000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_resolved_numerics_pinned(self, name):
+        args = build_parser().parse_args(["price", "--preset", name])
+        numerics = numerics_from_config(load_config(args)["numerics"])
+        assert asdict(numerics) == dict(
+            mesh_points=10001,
+            nsbf_order=None,
+            nsbf_order_cap=60,
+            refine_tol=1e-12,
+            lambda_decay_cap=35.0,
+            lambda_cutoff=None,
+            n_max=None,
+            spps_tol=1e-14,
+            spps_max_terms=64,
+            edge_fraction=0.01,
+            **self.EXPECTED[name],
+        )

@@ -111,7 +111,7 @@ class TestConsistencyCheck:
         bad = nb.SLCoefficients(
             mesh=c.mesh, p=c.p, q=c.q,
             w=nb.GridFunction(c.mesh, c.w.values * 1.001),
-            l=c.l, rho=c.rho, rho_prime=c.rho_prime, spec=spec,
+            l=c.l, rho=c.rho, rho_prime=c.rho_prime,
         )
         assert nb.identity_p_w_q_consistency(bad, spec).w_residual > 1e-4
 

@@ -6,7 +6,7 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer import pricing
 from nsbf_pricer.fd import FDGrid, fd_price
-from nsbf_pricer.mesh import inner_product
+from nsbf_pricer.mesh import derivative_values, inner_product
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -256,12 +256,17 @@ class TestContribution:
         total = pricing.contribution(1, len(pairs), Y0, 0.0, c, pairs, s.sl)
         assert total == pytest.approx(pricing.value(Y0, 0.0, c, pairs, s.sl), abs=1e-12)
 
-    def test_band_sum_equals_price(self, short):
-        s = short(-2.0, 2.0)
-        c = contract(T=1 / 360)
-        bands = [(1, 10), (11, 30), (31, None)]
-        r = s.price(c, Y0, bands=bands)
-        assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
+    def test_band_sum_equals_price(self, medium, short):
+        # the bands partition the modal terms and the steady part R h(y0) is
+        # reported once, so together they add up to the price
+        cases = [(short(-2.0, 2.0), 1 / 360, 0.0, [(1, 10), (11, 30), (31, None)])]
+        cases += [(get(beta, gamma), T, 5.0, [(1, 3), (4, None)])
+                  for get, T in ((medium, 0.5), (short, 1 / 360))
+                  for beta, gamma in ((-2.0, 0.0), (-1.0, 2.0))]
+        for s, T, R, bands in cases:
+            r = s.price(contract(T=T, rebate=R), Y0, bands=bands)
+            assert r.contributions.steady == R * nb.interpolate(s.sl.steady, Y0)
+            assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
 
     def test_band_out_of_range(self, short):
         s = short(-2.0, 2.0)
@@ -275,19 +280,34 @@ class TestContribution:
 
 class TestRebate:
     def test_zero_rebate_reduces_exactly(self, medium):
+        # at R = 0 the steady term adds exactly nothing to value and Delta
         s = medium(-1.0, 2.0)
         plain = contract()
-        with_r = contract(rebate=0.0)
         pairs = s.retained_pairs(plain)
+        fn = np.array([p.f_n for p in pairs])
+        lam = np.array([p.lam for p in pairs])
         ys = np.linspace(91.0, 119.0, 7)
+        phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
         for t in (0.0, 0.3):
-            a = pricing.value(ys, t, plain, pairs, s.sl)
-            b = pricing.rebate_value(ys, t, with_r, pairs, s.sl)
-            assert np.array_equal(a, b)
+            series = np.tensordot(fn * np.exp(-lam * (plain.T - t)), phis, axes=(0, 0))
+            assert np.array_equal(pricing.value(ys, t, plain, pairs, s.sl), series)
+        dphis = np.array([nb.interpolate(p.phi_prime, Y0) for p in pairs])
+        modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
+        assert pricing.delta(Y0, plain, pairs, s.sl) == modes
+
+    def test_steady_state_solves_the_boundary_problem(self, medium):
+        # h(L) = 0, h(U) = 1, h' matches differencing, and (p h')' = q h
+        s = medium(-2.0, 0.0)
+        h, dh = s.sl.steady.values, s.sl.steady_prime.values
+        assert h[0] == 0.0 and h[-1] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(derivative_values(s.mesh, h) - dh)) < 1e-10 * np.max(np.abs(dh))
+        flux = derivative_values(s.mesh, s.sl.p.values * dh)[5:-5]
+        rhs = (s.sl.q.values * h)[5:-5]
+        assert np.max(np.abs(flux - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
     def test_consistent_boundary_rebate_smoother(self, short):
-        # R = U - K makes the homogenized terminal data continuous at U,
-        # shrinking the weighted-L2 reconstruction error at maturity
+        # R = U - K makes the modal part f - R h of the terminal data vanish
+        # at U, shrinking the weighted-L2 reconstruction error at maturity
         s = short(-1.0, 2.0)
         c0 = contract()
         cr = contract(rebate=U - 100.0)
@@ -297,8 +317,8 @@ class TestRebate:
         pairs0 = pricing.fourier_coefficients(c0, pairs, s.sl)
         recon0 = sum(p.f_n * p.phi.values for p in pairs0)
         err0 = nb.GridFunction(s.mesh, recon0 - f.values)
-        dn, sn, lin = pricing._rebate_decomposition(cr, pairs, s.sl)
-        recon_r = sum(d * p.phi.values for d, p in zip(dn, pairs)) + lin
+        pairs_r = pricing.fourier_coefficients(cr, pairs, s.sl)
+        recon_r = sum(p.f_n * p.phi.values for p in pairs_r) + cr.rebate * s.sl.steady.values
         err_r = nb.GridFunction(s.mesh, recon_r - f.values)
         e0 = math.sqrt(inner_product(err0, err0, s.sl.w))
         er = math.sqrt(inner_product(err_r, err_r, s.sl.w))
@@ -310,6 +330,11 @@ class TestRebate:
         r = s.price(c, Y0)
         ref = fd_price(s.spec, c, FDGrid(1601, 800), Y0)
         assert abs(r.price - ref) < 2e-3
+
+    def test_rebate_follows_the_decay_rule(self, medium):
+        # a rebate keeps the same pairs as the plain contract
+        s = medium(-2.0, 0.0)
+        assert s.price(contract(rebate=5.0), Y0).N_used == s.price(contract(), Y0).N_used < len(s.pairs)
 
     def test_rebate_price_exceeds_plain(self, medium):
         s = medium(-1.0, 2.0)
