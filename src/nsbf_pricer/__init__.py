@@ -8,13 +8,11 @@ expansion.  A Crank-Nicolson solver provides an independent check.
 """
 
 from .coefficients import (
-    LegendreTable,
     NSBFCoefficients,
     build_nsbf_coefficients,
     check_identities,
     compute_G2,
     compute_h_tilde,
-    direct_alpha,
     initial_coefficients,
     recover_alpha_beta,
     recurrence_step,
@@ -26,6 +24,7 @@ from .errors import (
     ConvergenceError,
     InstabilityError,
     InvalidQuoteInput,
+    NonFiniteParameter,
     NonFiniteSpot,
     NSBFError,
     PositivityError,
@@ -51,7 +50,6 @@ from .model import (
     calibrate_delta,
     drift_of,
     ejdcev_spec,
-    identity_p_w_q_consistency,
     scale_gauge,
 )
 from .pricing import (
@@ -61,15 +59,16 @@ from .pricing import (
     contribution,
     delta,
     fourier_coefficients,
+    rows_at,
     theta,
     value,
     value_surface,
     vega,
 )
 from .spectrum import (
+    EigenBasis,
     EigenPair,
-    build_eigenfunction,
-    build_eigenfunction_derivative,
+    assemble_pairs,
     characteristic,
     find_eigenvalues,
 )

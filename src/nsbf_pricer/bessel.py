@@ -20,6 +20,9 @@ order M of the block:
   (j_{m+1}, j_{m+2}) by at most 1 + (2 m_top + 1)/x, so the test interval
   is set so that the growth between two tests stays inside the
   floating-point range.
+
+The closed forms of j_0 and j_1 need sin x and cos x; a caller that already
+holds them (eigenfunction assembly) passes them to the private _jn_block.
 """
 
 from __future__ import annotations
@@ -52,13 +55,13 @@ def _series_block(x: np.ndarray, m_max: int) -> np.ndarray:
     return np.cumprod(lead, axis=0) * acc
 
 
-def _upward_block(x: np.ndarray, m_max: int) -> np.ndarray:
+def _upward_block(x: np.ndarray, m_max: int, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
     """Upward recurrence from the closed forms, stable for x >= m_max."""
     out = np.empty((m_max + 1, x.size))
     inv_x = 1.0 / x
-    np.multiply(np.sin(x), inv_x, out=out[0])
+    np.multiply(sin_x, inv_x, out=out[0])
     if m_max >= 1:
-        np.subtract(out[0], np.cos(x), out=out[1])
+        np.subtract(out[0], cos_x, out=out[1])
         out[1] *= inv_x
     for m in range(1, m_max):
         nxt = out[m + 1]
@@ -68,7 +71,7 @@ def _upward_block(x: np.ndarray, m_max: int) -> np.ndarray:
     return out
 
 
-def _miller_block(x: np.ndarray, m_max: int) -> np.ndarray:
+def _miller_block(x: np.ndarray, m_max: int, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
     """Backward recursion block for 2 <= x < m_max (so m_max >= 3)."""
     extra = max(20, int(np.ceil(1.2 * float(np.max(x)))))
     m_top = m_max + extra
@@ -86,8 +89,8 @@ def _miller_block(x: np.ndarray, m_max: int) -> np.ndarray:
             jp1 *= 1.0 / _RESCALE_LIMIT
             jp2 *= 1.0 / _RESCALE_LIMIT
             out *= 1.0 / _RESCALE_LIMIT
-    j0 = np.sin(x) / x
-    j1 = j0 / x - np.cos(x) / x
+    j0 = sin_x / x
+    j1 = j0 / x - cos_x / x
     use_j0 = np.abs(j0) >= np.abs(j1)
     ref = np.where(use_j0, j0, j1)
     raw = np.where(use_j0, out[0], out[1])
@@ -97,6 +100,11 @@ def _miller_block(x: np.ndarray, m_max: int) -> np.ndarray:
 
 def spherical_jn_block(x, m_max: int) -> np.ndarray:
     """j_m(x) for m = 0..m_max; returns shape (m_max+1,) + shape(x)."""
+    return _jn_block(x, m_max)
+
+
+def _jn_block(x, m_max: int, trig=None) -> np.ndarray:
+    """spherical_jn_block with (sin x, cos x) taken from trig when the caller holds them."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -105,6 +113,7 @@ def spherical_jn_block(x, m_max: int) -> np.ndarray:
     if np.any(x_arr < 0.0):
         raise ValueError("argument must be non-negative")
     flat = x_arr.ravel()
+    sin_x, cos_x = (np.sin(flat), np.cos(flat)) if trig is None else map(np.ravel, trig)
     out = np.empty((m_max + 1, flat.size))
 
     small = flat < _SERIES_CUTOFF
@@ -113,12 +122,12 @@ def spherical_jn_block(x, m_max: int) -> np.ndarray:
     upward_from = max(float(m_max), _SERIES_CUTOFF)
     up = flat >= upward_from
     if np.any(up):
-        out[:, up] = _upward_block(flat[up], m_max)
+        out[:, up] = _upward_block(flat[up], m_max, sin_x[up], cos_x[up])
     lo = _SERIES_CUTOFF
     for hi in _BUCKET_EDGES[1:]:
         sel = (flat >= lo) & (flat < min(hi, upward_from))
         if np.any(sel):
-            out[:, sel] = _miller_block(flat[sel], m_max)
+            out[:, sel] = _miller_block(flat[sel], m_max, sin_x[sel], cos_x[sel])
         lo = hi
 
     out = out.reshape((m_max + 1,) + x_arr.shape)

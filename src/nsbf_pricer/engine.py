@@ -20,11 +20,13 @@ from .coefficients import (
     NSBFCoefficients,
     build_nsbf_coefficients,
 )
-from .errors import NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined
+from .errors import (
+    NonFiniteParameter, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined,
+)
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
 from .pricing import ContributionReport, OptionContract, PricingResult
-from .spectrum import EigenPair, assemble_pairs, find_eigenvalues
+from .spectrum import EigenBasis, assemble_pairs, find_eigenvalues
 from .spps import ParticularSolution, build_formal_powers, solve_particular, steady_state
 
 
@@ -48,11 +50,11 @@ class NumericsConfig:
 
 def solve_from_sl(
     sl: SLCoefficients, config: NumericsConfig, with_derivatives: bool = True
-) -> tuple[SLCoefficients, ParticularSolution, NSBFCoefficients, list[EigenPair]]:
+) -> tuple[SLCoefficients, ParticularSolution, NSBFCoefficients, EigenBasis]:
     """Coefficient and spectral stages for pre-built Sturm-Liouville data.
 
     Returns sl with its steady state attached (pricing needs it), the
-    particular solution, the coefficients and the eigenpairs.  Entry point
+    particular solution, the coefficients and the stacked eigenbasis.  Entry point
     for synthetic problems and gauge-invariance checks that construct or
     rescale the coefficients directly.
     """
@@ -86,6 +88,8 @@ class DoubleBarrierSolver:
         U: float,
         config: NumericsConfig = NumericsConfig(),
     ):
+        if not (np.isfinite(L) and np.isfinite(U)):
+            raise NonFiniteParameter(f"barriers must be finite, got L={L}, U={U}")
         self.spec = spec
         self.L = float(L)
         self.U = float(U)
@@ -94,7 +98,7 @@ class DoubleBarrierSolver:
         self.sl: Optional[SLCoefficients] = None
         self.particular: Optional[ParticularSolution] = None
         self.coeffs: Optional[NSBFCoefficients] = None
-        self.pairs: Optional[list[EigenPair]] = None
+        self.pairs: Optional[EigenBasis] = None
         self._has_derivatives = False
         self._diagnostics: Optional[dict] = None
 
@@ -115,12 +119,11 @@ class DoubleBarrierSolver:
 
     def eigenvalues(self) -> np.ndarray:
         self._ensure_solved(False)
-        return np.array([p.lam for p in self.pairs])
+        return self.pairs.lam.copy()
 
-    def retained_pairs(self, contract: OptionContract) -> list[EigenPair]:
-        """The pairs the truncation rule keeps, with the contract's coefficients attached."""
-        kept = pricing.select_pairs(self.pairs, contract.T, self.config)
-        return pricing.fourier_coefficients(contract, kept, self.sl)
+    def retained_pairs(self, contract: OptionContract) -> EigenBasis:
+        """The leading slice of the basis that the truncation rule keeps for the contract."""
+        return pricing.select_pairs(self.pairs, contract.T, self.config)
 
     def _check_contract(self, contract: OptionContract):
         if not (contract.L == self.L and contract.U == self.U):
@@ -148,19 +151,21 @@ class DoubleBarrierSolver:
             raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
         self._ensure_solved(greeks)
         pairs = self.retained_pairs(contract)
-        px = pricing.value(y0, t, contract, pairs, self.sl)
+        g = pricing.fourier_coefficients(contract, pairs, self.sl)
+        at = pricing.rows_at(y0, pairs, self.sl)
+        px = pricing.value(at, t, contract, pairs, g)
 
         d = v = th = None
         if greeks:
-            d = pricing.delta(y0, contract, pairs, self.sl)
-            th = pricing.theta(y0, contract, pairs, self.sl)
+            d = pricing.delta(at, contract, pairs, g)
+            th = pricing.theta(at, contract, pairs, g)
             try:
                 v = pricing.vega(y0, d, self.spec)
             except VegaUndefined:
                 v = None
         report: Optional[ContributionReport] = None
         if bands is not None:
-            report = pricing.contribution_report(bands, y0, t, contract, pairs, self.sl)
+            report = pricing.contribution_report(bands, at, t, contract, pairs, g)
 
         return PricingResult(
             price=px,
@@ -177,7 +182,8 @@ class DoubleBarrierSolver:
         self._check_contract(contract)
         self._ensure_solved(False)
         pairs = self.retained_pairs(contract)
-        return pricing.value_surface(contract, pairs, self.sl, t_count, y_count)
+        g = pricing.fourier_coefficients(contract, pairs, self.sl)
+        return pricing.value_surface(contract, pairs, g, self.sl, t_count, y_count)
 
     def diagnostics(self) -> dict:
         """Facts about the current solve; computed once per solve, copied per call."""

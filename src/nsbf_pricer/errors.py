@@ -29,6 +29,10 @@ class ConfigError(NSBFError):
     """A run configuration is missing fields or holds inconsistent values."""
 
 
+class NonFiniteParameter(ConfigError, ValueError):
+    """A model parameter or a barrier level is NaN or infinite."""
+
+
 class InvalidQuoteInput(NSBFError, ValueError):
     """A quote request lies outside the domain the solved basis covers."""
 

@@ -5,7 +5,8 @@ Cumulative integrals use composite six-point Newton-Cotes panels (five
 subintervals each); interior nodes of a panel are filled by integrating
 the panel's quintic interpolant, so the antiderivative keeps a single
 order of accuracy at every node.  Off-mesh evaluation and numerical
-differentiation use stencils of matching order.
+differentiation use stencils of matching order; an interpolation stencil
+is built once per set of points and applied to any stack of functions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 PANEL = 5  # subintervals per quadrature panel; mesh size must be 1 mod 5
 
@@ -30,6 +32,9 @@ _CUM_WEIGHTS = np.array(
     ],
     dtype=float,
 ) / 1440.0
+
+# Barycentric weights of six uniform nodes: (-1)^j C(5, j).
+_BARY = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 
 # Five-point differentiation stencils, times 12h: interior central rule plus
 # one-sided fourth-order rules for the two nodes at each end.
@@ -109,9 +114,17 @@ def antiderivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.mesh, cumulative_integral(f.mesh, f.values))
 
 
-def integrate(mesh: Mesh, values: np.ndarray) -> float:
-    """Integral over the full interval [L, U]."""
-    return float(cumulative_integral(mesh, values)[-1])
+def integrate(mesh: Mesh, values: np.ndarray):
+    """Integral over the full interval [L, U]; stacked rows give one per row.
+
+    The closed panel rule of cumulative_integral, summed panel by panel in
+    the same order, read through a strided view of the panels and without
+    filling the interior nodes.
+    """
+    values = np.asarray(values, dtype=float)
+    panels = sliding_window_view(values, PANEL + 1, axis=-1)[..., ::PANEL, :]
+    total = np.cumsum(mesh.h * (panels @ _CUM_WEIGHTS.T)[..., -1], axis=-1)[..., -1]
+    return float(total) if values.ndim == 1 else total
 
 
 def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:
@@ -121,8 +134,32 @@ def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:
     return integrate(g1.mesh, g1.values * g2.values * w.values)
 
 
-def interpolate_values(mesh: Mesh, values: np.ndarray, y) -> np.ndarray:
-    """Local quintic Lagrange interpolation at points y (scalar or array)."""
+@dataclass(frozen=True)
+class Stencil:
+    """Local quintic Lagrange interpolation at fixed points, six nodes per point.
+
+    Built once by stencil() and applied to any stack of functions on the
+    mesh (leading axes); the points run along the last axis of the result.
+    """
+
+    nodes: np.ndarray  # (P, 6) mesh indices
+    d: np.ndarray  # (P, 6) offsets from the nodes in units of h, 1 at a hit node
+    den: np.ndarray  # (P,) barycentric denominators
+    on_node: np.ndarray  # (P, 6) the point sits on this node
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        fv = np.asarray(values)[..., self.nodes]
+        # C order: the reduction may hand back stacked rows in F order, and a
+        # matmul over them would then take another BLAS path
+        out = np.ascontiguousarray(np.sum(_BARY * fv / self.d, axis=-1) / self.den)
+        hit = self.on_node.any(axis=1)
+        if np.any(hit):
+            out[..., hit] = fv[..., hit, :][..., self.on_node[hit]]
+        return out
+
+
+def stencil(mesh: Mesh, y) -> Stencil:
+    """The interpolation stencil at points y (scalar or array) inside [L, U]."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     pad = 1e-12 * (mesh.U - mesh.L)
     if np.any(y_arr < mesh.L - pad) or np.any(y_arr > mesh.U + pad):
@@ -130,20 +167,15 @@ def interpolate_values(mesh: Mesh, values: np.ndarray, y) -> np.ndarray:
     y_arr = np.clip(y_arr, mesh.L, mesh.U)
     pos = (y_arr - mesh.L) / mesh.h
     start = np.clip(np.floor(pos).astype(int) - 2, 0, mesh.M - 6)
-    t = pos - start  # in [0, 5] relative to the stencil
-    nodes = start[:, None] + np.arange(6)[None, :]
-    fv = values[nodes]
-    # Barycentric weights for 6 uniform nodes: (-1)^j C(5, j).
-    bw = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
-    d = t[:, None] - np.arange(6)[None, :]
+    d = (pos - start)[:, None] - np.arange(6)[None, :]  # t in [0, 5] relative to the stencil
     on_node = np.abs(d) < 1e-12
-    d_safe = np.where(on_node, 1.0, d)
-    num = np.sum(bw * fv / d_safe, axis=1)
-    den = np.sum(bw / d_safe, axis=1)
-    out = num / den
-    hit_rows = on_node.any(axis=1)
-    if np.any(hit_rows):
-        out[hit_rows] = fv[hit_rows][on_node[hit_rows]]
+    d = np.where(on_node, 1.0, d)
+    return Stencil(start[:, None] + np.arange(6)[None, :], d, np.sum(_BARY / d, axis=1), on_node)
+
+
+def interpolate_values(mesh: Mesh, values: np.ndarray, y) -> np.ndarray:
+    """Local quintic Lagrange interpolation at points y (scalar or array)."""
+    out = stencil(mesh, y)(values)
     return out if np.ndim(y) else float(out[0])
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import NonFiniteParameter, PositivityError
 from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
 
 
@@ -57,6 +57,11 @@ class EJDCEVParams:
     qbar: float = 0.0
     sigma0: float = 0.25
     y0: float = 100.0
+
+    def __post_init__(self):
+        bad = [f"{name}={v}" for name, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise NonFiniteParameter(f"EJDCEV parameters must be finite: {', '.join(bad)}")
 
     @property
     def delta(self) -> float:
@@ -160,26 +165,6 @@ def build_sl_coefficients(spec: DiffusionSpec, mesh: Mesh) -> SLCoefficients:
         rho=GridFunction(mesh, rho),
         rho_prime=GridFunction(mesh, rho_prime),
     )
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Max relative residuals of the defining identities for w and q."""
-
-    w_residual: float
-    q_residual: float
-
-
-def identity_p_w_q_consistency(c: SLCoefficients, spec: DiffusionSpec) -> ConsistencyReport:
-    """Self-test: w = 2p/(sigma^2 y^2) and q = (rbar + h) w pointwise."""
-    y = c.mesh.points
-    sig = np.asarray(spec.sigma(y), dtype=float)
-    w_ref = 2.0 * c.p.values / (sig**2 * y**2)
-    q_ref = (np.asarray(spec.rbar(y), dtype=float) + np.asarray(spec.hazard(y), dtype=float)) * c.w.values
-    w_res = float(np.max(np.abs(c.w.values - w_ref) / np.maximum(np.abs(w_ref), 1e-300)))
-    q_scale = np.maximum(np.abs(q_ref), np.max(np.abs(q_ref)) * 1e-12 + 1e-300)
-    q_res = float(np.max(np.abs(c.q.values - q_ref) / q_scale))
-    return ConsistencyReport(w_residual=w_res, q_residual=q_res)
 
 
 def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:

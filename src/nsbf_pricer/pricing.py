@@ -14,19 +14,29 @@ and the same truncation rule serves every contract.  Greeks reuse the
 eigendata: Delta sums g_n phi_n'(y0) and adds R h'(y0), Theta sums
 g_n lambda_n phi_n(y0) (the steady part does not depend on time), and
 Vega is Delta / sigma'(y0) by the chain rule.
+
+A quote touches the stacked basis (spectrum.EigenBasis) twice.  The
+coefficients g travel as one array: d = f - R h is built once and projected
+onto one row block of the basis at a time with the panel arithmetic of
+mesh.inner_product.  Then one interpolation stencil at y0 reads phi, phi',
+h and h' (Rows), and value, Delta, Theta and the band report all use those
+rows; a surface does the same with one stencil on its price grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import VegaUndefined
-from .mesh import GridFunction, Mesh, inner_product, interpolate_values
+
+# inner_product is not called here; the name stays importable from this
+# module because perfbench/tracing.py wraps pricing.inner_product by name.
+from .mesh import GridFunction, Mesh, inner_product, integrate, stencil  # noqa: F401
 from .model import DiffusionSpec, SLCoefficients
-from .spectrum import EigenPair
+from .spectrum import EigenBasis
 
 if TYPE_CHECKING:
     from .engine import NumericsConfig
@@ -102,58 +112,74 @@ def payoff_grid(contract: OptionContract, mesh: Mesh) -> GridFunction:
 
 
 def fourier_coefficients(
-    contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients
-) -> list[EigenPair]:
-    """Attach g_n = <f - R h, phi_n> / <phi_n, phi_n> to every pair (f_n when R = 0)."""
-    f = payoff_grid(contract, c.mesh)
-    d = GridFunction(c.mesh, f.values - contract.rebate * c.steady.values)
-    return [replace(p, f_n=inner_product(d, p.phi, c.w) / p.norm_sq) for p in pairs]
+    contract: OptionContract, pairs: EigenBasis, c: SLCoefficients
+) -> np.ndarray:
+    """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
+
+    The payoff part d = f - R h is built once and projected onto one row
+    block of the basis at a time, with inner_product's panel arithmetic, so
+    each g_n equals the single-pair quadrature bit for bit while the
+    temporaries stay a block high.
+    """
+    d = payoff_grid(contract, c.mesh).values - contract.rebate * c.steady.values
+    ip = [integrate(c.mesh, d * rows * c.w.values) for rows in pairs.phi]
+    return (np.concatenate(ip) if ip else np.empty(0)) / pairs.norm_sq
 
 
-def select_pairs(pairs: list[EigenPair], T: float, config: "NumericsConfig") -> list[EigenPair]:
+def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> EigenBasis:
     """Truncation rule, the same for every contract.
 
     Keep lambda_n <= config.lambda_cutoff when it is set, otherwise
     lambda_n T <= config.lambda_decay_cap; at least the first pair, and
-    at most config.n_max pairs.
+    at most config.n_max pairs.  Eigenvalues increase, so the kept pairs
+    are a leading slice of the basis.
     """
     if config.lambda_cutoff is None:
-        kept = [p for p in pairs if p.lam * T <= config.lambda_decay_cap]
+        kept = np.count_nonzero(pairs.lam * T <= config.lambda_decay_cap)
     else:
-        kept = [p for p in pairs if p.lam <= config.lambda_cutoff]
-    return (kept or pairs[:1])[: config.n_max]
+        kept = np.count_nonzero(pairs.lam <= config.lambda_cutoff)
+    return pairs[: max(kept, 1)][: config.n_max]
 
 
-def _phi_at(pairs: list[EigenPair], y, mesh: Mesh, prime: bool = False) -> np.ndarray:
-    rows = []
-    for p in pairs:
-        gf = p.phi_prime if prime else p.phi
-        rows.append(interpolate_values(mesh, gf.values, y))
-    return np.array(rows)
+@dataclass(frozen=True)
+class Rows:
+    """phi_n, phi_n', h and h' at points y, from one interpolation stencil.
+
+    The points run along the last axis; dphi is None when the basis has no
+    derivatives.  Every evaluation below reads these rows.
+    """
+
+    y: object
+    phi: np.ndarray
+    dphi: Optional[np.ndarray]
+    h: np.ndarray
+    dh: np.ndarray
 
 
-def _steady_at(contract: OptionContract, c: SLCoefficients, y, prime: bool = False):
-    """R h(y), or R h'(y) with prime."""
-    gf = c.steady_prime if prime else c.steady
-    return contract.rebate * interpolate_values(c.mesh, gf.values, y)
+def rows_at(y, pairs: EigenBasis, c: SLCoefficients) -> Rows:
+    """The basis and the steady state at price(s) y inside [L, U]."""
+    at = stencil(c.mesh, y)
+
+    def stacked(blocks):
+        return np.concatenate([at(b) for b in blocks]) if blocks else np.empty((0, len(at.den)))
+
+    dphi = None if pairs.dphi is None else stacked(pairs.dphi)
+    return Rows(y, stacked(pairs.phi), dphi, at(c.steady.values), at(c.steady_prime.values))
 
 
-def value(y, t: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients):
-    """Truncated series value at price(s) y and calendar time t <= T."""
+def value(at: Rows, t: float, contract: OptionContract, pairs: EigenBasis, g: np.ndarray):
+    """Truncated series value at the points of at and calendar time t <= T."""
     if t > contract.T:
         raise ValueError("evaluation time beyond maturity")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    fn = np.array([p.f_n for p in pairs])
-    lam = np.array([p.lam for p in pairs])
-    phis = _phi_at(pairs, y_arr, c.mesh)
-    out = np.tensordot(fn * np.exp(-lam * (contract.T - t)), phis, axes=(0, 0))
-    out = out + _steady_at(contract, c, y_arr)
-    return out if np.ndim(y) else float(out[0])
+    out = np.tensordot(g * np.exp(-pairs.lam * (contract.T - t)), at.phi, axes=(0, 0))
+    out = out + contract.rebate * at.h
+    return out if np.ndim(at.y) else float(out[0])
 
 
 def value_surface(
     contract: OptionContract,
-    pairs: list[EigenPair],
+    pairs: EigenBasis,
+    g: np.ndarray,
     c: SLCoefficients,
     t_count: int = 101,
     y_count: int = 101,
@@ -161,23 +187,18 @@ def value_surface(
     """Value on a (t, y) grid; rows are times from 0 to T, columns prices."""
     t_grid = np.linspace(0.0, contract.T, t_count)
     y_grid = np.linspace(contract.L, contract.U, y_count)
-    fn = np.array([p.f_n for p in pairs])
-    lam = np.array([p.lam for p in pairs])
-    phis = _phi_at(pairs, y_grid, c.mesh)  # (N, y_count)
+    at = rows_at(y_grid, pairs, c)
     tau = (contract.T - t_grid)[:, None]
-    surface = (fn * np.exp(-lam * tau)) @ phis + _steady_at(contract, c, y_grid)
+    surface = (g * np.exp(-pairs.lam * tau)) @ at.phi + contract.rebate * at.h
     return t_grid, y_grid, surface
 
 
-def delta(y0: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients) -> float:
-    """Series Delta at (y0, 0); needs eigenfunction derivatives on the pairs."""
-    if any(p.phi_prime is None for p in pairs):
+def delta(at: Rows, contract: OptionContract, pairs: EigenBasis, g: np.ndarray) -> float:
+    """Series Delta at (y0, 0) for a one-point at; needs eigenfunction derivatives."""
+    if at.dphi is None:
         raise ValueError("eigenfunction derivatives were not assembled")
-    fn = np.array([p.f_n for p in pairs])
-    lam = np.array([p.lam for p in pairs])
-    dphis = _phi_at(pairs, np.array([y0]), c.mesh, prime=True)[:, 0]
-    modes = float(np.sum(fn * dphis * np.exp(-lam * contract.T)))
-    return modes + _steady_at(contract, c, y0, prime=True)
+    modes = float(np.sum(g * at.dphi[:, 0] * np.exp(-pairs.lam * contract.T)))
+    return modes + contract.rebate * float(at.dh[0])
 
 
 def vega(y0: float, delta_value: float, spec: DiffusionSpec) -> float:
@@ -193,43 +214,32 @@ def vega(y0: float, delta_value: float, spec: DiffusionSpec) -> float:
     return delta_value / sp
 
 
-def theta(y0: float, contract: OptionContract, pairs: list[EigenPair], c: SLCoefficients) -> float:
-    """Series Theta (calendar-time derivative) at (y0, 0)."""
-    fn = np.array([p.f_n for p in pairs])
-    lam = np.array([p.lam for p in pairs])
-    phis = _phi_at(pairs, np.array([y0]), c.mesh)[:, 0]
-    return float(np.sum(fn * lam * phis * np.exp(-lam * contract.T)))
+def theta(at: Rows, contract: OptionContract, pairs: EigenBasis, g: np.ndarray) -> float:
+    """Series Theta (calendar-time derivative) at (y0, 0) for a one-point at."""
+    lam = pairs.lam
+    return float(np.sum(g * lam * at.phi[:, 0] * np.exp(-lam * contract.T)))
 
 
 def contribution(
-    n1: int,
-    n2: int,
-    y0: float,
-    t: float,
-    contract: OptionContract,
-    pairs: list[EigenPair],
-    c: SLCoefficients,
+    n1: int, n2: int, at: Rows, t: float, contract: OptionContract, pairs: EigenBasis, g: np.ndarray
 ) -> float:
     """Partial sum of the modal terms over eigenindices n1..n2 at (y0, t)."""
     if not (1 <= n1 <= n2 <= len(pairs)):
         raise ValueError(f"band {n1}-{n2} outside the retained 1..{len(pairs)} pairs")
-    sel = pairs[n1 - 1 : n2]
-    fn = np.array([p.f_n for p in sel])
-    lam = np.array([p.lam for p in sel])
-    phis = _phi_at(sel, np.array([y0]), c.mesh)[:, 0]
-    return float(np.sum(fn * phis * np.exp(-lam * (contract.T - t))))
+    sel = slice(n1 - 1, n2)
+    return float(np.sum(g[sel] * at.phi[sel, 0] * np.exp(-pairs.lam[sel] * (contract.T - t))))
 
 
 def contribution_report(
     bands: list[tuple],
-    y0: float,
+    at: Rows,
     t: float,
     contract: OptionContract,
-    pairs: list[EigenPair],
-    c: SLCoefficients,
+    pairs: EigenBasis,
+    g: np.ndarray,
 ) -> ContributionReport:
     """Contributions for explicit (n1, n2) bands; n2 = None runs to the last pair."""
-    steady = _steady_at(contract, c, y0)
+    steady = contract.rebate * float(at.h[0])
     rows = []
     total = steady
     for n1, n2 in bands:
@@ -237,7 +247,7 @@ def contribution_report(
         if n1 > len(pairs):
             rows.append((n1, n2, 0.0))
             continue
-        val = contribution(n1, hi, y0, t, contract, pairs, c)
+        val = contribution(n1, hi, at, t, contract, pairs, g)
         rows.append((n1, n2, val))
         total += val
     return ContributionReport(bands=tuple(rows), total=total, steady=steady)

@@ -4,7 +4,11 @@ The characteristic function is the Bessel-series eigenfunction evaluated
 at the upper barrier; its positive roots omega_n give the eigenvalues
 lambda_n = omega_n^2.  Roots are bracketed on a uniform omega grid and
 refined by bisection, then each eigenfunction (and optionally its
-derivative) is assembled on the mesh from one shared Bessel block.
+derivative) is assembled on the mesh from one shared Bessel block and one
+evaluation of sin(omega l) and cos(omega l).  The assembled basis is
+stacked (EigenBasis): phi_n and phi_n' are rows of (BLOCK_ROWS, M) arrays,
+and each EigenPair's functions are views of its rows, so the basis is held
+once.
 """
 
 from __future__ import annotations
@@ -15,13 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from .bessel import spherical_jn_block
+from .bessel import _jn_block, spherical_jn_block
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation
 from .mesh import GridFunction, inner_product
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
+# Rows per basis array.  A quote projects one block at a time, so its
+# temporaries stay a block high.  Blocks, not one (N, M) array per basis,
+# because a multi-megabyte array freed with an old solve leaves a hole that
+# glibc's heap rarely refills: with one array per basis, one-day sweeps that
+# solve a model per item peaked at about 5 MB more resident memory.
+BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -30,8 +40,7 @@ class EigenPair:
 
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
     norm_sq carries the normalization, and boundary_residual is
-    |phi(U)| / sup |phi|.  f_n is the modal coefficient of the contract
-    currently under consideration (set by the pricing stage).
+    |phi(U)| / sup |phi|.
     """
 
     n: int
@@ -41,15 +50,63 @@ class EigenPair:
     phi_prime: Optional[GridFunction] = None
     norm_sq: Optional[float] = None
     boundary_residual: Optional[float] = None
-    f_n: Optional[float] = None
 
 
-def _odd_block(x: np.ndarray, n_orders: int) -> np.ndarray:
-    """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1."""
+@dataclass(frozen=True)
+class EigenBasis:
+    """The eigenpairs of one solve, stacked in row blocks.
+
+    phi (dphi) is a tuple of 2-D arrays whose rows, block after block, are
+    phi_1, phi_2, ... (phi_1', ...) on the mesh; dphi is None when
+    derivatives were not assembled.  Indexing gives the EigenPair of one
+    row, whose phi and phi_prime are GridFunction views of its rows; a
+    contiguous slice gives the basis of those rows, again as views.
+    """
+
+    pairs: tuple
+    phi: tuple
+    dphi: Optional[tuple]
+    lam: np.ndarray
+    norm_sq: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return self.pairs[index]
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("a basis slice must be contiguous")
+        phi = _row_views(self.phi, start, stop)
+        dphi = None if self.dphi is None else _row_views(self.dphi, start, stop)
+        return EigenBasis(self.pairs[index], phi, dphi, self.lam[index], self.norm_sq[index])
+
+
+def _row_views(blocks: tuple, start: int, stop: int) -> tuple:
+    """Views of rows start..stop-1 of a sequence of row blocks."""
+    out, lo = [], 0
+    for b in blocks:
+        if lo < stop and lo + len(b) > start:
+            out.append(b[max(start - lo, 0) : stop - lo])
+        lo += len(b)
+    return tuple(out)
+
+
+def _odd_block(x: np.ndarray, n_orders: int, trig=None) -> np.ndarray:
+    """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1.
+
+    trig is (sin x, cos x) when the caller already holds them.
+    """
     n_odd = n_orders // 2
     if n_odd == 0:
         return np.zeros((0,) + np.shape(x))
-    return spherical_jn_block(x, 2 * n_odd - 1)[1::2]
+    if trig is None:
+        return spherical_jn_block(x, 2 * n_odd - 1)[1::2]
+    return _jn_block(x, 2 * n_odd - 1, trig)[1::2]
 
 
 def _odd_bessel_sum(coeff_rows: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -63,11 +120,6 @@ def _odd_bessel_sum(coeff_rows: np.ndarray, block: np.ndarray) -> np.ndarray:
         return 2.0 * np.tensordot(signs * odd, block, axes=(0, 0))
     # coefficient rows sampled on the mesh, x = omega * l on the same mesh
     return 2.0 * np.sum(signs[:, None] * odd * block, axis=0)
-
-
-def eigenfunction_block(omega: float, coeffs: NSBFCoefficients, c: SLCoefficients) -> np.ndarray:
-    """Odd-order Bessel rows at omega * l on the mesh, shared by phi_n and phi_n'."""
-    return _odd_block(omega * c.l.values, coeffs.alpha.shape[0])
 
 
 def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
@@ -140,75 +192,48 @@ def find_eigenvalues(
     ]
 
 
-def build_eigenfunction(
-    pair: EigenPair,
-    coeffs: NSBFCoefficients,
-    c: SLCoefficients,
-    block: Optional[np.ndarray] = None,
-) -> EigenPair:
-    """Assemble phi_n on the mesh and attach its squared norm.
-
-    block is eigenfunction_block(pair.omega, coeffs, c); it is computed
-    here when the caller does not pass it.
-    """
-    if block is None:
-        block = eigenfunction_block(pair.omega, coeffs, c)
-    x = pair.omega * c.l.values
-    phi_vals = np.sin(x) / c.rho.values + _odd_bessel_sum(coeffs.alpha, block)
-    sup = float(np.max(np.abs(phi_vals)))
-    if abs(phi_vals[-1]) > BOUNDARY_TOL * sup:
-        raise BoundaryViolation(
-            f"phi_{pair.n}(U) = {phi_vals[-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
-        )
-    phi = GridFunction(c.mesh, phi_vals)
-    norm_sq = inner_product(phi, phi, c.w)
-    return replace(
-        pair, phi=phi, norm_sq=norm_sq, boundary_residual=float(abs(phi_vals[-1]) / sup)
-    )
-
-
-def build_eigenfunction_derivative(
-    pair: EigenPair,
-    coeffs: NSBFCoefficients,
-    c: SLCoefficients,
-    block: Optional[np.ndarray] = None,
-) -> GridFunction:
-    """phi_n' from the beta-coefficient representation (no differencing).
-
-    block is the same Bessel block phi_n was assembled from; it is
-    computed here when the caller does not pass it.
-    """
-    if coeffs.beta is None:
-        raise ValueError("beta coefficients were not built (price-only reduced path)")
-    if pair.phi is None:
-        raise ValueError("build the eigenfunction before its derivative")
-    if block is None:
-        block = eigenfunction_block(pair.omega, coeffs, c)
-    l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
-    sqrt_wp = np.sqrt(c.w.values / c.p.values)
-    x = pair.omega * l
-    g2 = coeffs.G2.values
-    inner = (g2 * np.sin(x) + pair.omega * np.cos(x)) / rho + _odd_bessel_sum(coeffs.beta, block)
-    vals = sqrt_wp * inner - rho_p / rho * pair.phi.values
-    return GridFunction(c.mesh, vals)
-
-
 def assemble_pairs(
     skeletons: list[EigenPair],
     coeffs: NSBFCoefficients,
     c: SLCoefficients,
     with_derivatives: bool = False,
-) -> list[EigenPair]:
-    """Eigenfunctions (and derivatives) for every located root.
+) -> EigenBasis:
+    """Eigenfunctions (and derivatives) for every located root, stacked.
 
-    Each root's Bessel block is computed once and serves phi_n and phi_n'.
+    phi_n and phi_n' are written straight into row n-1 of the basis's row
+    blocks.  Each root evaluates sin(omega l) and cos(omega l) once on the
+    mesh, and one Bessel block built from them serves phi_n and phi_n'.
     """
-    out = []
-    for sk in skeletons:
-        block = eigenfunction_block(sk.omega, coeffs, c)
-        pair = build_eigenfunction(sk, coeffs, c, block)
+    if with_derivatives and coeffs.beta is None:
+        raise ValueError("beta coefficients were not built (price-only reduced path)")
+    n, l, rho = len(skeletons), c.l.values, c.rho.values
+    phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
+    dphi = tuple(np.empty_like(b) for b in phi) if with_derivatives else None
+    if with_derivatives:
+        sqrt_wp = np.sqrt(c.w.values / c.p.values)
+        rho_ratio = c.rho_prime.values / rho
+    pairs = []
+    for i, sk in enumerate(skeletons):
+        row = phi[i // BLOCK_ROWS][i % BLOCK_ROWS]
+        x = sk.omega * l
+        trig = np.sin(x), np.cos(x)
+        block = _odd_block(x, coeffs.alpha.shape[0], trig)
+        np.add(trig[0] / rho, _odd_bessel_sum(coeffs.alpha, block), out=row)
+        sup = float(np.max(np.abs(row)))
+        if abs(row[-1]) > BOUNDARY_TOL * sup:
+            raise BoundaryViolation(
+                f"phi_{sk.n}(U) = {row[-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
+            )
+        gf = GridFunction(c.mesh, row)
+        residual = float(abs(row[-1]) / sup)
+        pair = replace(sk, phi=gf, norm_sq=inner_product(gf, gf, c.w), boundary_residual=residual)
         if with_derivatives:
-            dphi = build_eigenfunction_derivative(pair, coeffs, c, block)
-            pair = replace(pair, phi_prime=dphi)
-        out.append(pair)
-    return out
+            drow = dphi[i // BLOCK_ROWS][i % BLOCK_ROWS]
+            inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+            inner += _odd_bessel_sum(coeffs.beta, block)
+            np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
+            pair = replace(pair, phi_prime=GridFunction(c.mesh, drow))
+        pairs.append(pair)
+    lam = np.array([p.lam for p in pairs])
+    norm_sq = np.array([p.norm_sq for p in pairs])
+    return EigenBasis(tuple(pairs), phi, dphi, lam, norm_sq)

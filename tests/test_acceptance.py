@@ -283,8 +283,8 @@ def test_criterion_6_spectral_properties(medium, short):
         scaled = nb.scale_gauge(base.sl, kappa)
         *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig(), with_derivatives=False)
         kept = pricing.select_pairs(pairs_k, c.T, nb.NumericsConfig())
-        kept = pricing.fourier_coefficients(c, kept, scaled)
-        price_k = pricing.value(Y0, 0.0, c, kept, scaled)
+        g = pricing.fourier_coefficients(c, kept, scaled)
+        price_k = pricing.value(pricing.rows_at(Y0, kept, scaled), 0.0, c, kept, g)
         rel = abs(price_k - base_price) / base_price
         if rel > 1e-9:
             problems.append(f"gauge kappa={kappa}: relative price shift {rel:.1e}")
@@ -302,15 +302,18 @@ def test_criterion_7_greeks_vs_finite_differences(medium):
             solver = medium(beta, gamma)
             c = contract()
             pairs = solver.retained_pairs(c)
-            d = pricing.delta(Y0, c, pairs, solver.sl)
-            fd_d = (
-                pricing.value(Y0 + h, 0.0, c, pairs, solver.sl)
-                - pricing.value(Y0 - h, 0.0, c, pairs, solver.sl)
-            ) / (2 * h)
+            g = pricing.fourier_coefficients(c, pairs, solver.sl)
+
+            def value(y, t):
+                return pricing.value(pricing.rows_at(y, pairs, solver.sl), t, c, pairs, g)
+
+            at = pricing.rows_at(Y0, pairs, solver.sl)
+            d = pricing.delta(at, c, pairs, g)
+            fd_d = (value(Y0 + h, 0.0) - value(Y0 - h, 0.0)) / (2 * h)
             worst_d = max(worst_d, abs(d - fd_d) / abs(fd_d))
-            th = pricing.theta(Y0, c, pairs, solver.sl)
+            th = pricing.theta(at, c, pairs, g)
             dt = c.T / 2000.0
-            v0, v1, v2 = (pricing.value(Y0, k * dt, c, pairs, solver.sl) for k in range(3))
+            v0, v1, v2 = (value(Y0, k * dt) for k in range(3))
             fd_t = (-3 * v0 + 4 * v1 - v2) / (2 * dt)
             worst_t = max(worst_t, abs(th - fd_t) / abs(fd_t))
     ok = worst_d < 1e-3 and worst_t < 1e-3
@@ -365,16 +368,17 @@ def test_criterion_9_rebate(medium, short):
     ys = np.linspace(L + 0.5, U - 0.5, 11)
     phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
     series = np.tensordot(fn * np.exp(-lam * (MEDIUM_T - 0.1)), phis, axes=(0, 0))
-    if not (np.array_equal(fn, [p.f_n for p in pairs])
-            and np.array_equal(pricing.value(ys, 0.1, plain, pairs, solver.sl), series)):
+    g = pricing.fourier_coefficients(plain, pairs, solver.sl)
+    got = pricing.value(pricing.rows_at(ys, pairs, solver.sl), 0.1, plain, pairs, g)
+    if not (np.array_equal(fn, g) and np.array_equal(got, series)):
         problems.append("R=0 path is not bit-identical to the plain series")
     # consistent boundary data reconstructs at least 5x better in L2_w: with
     # R = U - K the modal part f - R h vanishes at U
     s = short(-1.0, 2.0)
     kept = s.pairs[:27]
     rebate = contract(rebate=U - 100.0)
-    recon0 = sum(p.f_n * p.phi.values for p in pricing.fourier_coefficients(plain, kept, s.sl))
-    recon_r = sum(p.f_n * p.phi.values for p in pricing.fourier_coefficients(rebate, kept, s.sl))
+    recon0 = pricing.fourier_coefficients(plain, kept, s.sl) @ np.vstack(kept.phi)
+    recon_r = pricing.fourier_coefficients(rebate, kept, s.sl) @ np.vstack(kept.phi)
     recon_r = recon_r + rebate.rebate * s.sl.steady.values
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)

@@ -5,16 +5,15 @@ import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer.coefficients import (
-    LegendreTable,
     build_nsbf_coefficients,
     compute_G2,
-    compute_G2_unintegrated,
     compute_h_tilde,
-    direct_alpha,
     recover_row,
     recurrence_step,
 )
 from nsbf_pricer.spps import build_formal_powers, solve_particular
+
+from dual_routes import LegendreTable, compute_G2_unintegrated, direct_alpha
 
 
 def build_coeffs(sl, order=None, with_beta=True, K=1):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
-from nsbf_pricer.model import ConsistencyReport
+
+from dual_routes import ConsistencyReport, identity_p_w_q_consistency
 
 
 def test_calibrate_delta():
@@ -13,6 +14,27 @@ def test_calibrate_delta():
     assert nb.calibrate_delta(0.25, 100, 0.5) == pytest.approx(0.025)
     with pytest.raises(ValueError):
         nb.calibrate_delta(-0.1, 100, 0.0)
+
+
+class TestNonFiniteInputs:
+    # a NaN or infinite input fails at the boundary, naming what is wrong,
+    # not deep in the solve
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["beta", "gamma", "b", "c", "rbar", "qbar", "sigma0", "y0"])
+    def test_model_parameter_rejected(self, name, value):
+        fields = {"beta": -1.0, "gamma": 2.0, name: value}
+        with pytest.raises(nb.NonFiniteParameter, match=name):
+            nb.ejdcev_spec(nb.EJDCEVParams(**fields))
+
+    @pytest.mark.parametrize("L, U", [(math.nan, 120.0), (-math.inf, 120.0), (90.0, math.inf), (90.0, math.nan)])
+    def test_barrier_rejected(self, L, U):
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        with pytest.raises(nb.NonFiniteParameter, match="barriers"):
+            nb.DoubleBarrierSolver(spec, L, U)
+
+    def test_is_a_config_error(self):
+        assert issubclass(nb.NonFiniteParameter, nb.ConfigError)
+        assert issubclass(nb.NonFiniteParameter, ValueError)
 
 
 class TestDrift:
@@ -100,7 +122,7 @@ class TestConsistencyCheck:
     def test_clean_build(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
         c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
-        report = nb.identity_p_w_q_consistency(c, spec)
+        report = identity_p_w_q_consistency(c, spec)
         assert isinstance(report, ConsistencyReport)
         assert report.w_residual < 1e-12
         assert report.q_residual < 1e-12
@@ -113,7 +135,7 @@ class TestConsistencyCheck:
             w=nb.GridFunction(c.mesh, c.w.values * 1.001),
             l=c.l, rho=c.rho, rho_prime=c.rho_prime,
         )
-        assert nb.identity_p_w_q_consistency(bad, spec).w_residual > 1e-4
+        assert identity_p_w_q_consistency(bad, spec).w_residual > 1e-4
 
 
 def test_scale_gauge_relations():

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
-from nsbf_pricer import pricing
+from nsbf_pricer import pricing, spectrum
 from nsbf_pricer.fd import FDGrid, fd_price
-from nsbf_pricer.mesh import derivative_values, inner_product
+from nsbf_pricer.mesh import derivative_values, inner_product, interpolate_values
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
 
 def contract(style="call", K=100.0, T=0.5, rebate=0.0):
     return nb.OptionContract(style=style, L=L, U=U, T=T, K=K, rebate=rebate)
+
+
+def value_at(s, c, pairs, y, t=0.0):
+    """Series value of contract c on the given pairs of solver s at (y, t)."""
+    g = pricing.fourier_coefficients(c, pairs, s.sl)
+    return pricing.value(pricing.rows_at(y, pairs, s.sl), t, c, pairs, g)
 
 
 class TestContractValidation:
@@ -35,23 +41,21 @@ class TestFourierCoefficients:
         zero = nb.GridFunction(s.mesh, np.zeros(s.mesh.M))
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=zero)
         pairs = s.retained_pairs(c)
-        assert all(p.f_n == 0.0 for p in pairs)
-        assert pricing.value(Y0, 0.0, c, pairs, s.sl) == 0.0
+        assert np.all(pricing.fourier_coefficients(c, pairs, s.sl) == 0.0)
+        assert value_at(s, c, pairs, Y0) == 0.0
 
     def test_eigenfunction_payoff_is_delta(self, medium):
         s = medium(-1.0, 2.0)
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=s.pairs[0].phi)
-        pairs = pricing.fourier_coefficients(c, s.pairs[:4], s.sl)
-        assert pairs[0].f_n == pytest.approx(1.0, abs=1e-8)
-        for p in pairs[1:]:
-            assert abs(p.f_n) < 1e-8
+        g = pricing.fourier_coefficients(c, s.pairs[:4], s.sl)
+        assert g[0] == pytest.approx(1.0, abs=1e-8)
+        assert np.max(np.abs(g[1:])) < 1e-8
 
     def test_call_gibbs_overshoot_at_upper_barrier(self, short):
         # terminal reconstruction of the discontinuous payoff overshoots near U
         s = short(-2.0, 2.0)
         c = contract()
-        pairs = pricing.fourier_coefficients(c, s.pairs[:27], s.sl)
-        recon = sum(p.f_n * p.phi.values for p in pairs)
+        recon = pricing.fourier_coefficients(c, s.pairs[:27], s.sl) @ np.vstack(s.pairs[:27].phi)
         near_u = s.mesh.points > 115.0
         assert np.max(recon[near_u]) > (U - c.K) * 1.02
 
@@ -62,8 +66,8 @@ class TestValue:
         c = contract()
         pairs = s.retained_pairs(c)
         for t in (0.0, 0.25, 0.49):
-            assert abs(pricing.value(L, t, c, pairs, s.sl)) < 1e-8 * (U - c.K)
-            assert abs(pricing.value(U, t, c, pairs, s.sl)) < 1e-8 * (U - c.K)
+            assert abs(value_at(s, c, pairs, L, t)) < 1e-8 * (U - c.K)
+            assert abs(value_at(s, c, pairs, U, t)) < 1e-8 * (U - c.K)
 
     def test_matches_fd_oracle(self, medium):
         s = medium(0.5, 1.0)
@@ -77,14 +81,14 @@ class TestValue:
         c = contract()
         pairs = s.retained_pairs(c)
         with pytest.raises(ValueError, match="maturity"):
-            pricing.value(Y0, 0.6, c, pairs, s.sl)
+            value_at(s, c, pairs, Y0, 0.6)
 
     def test_out_of_range_price(self, medium):
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
         with pytest.raises(ValueError, match="outside"):
-            pricing.value(125.0, 0.0, c, pairs, s.sl)
+            value_at(s, c, pairs, 125.0)
 
 
 
@@ -120,8 +124,9 @@ class TestValueSurface:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, s.sl, t_count=11, y_count=21)
-        direct = pricing.value(y_grid[7], t_grid[0], c, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, s.sl, t_count=11, y_count=21)
+        direct = value_at(s, c, pairs, y_grid[7], t_grid[0])
         assert surf[0, 7] == pytest.approx(direct, abs=1e-12)
 
     def test_interior_bounds_away_from_maturity(self, medium):
@@ -130,7 +135,8 @@ class TestValueSurface:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, s.sl, t_count=101, y_count=101)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, s.sl, t_count=101, y_count=101)
         body = surf[t_grid <= 0.9 * c.T]
         assert np.min(body) > -1e-8
         assert np.max(body) < (U - c.K) + 1e-6
@@ -141,8 +147,7 @@ class TestValueSurface:
         f = pricing.payoff_grid(c, s.mesh)
         errs = []
         for n in (5, 10, 20, 27):
-            pairs = pricing.fourier_coefficients(c, s.pairs[:n], s.sl)
-            recon = sum(p.f_n * p.phi.values for p in pairs)
+            recon = pricing.fourier_coefficients(c, s.pairs[:n], s.sl) @ np.vstack(s.pairs[:n].phi)
             diff = nb.GridFunction(s.mesh, recon - f.values)
             errs.append(math.sqrt(inner_product(diff, diff, s.sl.w)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
@@ -153,19 +158,20 @@ class TestGreeks:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        d = pricing.delta(Y0, c, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        d = pricing.delta(pricing.rows_at(Y0, pairs, s.sl), c, pairs, g)
         h = (U - L) / 2000.0
-        fd = (pricing.value(Y0 + h, 0.0, c, pairs, s.sl)
-              - pricing.value(Y0 - h, 0.0, c, pairs, s.sl)) / (2 * h)
+        fd = (value_at(s, c, pairs, Y0 + h) - value_at(s, c, pairs, Y0 - h)) / (2 * h)
         assert abs(d - fd) / abs(fd) < 1e-3
 
     def test_theta_matches_value_fd(self, medium):
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        th = pricing.theta(Y0, c, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        th = pricing.theta(pricing.rows_at(Y0, pairs, s.sl), c, pairs, g)
         dt = c.T / 2000.0
-        v = [pricing.value(Y0, k * dt, c, pairs, s.sl) for k in range(3)]
+        v = [value_at(s, c, pairs, Y0, k * dt) for k in range(3)]
         fd = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
         assert abs(th - fd) / abs(fd) < 1e-3
 
@@ -239,8 +245,7 @@ class TestTruncation:
         c = contract()
 
         def value_n(n):
-            pairs = pricing.fourier_coefficients(c, s.pairs[:n], s.sl)
-            return pricing.value(Y0, 0.0, c, pairs, s.sl)
+            return value_at(s, c, s.pairs[:n], Y0)
 
         v6, v45 = value_n(6), value_n(45)
         assert abs(v45 - v6) < 1e-4
@@ -253,8 +258,9 @@ class TestContribution:
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360)
         pairs = s.retained_pairs(c)
-        total = pricing.contribution(1, len(pairs), Y0, 0.0, c, pairs, s.sl)
-        assert total == pytest.approx(pricing.value(Y0, 0.0, c, pairs, s.sl), abs=1e-12)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        total = pricing.contribution(1, len(pairs), pricing.rows_at(Y0, pairs, s.sl), 0.0, c, pairs, g)
+        assert total == pytest.approx(value_at(s, c, pairs, Y0), abs=1e-12)
 
     def test_band_sum_equals_price(self, medium, short):
         # the bands partition the modal terms and the steady part R h(y0) is
@@ -272,10 +278,12 @@ class TestContribution:
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360)
         pairs = s.retained_pairs(c)
+        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        at = pricing.rows_at(Y0, pairs, s.sl)
         with pytest.raises(ValueError, match="band"):
-            pricing.contribution(0, 5, Y0, 0.0, c, pairs, s.sl)
+            pricing.contribution(0, 5, at, 0.0, c, pairs, g)
         with pytest.raises(ValueError, match="band"):
-            pricing.contribution(5, 2, Y0, 0.0, c, pairs, s.sl)
+            pricing.contribution(5, 2, at, 0.0, c, pairs, g)
 
 
 class TestRebate:
@@ -284,16 +292,16 @@ class TestRebate:
         s = medium(-1.0, 2.0)
         plain = contract()
         pairs = s.retained_pairs(plain)
-        fn = np.array([p.f_n for p in pairs])
+        fn = pricing.fourier_coefficients(plain, pairs, s.sl)
         lam = np.array([p.lam for p in pairs])
         ys = np.linspace(91.0, 119.0, 7)
         phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
         for t in (0.0, 0.3):
             series = np.tensordot(fn * np.exp(-lam * (plain.T - t)), phis, axes=(0, 0))
-            assert np.array_equal(pricing.value(ys, t, plain, pairs, s.sl), series)
+            assert np.array_equal(value_at(s, plain, pairs, ys, t), series)
         dphis = np.array([nb.interpolate(p.phi_prime, Y0) for p in pairs])
         modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
-        assert pricing.delta(Y0, plain, pairs, s.sl) == modes
+        assert pricing.delta(pricing.rows_at(Y0, pairs, s.sl), plain, pairs, fn) == modes
 
     def test_steady_state_solves_the_boundary_problem(self, medium):
         # h(L) = 0, h(U) = 1, h' matches differencing, and (p h')' = q h
@@ -314,11 +322,9 @@ class TestRebate:
         n_keep = 27
         pairs = s.pairs[:n_keep]
         f = pricing.payoff_grid(c0, s.mesh)
-        pairs0 = pricing.fourier_coefficients(c0, pairs, s.sl)
-        recon0 = sum(p.f_n * p.phi.values for p in pairs0)
+        recon0 = pricing.fourier_coefficients(c0, pairs, s.sl) @ np.vstack(pairs.phi)
         err0 = nb.GridFunction(s.mesh, recon0 - f.values)
-        pairs_r = pricing.fourier_coefficients(cr, pairs, s.sl)
-        recon_r = sum(p.f_n * p.phi.values for p in pairs_r) + cr.rebate * s.sl.steady.values
+        recon_r = pricing.fourier_coefficients(cr, pairs, s.sl) @ np.vstack(pairs.phi) + cr.rebate * s.sl.steady.values
         err_r = nb.GridFunction(s.mesh, recon_r - f.values)
         e0 = math.sqrt(inner_product(err0, err0, s.sl.w))
         er = math.sqrt(inner_product(err_r, err_r, s.sl.w))
@@ -341,3 +347,73 @@ class TestRebate:
         plain = s.price(contract(), Y0).price
         with_r = s.price(contract(rebate=5.0), Y0).price
         assert with_r > plain
+
+
+class TestStackedBasis:
+    """The stacked projection and the shared stencil against a per-pair reference.
+
+    The reference takes each coefficient from mesh.inner_product and each
+    point value from mesh.interpolate_values, one pair at a time, and sums
+    the series in the same order; the solver's quote must equal it bit for bit.
+    """
+
+    @staticmethod
+    def reference(s, c, y0, t, bands):
+        pairs = s.retained_pairs(c)
+        d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh).values - c.rebate * s.sl.steady.values)
+        g = np.array([inner_product(d, p.phi, s.sl.w) / p.norm_sq for p in pairs])
+        lam = np.array([p.lam for p in pairs])
+        phi = np.array([interpolate_values(s.mesh, p.phi.values, [y0]) for p in pairs])
+        dphi = np.array([interpolate_values(s.mesh, p.phi_prime.values, y0) for p in pairs])
+        h = interpolate_values(s.mesh, s.sl.steady.values, y0)
+        dh = interpolate_values(s.mesh, s.sl.steady_prime.values, y0)
+        price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
+        delta = float(np.sum(g * dphi * np.exp(-lam * c.T))) + c.rebate * dh
+        theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * c.T)))
+        rows, total = [], c.rebate * h
+        for n1, n2 in bands:
+            sel = slice(n1 - 1, len(pairs) if n2 is None else n2)
+            val = float(np.sum(g[sel] * phi[sel, 0] * np.exp(-lam[sel] * (c.T - t))))
+            rows.append((n1, n2, val))
+            total += val
+        y_grid = np.linspace(L, U, 41)
+        phis = np.array([interpolate_values(s.mesh, p.phi.values, y_grid) for p in pairs])
+        tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
+        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * interpolate_values(s.mesh, s.sl.steady.values, y_grid)
+        return g, float(price[0]), delta, theta, tuple(rows), total, surface
+
+    @pytest.mark.parametrize("style", ["call", "put", "custom"])
+    @pytest.mark.parametrize("R", [0.0, 5.0])
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_bit_identical_to_per_pair_reference(self, medium, short, horizon, style, R):
+        s, T = (medium(-1.0, 2.0), 0.5) if horizon == "six-month" else (short(-2.0, 2.0), 1 / 360)
+        payoff = nb.GridFunction(s.mesh, np.sin(s.mesh.points / 7.0) ** 2 * (s.mesh.points - L))
+        c = nb.OptionContract(style, L, U, T, None if style == "custom" else 101.5, rebate=R,
+                              payoff=payoff if style == "custom" else None)
+        bands = [(1, 2), (3, 10), (11, None)]
+        pairs = s.retained_pairs(c)
+        for y0, t in ((float(s.mesh.points[3337]), 0.0), (101.2345678, 0.3 * T), (L, 0.0), (U, 0.0)):
+            g, price, delta, theta, rows, total, surface = self.reference(s, c, y0, t, bands)
+            assert np.array_equal(pricing.fourier_coefficients(c, pairs, s.sl), g)
+            r = s.price(c, y0, greeks=True, bands=bands, t=t)
+            assert (r.price, r.delta, r.theta) == (price, delta, theta)
+            assert r.contributions.bands == rows and r.contributions.total == total
+        assert np.array_equal(s.surface(c, t_count=5, y_count=41)[2], surface)
+
+    def test_pairs_are_views_of_the_stacked_rows(self, medium, short):
+        rows = spectrum.BLOCK_ROWS
+        for s in (medium(-1.0, 2.0), short(-2.0, 2.0)):
+            basis = s.pairs
+            heights = [len(b) for b in basis.phi]
+            assert heights == [min(rows, len(basis) - i) for i in range(0, len(basis), rows)]
+            assert [b.shape for b in basis.dphi] == [b.shape for b in basis.phi]
+            for i, p in enumerate(basis):
+                assert np.shares_memory(p.phi.values, basis.phi[i // rows][i % rows])
+                assert np.shares_memory(p.phi_prime.values, basis.dphi[i // rows][i % rows])
+                assert p.lam == basis.lam[i] and p.norm_sq == basis.norm_sq[i]
+            n = len(basis)
+            for start, stop in ((0, 1), (0, min(13, n)), (3, min(21, n)), (min(9, n - 1), n)):
+                part = basis[start:stop]
+                assert np.array_equal(np.vstack(part.phi), np.vstack(basis.phi)[start:stop])
+                assert all(np.shares_memory(a, b) for a, b in zip(part.phi, basis.phi[start // rows :]))
+                assert part[0] is basis[start] and len(part) == stop - start

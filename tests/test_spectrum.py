@@ -7,12 +7,7 @@ import nsbf_pricer as nb
 from nsbf_pricer.coefficients import build_nsbf_coefficients
 from nsbf_pricer.engine import solve_from_sl
 from nsbf_pricer.mesh import derivative_values, inner_product
-from nsbf_pricer.spectrum import (
-    build_eigenfunction,
-    build_eigenfunction_derivative,
-    characteristic,
-    find_eigenvalues,
-)
+from nsbf_pricer.spectrum import assemble_pairs, characteristic, find_eigenvalues
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
 
@@ -102,15 +97,15 @@ class TestEigenfunctions:
         s = medium(-1.0, 2.0)
         bad = nb.EigenPair(n=1, omega=s.pairs[0].omega * 1.05, lam=0.0)
         with pytest.raises(nb.BoundaryViolation):
-            build_eigenfunction(bad, s.coeffs, s.sl)
+            assemble_pairs([bad], s.coeffs, s.sl)
 
 
 class TestEigenfunctionDerivative:
     def test_flat_cosine(self, flat_sl, flat_solved):
         _, coeffs, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
-        p1 = pairs[0]
-        dphi = build_eigenfunction_derivative(p1, coeffs, flat_sl).values
+        p1 = assemble_pairs(pairs[:1], coeffs, flat_sl, with_derivatives=True)[0]
+        dphi = p1.phi_prime.values
         exact = p1.omega * np.cos(p1.omega * x)
         assert np.max(np.abs(dphi - exact)) < 1e-8
 
@@ -132,9 +127,9 @@ class TestEigenfunctionDerivative:
         powers = build_formal_powers(sol, flat_sl, K=1)
         coeffs = build_nsbf_coefficients(flat_sl, sol, powers, order=4, with_beta=False)
         pairs = find_eigenvalues(coeffs, flat_sl, 10.0, 100)
-        pair = build_eigenfunction(pairs[0], coeffs, flat_sl)
+        assert assemble_pairs(pairs, coeffs, flat_sl).dphi is None
         with pytest.raises(ValueError, match="beta"):
-            build_eigenfunction_derivative(pair, coeffs, flat_sl)
+            assemble_pairs(pairs, coeffs, flat_sl, with_derivatives=True)
 
 
 class TestGaugeInvariance:
