@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteParameter,
     NonFiniteSpot,
     NSBFError,
+    ParameterOutOfRange,
     PositivityError,
     SpotOutsideBarriers,
     TimeOutsideHorizon,

@@ -29,14 +29,6 @@ DEFAULT_EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction
 
 
 @dataclass(frozen=True)
-class RecurrenceIntermediates:
-    """Cumulative integrals feeding one recurrence step; both vanish at L."""
-
-    theta_tilde: np.ndarray
-    eta_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class IdentityReport:
     """Residuals of the four coefficient-sum identities.
 
@@ -199,39 +191,47 @@ def initial_coefficients(
     )
 
 
+class _Recurrence:
+    """The order-raising recurrence of one solve, its order-free factors formed once."""
+
+    def __init__(self, c: SLCoefficients, sol: ParticularSolution):
+        self.mesh = c.mesh
+        l, rho, g = self.l, self.rho, self.g = c.l.values, c.rho.values, sol.g.values
+        self.sqrt_wp = np.sqrt(c.w.values / c.p.values)
+        gp_rho = sol.g_prime.values * rho + g * c.rho_prime.values
+        self.l_gp_rho, self.sqrt_pw_gp_rho = l * gp_rho, 1.0 / self.sqrt_wp * gp_rho
+        self.rho2_g2, self.rho2_g, self.l2 = rho**2 * g**2, rho**2 * g, l**2
+
+    def step(self, n: int, A_prev: np.ndarray, B_prev: Optional[np.ndarray]) -> tuple:
+        """A_n (and B_n when B_prev is given) from order n-2, n >= 2."""
+        l, rho, g, sqrt_wp = self.l, self.rho, self.g, self.sqrt_wp
+        eta = cumulative_integral(
+            self.mesh, (self.l_gp_rho + (n - 1.0) * rho * g * sqrt_wp) * rho * A_prev
+        )
+        theta = cumulative_integral(self.mesh, (eta / self.rho2_g2 - l * A_prev / g) * sqrt_wp)
+        front = (2.0 * n + 1.0) / (2.0 * n - 3.0)
+        A_n = front * (self.l2 * A_prev + 2.0 * (2.0 * n - 1.0) * g * theta)
+        B_n = None
+        if B_prev is not None:
+            B_n = front * (
+                self.l2 * B_prev
+                + 2.0 * (2.0 * n - 1.0) * (self.sqrt_pw_gp_rho * theta / rho + eta / self.rho2_g)
+                - (2.0 * n - 1.0) * l * A_prev
+            )
+        return A_n, B_n
+
+
 def recurrence_step(
     n: int,
     A_prev: np.ndarray,
     B_prev: Optional[np.ndarray],
     c: SLCoefficients,
     sol: ParticularSolution,
-) -> tuple[np.ndarray, Optional[np.ndarray], RecurrenceIntermediates]:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One step of the order-raising recurrence (n >= 2), from order n-2."""
     if n < 2:
         raise ValueError("recurrence starts at n = 2")
-    mesh = c.mesh
-    l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
-    g, g_p = sol.g.values, sol.g_prime.values
-    sqrt_wp = np.sqrt(c.w.values / c.p.values)
-    gp_rho = g_p * rho + g * rho_p
-
-    eta = cumulative_integral(
-        mesh, (l * gp_rho + (n - 1.0) * rho * g * sqrt_wp) * rho * A_prev
-    )
-    theta = cumulative_integral(
-        mesh, (eta / (rho**2 * g**2) - l * A_prev / g) * sqrt_wp
-    )
-    front = (2.0 * n + 1.0) / (2.0 * n - 3.0)
-    A_n = front * (l**2 * A_prev + 2.0 * (2.0 * n - 1.0) * g * theta)
-    B_n = None
-    if B_prev is not None:
-        sqrt_pw = 1.0 / sqrt_wp
-        B_n = front * (
-            l**2 * B_prev
-            + 2.0 * (2.0 * n - 1.0) * (sqrt_pw * gp_rho * theta / rho + eta / (rho**2 * g))
-            - (2.0 * n - 1.0) * l * A_prev
-        )
-    return A_n, B_n, RecurrenceIntermediates(theta_tilde=theta, eta_tilde=eta)
+    return _Recurrence(c, sol).step(n, A_prev, B_prev)
 
 
 def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tuple:
@@ -349,6 +349,7 @@ def build_nsbf_coefficients(
     init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge, with_beta)
 
     sums = _IdentitySums(c, h_t, G2.values, with_beta)
+    recurrence = _Recurrence(c, sol)
     last = order if order is not None else order_cap
     A_rows, B_rows, alpha_rows, beta_rows, pointwise, residual_rows = [], [], [], [], [], []
     best, best_at = np.inf, 0
@@ -358,7 +359,7 @@ def build_nsbf_coefficients(
             A_n, B_n = (init.A0, init.B0) if n == 0 else (init.A1, init.B1)
         else:
             B_prev = B_rows[n - 2] if with_beta else None
-            A_n, B_n, _ = recurrence_step(n, A_rows[n - 2], B_prev, c, sol)
+            A_n, B_n = recurrence.step(n, A_rows[n - 2], B_prev)
         A_rows.append(A_n)
         alpha_rows.append(recover_row(A_n, l, n, n_edge))
         if with_beta:

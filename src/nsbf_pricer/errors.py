@@ -33,6 +33,10 @@ class NonFiniteParameter(ConfigError, ValueError):
     """A model parameter or a barrier level is NaN or infinite."""
 
 
+class ParameterOutOfRange(ConfigError, ValueError):
+    """A model parameter lies outside its domain, such as a non-positive spot volatility."""
+
+
 class InvalidQuoteInput(NSBFError, ValueError):
     """A quote request lies outside the domain the solved basis covers."""
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteParameter, PositivityError
+from .errors import NonFiniteParameter, ParameterOutOfRange, PositivityError
 from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
 
 
@@ -62,6 +62,10 @@ class EJDCEVParams:
         bad = [f"{name}={v}" for name, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise NonFiniteParameter(f"EJDCEV parameters must be finite: {', '.join(bad)}")
+        domain = {"sigma0": self.sigma0 > 0, "y0": self.y0 > 0, "b": self.b >= 0, "c": self.c >= 0}
+        bad = [f"{name}={getattr(self, name)}" for name, ok in domain.items() if not ok]
+        if bad:
+            raise ParameterOutOfRange(f"EJDCEV needs sigma0, y0 > 0, b, c >= 0: {', '.join(bad)}")
 
     @property
     def delta(self) -> float:
@@ -91,7 +95,7 @@ class SLCoefficients:
 def calibrate_delta(sigma0: float, y0: float, beta: float) -> float:
     """Scale delta with delta * y0^beta = sigma0 (spot volatility pinned)."""
     if sigma0 <= 0 or y0 <= 0:
-        raise ValueError("sigma0 and y0 must be positive")
+        raise ParameterOutOfRange(f"sigma0 and y0 must be positive, got sigma0={sigma0}, y0={y0}")
     return sigma0 * y0 ** (-beta)
 
 

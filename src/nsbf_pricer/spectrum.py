@@ -22,7 +22,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation
-from .mesh import GridFunction, inner_product
+from .mesh import GridFunction, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -99,27 +99,31 @@ def _row_views(blocks: tuple, start: int, stop: int) -> tuple:
 def _odd_block(x: np.ndarray, n_orders: int, trig=None) -> np.ndarray:
     """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1.
 
-    trig is (sin x, cos x) when the caller already holds them.
+    trig is (sin x, cos x) when the caller already holds them; the block is
+    then built for the odd orders alone.
     """
     n_odd = n_orders // 2
     if n_odd == 0:
         return np.zeros((0,) + np.shape(x))
     if trig is None:
         return spherical_jn_block(x, 2 * n_odd - 1)[1::2]
-    return _jn_block(x, 2 * n_odd - 1, trig)[1::2]
+    return _jn_block(x, 2 * n_odd - 1, trig, odd=True)
 
 
-def _odd_bessel_sum(coeff_rows: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """2 sum_m (-1)^m c_{2m+1} j_{2m+1}(x) for coefficient rows indexed by order."""
+def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
+    """(-1)^m c_{2m+1}: the odd coefficient rows with alternating signs."""
     odd = coeff_rows[1::2]
-    if odd.shape[0] == 0:
-        return np.zeros(block.shape[1:])
     signs = np.where(np.arange(odd.shape[0]) % 2 == 0, 1.0, -1.0)
-    if odd.ndim == 1:
+    return signs.reshape((-1,) + (1,) * (odd.ndim - 1)) * odd
+
+
+def _odd_bessel_sum(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """2 sum_m (-1)^m c_{2m+1} j_{2m+1}(x) from the rows of _signed_odd."""
+    if signed.ndim == 1:
         # coefficients fixed at one point (the upper barrier), x varies
-        return 2.0 * np.tensordot(signs * odd, block, axes=(0, 0))
+        return 2.0 * np.tensordot(signed, block, axes=(0, 0))
     # coefficient rows sampled on the mesh, x = omega * l on the same mesh
-    return 2.0 * np.sum(signs[:, None] * odd * block, axis=0)
+    return 2.0 * np.sum(signed * block, axis=0)
 
 
 def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
@@ -127,9 +131,8 @@ def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     l_u = c.l.values[-1]
     rho_u = c.rho.values[-1]
     alpha_u = coeffs.alpha[:, -1]
-    om = np.asarray(omega, dtype=float)
-    x = om * l_u
-    val = np.sin(x) / rho_u + _odd_bessel_sum(alpha_u, _odd_block(x, alpha_u.shape[0]))
+    x = np.asarray(omega, dtype=float) * l_u
+    val = np.sin(x) / rho_u + _odd_bessel_sum(_signed_odd(alpha_u), _odd_block(x, len(alpha_u)))
     return val if np.ndim(omega) else float(val)
 
 
@@ -202,38 +205,41 @@ def assemble_pairs(
 
     phi_n and phi_n' are written straight into row n-1 of the basis's row
     blocks.  Each root evaluates sin(omega l) and cos(omega l) once on the
-    mesh, and one Bessel block built from them serves phi_n and phi_n'.
+    mesh, and one block of the odd Bessel orders built from them serves
+    phi_n and phi_n'.  Norms are taken per row block after the loop.
     """
     if with_derivatives and coeffs.beta is None:
         raise ValueError("beta coefficients were not built (price-only reduced path)")
     n, l, rho = len(skeletons), c.l.values, c.rho.values
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
     dphi = tuple(np.empty_like(b) for b in phi) if with_derivatives else None
+    rows = [r for b in phi for r in b]
+    drows = [r for b in dphi for r in b] if with_derivatives else [None] * n
+    alpha = _signed_odd(coeffs.alpha)
     if with_derivatives:
+        beta = _signed_odd(coeffs.beta)
         sqrt_wp = np.sqrt(c.w.values / c.p.values)
         rho_ratio = c.rho_prime.values / rho
-    pairs = []
-    for i, sk in enumerate(skeletons):
-        row = phi[i // BLOCK_ROWS][i % BLOCK_ROWS]
+    residuals = []
+    for sk, row, drow in zip(skeletons, rows, drows):
         x = sk.omega * l
         trig = np.sin(x), np.cos(x)
         block = _odd_block(x, coeffs.alpha.shape[0], trig)
-        np.add(trig[0] / rho, _odd_bessel_sum(coeffs.alpha, block), out=row)
+        np.add(trig[0] / rho, _odd_bessel_sum(alpha, block), out=row)
         sup = float(np.max(np.abs(row)))
         if abs(row[-1]) > BOUNDARY_TOL * sup:
             raise BoundaryViolation(
                 f"phi_{sk.n}(U) = {row[-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
             )
-        gf = GridFunction(c.mesh, row)
-        residual = float(abs(row[-1]) / sup)
-        pair = replace(sk, phi=gf, norm_sq=inner_product(gf, gf, c.w), boundary_residual=residual)
+        residuals.append(float(abs(row[-1]) / sup))
         if with_derivatives:
-            drow = dphi[i // BLOCK_ROWS][i % BLOCK_ROWS]
             inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
-            inner += _odd_bessel_sum(coeffs.beta, block)
+            inner += _odd_bessel_sum(beta, block)
             np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
-            pair = replace(pair, phi_prime=GridFunction(c.mesh, drow))
-        pairs.append(pair)
-    lam = np.array([p.lam for p in pairs])
-    norm_sq = np.array([p.norm_sq for p in pairs])
-    return EigenBasis(tuple(pairs), phi, dphi, lam, norm_sq)
+    norm_sq = np.concatenate([integrate(c.mesh, b * b * c.w.values) for b in phi] or [np.empty(0)])
+    pairs = tuple(
+        replace(sk, phi=GridFunction(c.mesh, row), norm_sq=float(norm), boundary_residual=res,
+                phi_prime=None if drow is None else GridFunction(c.mesh, drow))
+        for sk, row, drow, norm, res in zip(skeletons, rows, drows, norm_sq, residuals)
+    )
+    return EigenBasis(pairs, phi, dphi, np.array([sk.lam for sk in skeletons]), norm_sq)

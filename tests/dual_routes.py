@@ -1,8 +1,10 @@
 """Second routes to quantities the program computes, for cross-checks only.
 
 Each helper recomputes something src builds another way: alpha_n from the
-Legendre/formal-power formula, G2 with the nested derivative, and the
-pointwise identities that define w and q.  Nothing in src calls them.
+Legendre/formal-power formula, G2 with the nested derivative, the
+pointwise identities that define w and q, the integrals inside one
+recurrence step, and Bessel blocks and eigenbases by the earlier masked,
+per-pair route.  Nothing in src calls them.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from nsbf_pricer.mesh import GridFunction, cumulative_integral, derivative_values
+from nsbf_pricer.bessel import (
+    _BUCKET_EDGES,
+    _RESCALE_HEADROOM,
+    _RESCALE_LIMIT,
+    _SEED,
+    _SERIES_CUTOFF,
+    _SERIES_TERMS,
+)
+from nsbf_pricer.mesh import GridFunction, cumulative_integral, derivative_values, inner_product
 from nsbf_pricer.model import DiffusionSpec, SLCoefficients
 from nsbf_pricer.spps import FormalPowerTable
 
@@ -106,3 +116,134 @@ def identity_p_w_q_consistency(c: SLCoefficients, spec: DiffusionSpec) -> Consis
     q_scale = np.maximum(np.abs(q_ref), np.max(np.abs(q_ref)) * 1e-12 + 1e-300)
     q_res = float(np.max(np.abs(c.q.values - q_ref) / q_scale))
     return ConsistencyReport(w_residual=w_res, q_residual=q_res)
+
+
+def recurrence_intermediates(n: int, A_prev: np.ndarray, c: SLCoefficients, sol) -> tuple:
+    """theta~ and eta~ of one recurrence step, the two cumulative integrals behind A_n."""
+    l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
+    g, g_p = sol.g.values, sol.g_prime.values
+    sqrt_wp = np.sqrt(c.w.values / c.p.values)
+    gp_rho = g_p * rho + g * rho_p
+    eta = cumulative_integral(
+        c.mesh, (l * gp_rho + (n - 1.0) * rho * g * sqrt_wp) * rho * A_prev
+    )
+    theta = cumulative_integral(c.mesh, (eta / (rho**2 * g**2) - l * A_prev / g) * sqrt_wp)
+    return theta, eta
+
+
+# Spherical Bessel blocks as built before the regimes became slices of the
+# sorted argument: one boolean mask per regime, every order computed, a new
+# array at every step.  The block arithmetic must match it bit for bit.
+
+
+def _masked_series(x, m_max):
+    m = np.arange(m_max + 1, dtype=float)[:, None]
+    x_sq = x * x
+    acc = np.ones((m_max + 1, x.size))
+    for k in range(_SERIES_TERMS, 0, -1):
+        acc = 1.0 - x_sq / (2.0 * k * (2.0 * (m + k) + 1.0)) * acc
+    lead = np.empty_like(acc)
+    lead[0] = 1.0
+    lead[1:] = x / (2.0 * m[1:] + 1.0)
+    return np.cumprod(lead, axis=0) * acc
+
+
+def _masked_upward(x, m_max, sin_x, cos_x):
+    out = np.empty((m_max + 1, x.size))
+    inv_x = 1.0 / x
+    np.multiply(sin_x, inv_x, out=out[0])
+    if m_max >= 1:
+        np.subtract(out[0], cos_x, out=out[1])
+        out[1] *= inv_x
+    for m in range(1, m_max):
+        nxt = out[m + 1]
+        np.multiply(out[m], inv_x, out=nxt)
+        nxt *= 2.0 * m + 1.0
+        nxt -= out[m - 1]
+    return out
+
+
+def _masked_miller(x, m_max, sin_x, cos_x):
+    extra = max(20, int(np.ceil(1.2 * float(np.max(x)))))
+    m_top = m_max + extra
+    growth = 1.0 + (2.0 * m_top + 1.0) / float(np.min(x))
+    check_every = max(1, int(_RESCALE_HEADROOM / np.log10(growth)))
+    out = np.zeros((m_max + 1, x.size))
+    jp2 = np.zeros_like(x)
+    jp1 = np.full_like(x, _SEED)
+    for m in range(m_top - 1, -1, -1):
+        jm = (2.0 * m + 3.0) / x * jp1 - jp2
+        jp2, jp1 = jp1, jm
+        if m <= m_max:
+            out[m] = jm
+        if m % check_every == 0 and max(np.max(np.abs(jp1)), np.max(np.abs(jp2))) > _RESCALE_LIMIT:
+            jp1 *= 1.0 / _RESCALE_LIMIT
+            jp2 *= 1.0 / _RESCALE_LIMIT
+            out *= 1.0 / _RESCALE_LIMIT
+    j0 = sin_x / x
+    j1 = j0 / x - cos_x / x
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    out *= np.where(use_j0, j0, j1) / np.where(use_j0, out[0], out[1])
+    return out
+
+
+def masked_jn_block(x, m_max: int, trig=None) -> np.ndarray:
+    """j_0..j_m_max(x), each regime picked by a mask over the unsorted argument."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    flat = x_arr.ravel()
+    sin_x, cos_x = (np.sin(flat), np.cos(flat)) if trig is None else map(np.ravel, trig)
+    out = np.empty((m_max + 1, flat.size))
+    small = flat < _SERIES_CUTOFF
+    if np.any(small):
+        out[:, small] = _masked_series(flat[small], m_max)
+    upward_from = max(float(m_max), _SERIES_CUTOFF)
+    up = flat >= upward_from
+    if np.any(up):
+        out[:, up] = _masked_upward(flat[up], m_max, sin_x[up], cos_x[up])
+    lo = _SERIES_CUTOFF
+    for hi in _BUCKET_EDGES[1:]:
+        sel = (flat >= lo) & (flat < min(hi, upward_from))
+        if np.any(sel):
+            out[:, sel] = _masked_miller(flat[sel], m_max, sin_x[sel], cos_x[sel])
+        lo = hi
+    out = out.reshape((m_max + 1,) + x_arr.shape)
+    return out if np.ndim(x) else out[:, 0]
+
+
+def per_pair_basis(skeletons, coeffs, c: SLCoefficients, with_derivatives: bool) -> dict:
+    """phi, phi', lam, norm_sq and boundary residuals assembled one pair at a time.
+
+    Every order of a masked Bessel block, the signed odd coefficients formed
+    again for each pair, and one inner product per norm.
+    """
+
+    def odd_sum(coeff_rows, block):
+        odd = coeff_rows[1::2]
+        if odd.shape[0] == 0:
+            return np.zeros(block.shape[1:])
+        signs = np.where(np.arange(odd.shape[0]) % 2 == 0, 1.0, -1.0)
+        return 2.0 * np.sum(signs[:, None] * odd * block, axis=0)
+
+    l, rho = c.l.values, c.rho.values
+    sqrt_wp = np.sqrt(c.w.values / c.p.values)
+    rho_ratio = c.rho_prime.values / rho
+    n_odd = coeffs.alpha.shape[0] // 2
+    out = {"phi": [], "dphi": [], "norm_sq": [], "boundary_residual": []}
+    for sk in skeletons:
+        x = sk.omega * l
+        trig = np.sin(x), np.cos(x)
+        if n_odd:
+            block = masked_jn_block(x, 2 * n_odd - 1, trig)[1::2]
+        else:
+            block = np.zeros((0, x.size))
+        phi = trig[0] / rho + odd_sum(coeffs.alpha, block)
+        gf = GridFunction(c.mesh, phi)
+        out["phi"].append(phi)
+        out["norm_sq"].append(inner_product(gf, gf, c.w))
+        out["boundary_residual"].append(float(abs(phi[-1]) / float(np.max(np.abs(phi)))))
+        if with_derivatives:
+            inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+            inner += odd_sum(coeffs.beta, block)
+            out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
+    out["lam"] = [sk.lam for sk in skeletons]
+    return {k: np.array(v) for k, v in out.items()}

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from nsbf_pricer.bessel import spherical_jn_block
+from nsbf_pricer.bessel import _jn_block, spherical_jn_block
+
+from dual_routes import masked_jn_block
 
 
 def closed_j0(x):
@@ -118,3 +120,54 @@ def test_block_against_mpmath(m_max):
     block = spherical_jn_block(x, m_max)
     ref = np.array([[_mpmath_jn(m, v) for v in x] for m in range(m_max + 1)])
     assert np.max(np.abs(block - ref)) <= 1e-15
+
+
+# Regime switches: the series below 2, Miller buckets starting at 2, 16, 32,
+# 128 and 512, each capped at m_max, and upward recursion from max(m_max, 2).
+SWITCHES = (2.0, 16.0, 32.0, 128.0, 512.0)
+M_MAXES = [0, 1, 5, 9, 11, 61]
+# from m_max of about 250 on, the Miller sweep of arguments near 2 grows past
+# the rescale limit, so 300 exercises the overflow rescale
+RESCALING_M_MAX = 300
+
+
+def _assert_same_as_masked(x, m_max, trig=None):
+    """Full and odd-only blocks equal the masked reference bit for bit."""
+    ref = masked_jn_block(x, m_max, trig)
+    full = spherical_jn_block(x, m_max) if trig is None else _jn_block(x, m_max, trig)
+    assert full.shape == ref.shape and np.array_equal(full, ref)
+    odd = _jn_block(x, m_max, trig, odd=True)
+    assert odd.shape == ref[1::2].shape and np.array_equal(odd, ref[1::2])
+
+
+@pytest.fixture(scope="module")
+def mesh_arguments(medium, short):
+    """omega l(y) on the mesh at the first, middle and last root of both presets."""
+    out = []
+    for s in (medium(-1.0, 2.0), short(-2.0, 3.0)):
+        omegas = [p.omega for p in s.pairs]
+        out += [om * s.sl.l.values for om in (omegas[0], omegas[len(omegas) // 2], omegas[-1])]
+    return out
+
+
+@pytest.mark.parametrize("m_max", M_MAXES)
+def test_block_equals_masked_reference_on_mesh_arguments(mesh_arguments, m_max):
+    rng = np.random.default_rng(m_max)
+    for x in mesh_arguments:
+        _assert_same_as_masked(x, m_max, (np.sin(x), np.cos(x)))
+        for y in (x[::-1], rng.permutation(x), x[1:].reshape(100, 100)):
+            _assert_same_as_masked(y, m_max)
+
+
+@pytest.mark.parametrize("m_max", M_MAXES + [RESCALING_M_MAX])
+def test_block_equals_masked_reference_at_regime_switches(m_max):
+    points = sorted(
+        v
+        for edge in SWITCHES + (float(m_max),)
+        for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+    )
+    x = np.array(points)
+    for y in (x, x[::-1], x.reshape(3, -1)):
+        _assert_same_as_masked(y, m_max)
+    for v in points + [0.0]:
+        _assert_same_as_masked(v, m_max)

@@ -13,7 +13,12 @@ from nsbf_pricer.coefficients import (
 )
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
-from dual_routes import LegendreTable, compute_G2_unintegrated, direct_alpha
+from dual_routes import (
+    LegendreTable,
+    compute_G2_unintegrated,
+    direct_alpha,
+    recurrence_intermediates,
+)
 
 
 def build_coeffs(sl, order=None, with_beta=True, K=1):
@@ -129,9 +134,17 @@ class TestRecurrence:
 
     def test_intermediates_vanish_at_left(self, medium):
         s = medium(-1.0, 2.0)
-        _, _, inter = recurrence_step(2, s.coeffs.A[0], s.coeffs.B[0], s.sl, s.particular)
-        assert inter.theta_tilde[0] == 0.0
-        assert inter.eta_tilde[0] == 0.0
+        theta, eta = recurrence_intermediates(2, s.coeffs.A[0], s.sl, s.particular)
+        assert theta[0] == 0.0
+        assert eta[0] == 0.0
+
+    def test_step_matches_the_built_orders(self, medium):
+        # the public step rebuilds the per-solve factors the build hoists
+        s = medium(-1.0, 2.0)
+        for n in (2, 3, 7):
+            A_n, B_n = recurrence_step(n, s.coeffs.A[n - 2], s.coeffs.B[n - 2], s.sl, s.particular)
+            assert np.array_equal(A_n, s.coeffs.A[n])
+            assert np.array_equal(B_n, s.coeffs.B[n])
 
     def test_residual_improves_with_order(self, medium):
         s = medium(-1.0, 2.0)

@@ -14,6 +14,31 @@ def test_calibrate_delta():
     assert nb.calibrate_delta(0.25, 100, 0.5) == pytest.approx(0.025)
     with pytest.raises(ValueError):
         nb.calibrate_delta(-0.1, 100, 0.0)
+    with pytest.raises(nb.ParameterOutOfRange):
+        nb.calibrate_delta(0.25, 0.0, 0.0)
+
+
+class TestParametersOutOfRange:
+    # spot volatility and spot must be positive, hazard coefficients
+    # non-negative; each violation is named at the boundary
+    @pytest.mark.parametrize(
+        "name, value", [("sigma0", 0.0), ("sigma0", -0.25), ("y0", 0.0), ("y0", -100.0)]
+    )
+    def test_non_positive_spot_inputs_rejected(self, name, value):
+        with pytest.raises(nb.ParameterOutOfRange, match=f": {name}={value}"):
+            nb.EJDCEVParams(beta=-1.0, gamma=2.0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["b", "c"])
+    def test_negative_hazard_coefficient_rejected(self, name):
+        with pytest.raises(nb.ParameterOutOfRange, match=f": {name}=-0.01"):
+            nb.EJDCEVParams(beta=-1.0, gamma=2.0, **{name: -0.01})
+
+    def test_zero_hazard_accepted(self):
+        assert nb.EJDCEVParams(beta=-1.0, gamma=2.0, b=0.0, c=0.0).delta == pytest.approx(25.0)
+
+    def test_is_a_config_error_and_a_value_error(self):
+        assert issubclass(nb.ParameterOutOfRange, nb.ConfigError)
+        assert issubclass(nb.ParameterOutOfRange, ValueError)
 
 
 class TestNonFiniteInputs:

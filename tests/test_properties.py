@@ -6,6 +6,7 @@ at U, so a price must not fall as R grows and must stay inside
 plain eigenfunction expansion, summed here from its parts.  The projection
 is linear in the payoff, so call minus put is the custom contract paying
 y - K, and a higher strike does not raise a call price or lower a put price.
+Scaling p, q and w by one constant (the gauge) leaves every price unchanged.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import nsbf_pricer as nb
 from nsbf_pricer import pricing
+from nsbf_pricer.engine import solve_from_sl
 
 L, U = 90.0, 120.0
 HORIZONS = {"six-month": (0.5, -1.0, 2.0), "one-day": (1.0 / 360.0, -2.0, 3.0)}
@@ -24,6 +26,10 @@ HORIZONS = {"six-month": (0.5, -1.0, 2.0), "one-day": (1.0 / 360.0, -2.0, 3.0)}
 # 300 random strike pairs per solve, the largest rise of a call (fall of a
 # put) with K was 3.3e-12 (one day) and the largest parity gap 9.6e-14
 TOL = 1e-9
+# gauge: price-only six-month solves at 65 gauges kappa in [1e-3, 1e3] (25
+# log-spaced with three contracts, 40 random with random contracts) priced
+# within 7.1e-15 of the unscaled solve
+GAUGE_TOL = 1e-12
 
 spots = st.floats(L, U)
 strikes = st.floats(L + 0.5, U - 0.5)
@@ -95,3 +101,27 @@ def test_prices_monotone_in_strike(solved, K1, K2, y0, R):
     lo, hi = sorted((K1, K2))
     assert _price(solver, T, "call", hi, R, y0) <= _price(solver, T, "call", lo, R, y0) + TOL
     assert _price(solver, T, "put", lo, R, y0) <= _price(solver, T, "put", hi, R, y0) + TOL
+
+
+@pytest.fixture(scope="module")
+def price_only_six_month(medium):
+    T, beta, gamma = HORIZONS["six-month"]
+    return solve_from_sl(medium(beta, gamma).sl, nb.NumericsConfig(), with_derivatives=False)
+
+
+def _series_price(solved_sl, style, K, R, y0):
+    sl, _, _, basis = solved_sl
+    T = HORIZONS["six-month"][0]
+    c = nb.OptionContract(style, L, U, T, K, rebate=R)
+    pairs = pricing.select_pairs(basis, T, nb.NumericsConfig())
+    g = pricing.fourier_coefficients(c, pairs, sl)
+    return pricing.value(pricing.rows_at(y0, pairs, sl), 0.0, c, pairs, g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(log_kappa=st.floats(-3.0, 3.0), style=styles, K=strikes, y0=spots, R=rebates)
+def test_price_unchanged_by_gauge(price_only_six_month, log_kappa, style, K, y0, R):
+    sl = nb.scale_gauge(price_only_six_month[0], 10.0**log_kappa)
+    scaled = solve_from_sl(sl, nb.NumericsConfig(), with_derivatives=False)
+    expected = _series_price(price_only_six_month, style, K, R, y0)
+    assert _series_price(scaled, style, K, R, y0) == pytest.approx(expected, abs=GAUGE_TOL)

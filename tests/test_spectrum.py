@@ -10,6 +10,8 @@ from nsbf_pricer.mesh import derivative_values, inner_product
 from nsbf_pricer.spectrum import assemble_pairs, characteristic, find_eigenvalues
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
+from dual_routes import masked_jn_block, per_pair_basis
+
 
 @pytest.fixture(scope="module")
 def flat_solved(flat_sl):
@@ -141,3 +143,36 @@ class TestGaugeInvariance:
         lam_base = s.eigenvalues()[: len(pairs)]
         lam_scaled = np.array([p.lam for p in pairs])[: len(lam_base)]
         assert np.max(np.abs(lam_scaled - lam_base) / lam_base) < 1e-9
+
+
+class TestAgainstMaskedPerPairRoute:
+    """Sliced, odd-only Bessel blocks leave every number of a solve unchanged."""
+
+    @staticmethod
+    def solved(medium, short, horizon):
+        return medium(-1.0, 2.0) if horizon == "six-month" else short(-2.0, 3.0)
+
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_basis_equals_per_pair_loop(self, medium, short, horizon):
+        s = self.solved(medium, short, horizon)
+        ref = per_pair_basis(s.pairs, s.coeffs, s.sl, with_derivatives=True)
+        b = s.pairs
+        assert np.array_equal(np.concatenate(b.phi), ref["phi"])
+        assert np.array_equal(np.concatenate(b.dphi), ref["dphi"])
+        assert np.array_equal(b.lam, ref["lam"])
+        assert np.array_equal(b.norm_sq, ref["norm_sq"])
+        assert np.array_equal([p.norm_sq for p in b], ref["norm_sq"])
+        assert np.array_equal([p.boundary_residual for p in b], ref["boundary_residual"])
+
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_characteristic_equals_masked_blocks(self, medium, short, horizon):
+        s = self.solved(medium, short, horizon)
+        alpha_u = s.coeffs.alpha[1::2, -1]
+        signs = np.where(np.arange(alpha_u.size) % 2 == 0, 1.0, -1.0)
+        omega = np.linspace(0.0, s.config.omega_max, s.config.omega_grid_count + 1)[1:]
+        for om in (omega, omega[::-1], np.random.default_rng(5).permutation(omega)):
+            x = om * s.sl.l.values[-1]
+            block = masked_jn_block(x, 2 * alpha_u.size - 1)[1::2]
+            series = 2.0 * np.tensordot(signs * alpha_u, block, axes=(0, 0))
+            ref = np.sin(x) / s.sl.rho.values[-1] + series
+            assert np.array_equal(characteristic(om, s.coeffs, s.sl), ref)
