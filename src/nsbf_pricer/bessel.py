@@ -48,7 +48,7 @@ _BUCKET_EDGES = (_SERIES_CUTOFF, 16.0, 32.0, 128.0, 512.0, np.inf)
 
 
 def _series_block(x, m_max: int, sin_x, cos_x, odd: bool, out: np.ndarray):
-    """Ascending series into out for every order (odd ones if odd); accurate for x < ~2."""
+    """Ascending series into out (odd orders if odd) for x < ~2; needs no sin_x, cos_x."""
     m = np.arange(m_max + 1, dtype=float)[:, None]
     kept = m[1::2] if odd else m
     x_sq = x * x

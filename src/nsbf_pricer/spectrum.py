@@ -4,11 +4,11 @@ The characteristic function is the Bessel-series eigenfunction evaluated
 at the upper barrier; its positive roots omega_n give the eigenvalues
 lambda_n = omega_n^2.  Roots are bracketed on a uniform omega grid and
 refined by bisection, then each eigenfunction (and optionally its
-derivative) is assembled on the mesh from one shared Bessel block and one
-evaluation of sin(omega l) and cos(omega l).  The assembled basis is
-stacked (EigenBasis): phi_n and phi_n' are rows of (BLOCK_ROWS, M) arrays,
-and each EigenPair's functions are views of its rows, so the basis is held
-once.
+derivative) is assembled on the mesh from one evaluation of sin(omega l)
+and cos(omega l) and one shared block of the odd Bessel orders, the only
+ones the series uses.  The assembled basis is stacked (EigenBasis): phi_n
+and phi_n' are rows of (BLOCK_ROWS, M) arrays, and each EigenPair's
+functions are views of its rows, so the basis is held once.
 """
 
 from __future__ import annotations
