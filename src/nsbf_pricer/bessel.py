@@ -21,13 +21,12 @@ order M of the block:
   is set so that the growth between two tests stays inside the
   floating-point range.
 
-Each regime and Miller bucket is a contiguous slice of an ascending argument
-(a mesh, an omega grid, bisection midpoints) and writes straight into its
-columns; other input is sorted stably once and the block scattered back.
-
 The closed forms of j_0 and j_1 need sin x and cos x; a caller that already
 holds them (eigenfunction assembly) passes them to the private _jn_block,
-which can also keep the odd orders alone.
+which can also keep the odd orders alone.  Each regime and Miller bucket is
+a contiguous slice of an ascending argument (a mesh, an omega grid,
+bisection midpoints) and writes straight into its columns; other input is
+sorted stably once and the block scattered back.
 """
 
 from __future__ import annotations

@@ -41,10 +41,10 @@ from .spectrum import BLOCK_ROWS, EigenBasis
 if TYPE_CHECKING:
     from .engine import NumericsConfig
 
-# Rows projected at once.  A solve frees block-sized temporaries, which sets
-# glibc's heap-trim threshold to two blocks; a whole-block projection's
-# temporaries (three blocks) exceed it and were trimmed and faulted back in
-# on every quote (about 1400 page faults per one-day quote), half a block's not.
+# Rows projected at once, through one product buffer per call: half a block.
+# A solve's block-sized temporaries set glibc's heap-trim threshold to two
+# blocks, which a whole block's projection (three blocks of temporaries)
+# exceeded, re-faulting ~1400 pages per one-day quote.
 PROJECT_ROWS = BLOCK_ROWS // 2
 
 
@@ -129,7 +129,12 @@ def fourier_coefficients(
     """
     d = payoff_grid(contract, c.mesh).values - contract.rebate * c.steady.values
     rows = [b[i : i + PROJECT_ROWS] for b in pairs.phi for i in range(0, len(b), PROJECT_ROWS)]
-    ip = [integrate(c.mesh, d * r * c.w.values) for r in rows]
+    buf = np.empty((PROJECT_ROWS, c.mesh.M))
+    ip = []
+    for r in rows:
+        prod = np.multiply(d, r, out=buf[: len(r)])
+        prod *= c.w.values
+        ip.append(integrate(c.mesh, prod))
     return (np.concatenate(ip) if ip else np.empty(0)) / pairs.norm_sq
 
 

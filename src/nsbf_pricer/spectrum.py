@@ -26,11 +26,11 @@ from .mesh import GridFunction, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
-# Rows per basis array.  A quote projects one block at a time, so its
-# temporaries stay a block high.  Blocks, not one (N, M) array per basis,
-# because a multi-megabyte array freed with an old solve leaves a hole that
-# glibc's heap rarely refills: with one array per basis, one-day sweeps that
-# solve a model per item peaked at about 5 MB more resident memory.
+# Rows per basis array; a quote projects half a block at a time
+# (pricing.PROJECT_ROWS).  Blocks, not one (N, M) array per basis, because a
+# multi-megabyte array freed with an old solve leaves a hole that glibc's heap
+# rarely refills: with one array per basis, one-day sweeps that solve a model
+# per item peaked at about 5 MB more resident memory.
 BLOCK_ROWS = 8
 
 
