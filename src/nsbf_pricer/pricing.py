@@ -123,9 +123,9 @@ def fourier_coefficients(
     """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
 
     The payoff part d = f - R h is built once and projected onto
-    PROJECT_ROWS rows of the basis at a time, with inner_product's panel
-    arithmetic, so each g_n equals the single-pair quadrature bit for bit
-    while the temporaries stay half a block high.
+    PROJECT_ROWS rows of the basis at a time, through one product buffer
+    and with inner_product's panel arithmetic, so each g_n equals the
+    single-pair quadrature bit for bit while the temporaries stay small.
     """
     d = payoff_grid(contract, c.mesh).values - contract.rebate * c.steady.values
     rows = [b[i : i + PROJECT_ROWS] for b in pairs.phi for i in range(0, len(b), PROJECT_ROWS)]

@@ -118,8 +118,12 @@ def identity_p_w_q_consistency(c: SLCoefficients, spec: DiffusionSpec) -> Consis
     return ConsistencyReport(w_residual=w_res, q_residual=q_res)
 
 
-def recurrence_intermediates(n: int, A_prev: np.ndarray, c: SLCoefficients, sol) -> tuple:
-    """theta~ and eta~ of one recurrence step, the two cumulative integrals behind A_n."""
+def recurrence_reference(n: int, A_prev: np.ndarray, B_prev: np.ndarray, c: SLCoefficients, sol):
+    """One recurrence step with every factor formed inside the step.
+
+    Returns (A_n, B_n, theta~, eta~): the two cumulative integrals behind
+    A_n and B_n come back too.
+    """
     l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
     g, g_p = sol.g.values, sol.g_prime.values
     sqrt_wp = np.sqrt(c.w.values / c.p.values)
@@ -128,7 +132,15 @@ def recurrence_intermediates(n: int, A_prev: np.ndarray, c: SLCoefficients, sol)
         c.mesh, (l * gp_rho + (n - 1.0) * rho * g * sqrt_wp) * rho * A_prev
     )
     theta = cumulative_integral(c.mesh, (eta / (rho**2 * g**2) - l * A_prev / g) * sqrt_wp)
-    return theta, eta
+    front = (2.0 * n + 1.0) / (2.0 * n - 3.0)
+    A_n = front * (l**2 * A_prev + 2.0 * (2.0 * n - 1.0) * g * theta)
+    sqrt_pw = 1.0 / sqrt_wp
+    B_n = front * (
+        l**2 * B_prev
+        + 2.0 * (2.0 * n - 1.0) * (sqrt_pw * gp_rho * theta / rho + eta / (rho**2 * g))
+        - (2.0 * n - 1.0) * l * A_prev
+    )
+    return A_n, B_n, theta, eta
 
 
 # Spherical Bessel blocks as built before the regimes became slices of the

@@ -17,7 +17,7 @@ from dual_routes import (
     LegendreTable,
     compute_G2_unintegrated,
     direct_alpha,
-    recurrence_intermediates,
+    recurrence_reference,
 )
 
 
@@ -134,17 +134,24 @@ class TestRecurrence:
 
     def test_intermediates_vanish_at_left(self, medium):
         s = medium(-1.0, 2.0)
-        theta, eta = recurrence_intermediates(2, s.coeffs.A[0], s.sl, s.particular)
+        *_, theta, eta = recurrence_reference(
+            2, s.coeffs.A[0], s.coeffs.B[0], s.sl, s.particular
+        )
         assert theta[0] == 0.0
         assert eta[0] == 0.0
 
-    def test_step_matches_the_built_orders(self, medium):
-        # the public step rebuilds the per-solve factors the build hoists
+    def test_hoisted_factors_leave_every_order_unchanged(self, medium):
+        # the per-solve factors keep their expressions, so the built orders
+        # and the public step equal a step that forms every factor itself
         s = medium(-1.0, 2.0)
         for n in (2, 3, 7):
-            A_n, B_n = recurrence_step(n, s.coeffs.A[n - 2], s.coeffs.B[n - 2], s.sl, s.particular)
-            assert np.array_equal(A_n, s.coeffs.A[n])
-            assert np.array_equal(B_n, s.coeffs.B[n])
+            args = (n, s.coeffs.A[n - 2], s.coeffs.B[n - 2], s.sl, s.particular)
+            A_ref, B_ref, _, _ = recurrence_reference(*args)
+            A_n, B_n = recurrence_step(*args)
+            for got in (A_n, s.coeffs.A[n]):
+                assert np.array_equal(got, A_ref)
+            for got in (B_n, s.coeffs.B[n]):
+                assert np.array_equal(got, B_ref)
 
     def test_residual_improves_with_order(self, medium):
         s = medium(-1.0, 2.0)
