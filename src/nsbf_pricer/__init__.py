@@ -10,11 +10,9 @@ expansion.  A Crank-Nicolson solver provides an independent check.
 from .coefficients import (
     NSBFCoefficients,
     build_nsbf_coefficients,
-    check_identities,
     compute_G2,
     compute_h_tilde,
     initial_coefficients,
-    recover_alpha_beta,
     recurrence_step,
 )
 from .engine import DoubleBarrierSolver, NumericsConfig

@@ -23,24 +23,9 @@ from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
 from .model import SLCoefficients
 from .spps import FormalPowerTable, ParticularSolution
 
-DEFAULT_ORDER_CAP = 60
+ORDER_CAP = 60  # safety limit of the order search
 PLATEAU_PATIENCE = 3  # orders without a new best identity residual before the search stops
-DEFAULT_EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the four coefficient-sum identities.
-
-    residual_by_order[m, i] is the sup-norm residual of identity i when the
-    sums are truncated at coefficient order m.  Identities are ordered:
-    sum alpha, alternating sum alpha, sum beta, alternating sum beta (the
-    beta columns are NaN when beta coefficients were not built).
-    """
-
-    residual_by_order: np.ndarray
-    pointwise: tuple
-    suggested_order: int
+EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 
 
 @dataclass(frozen=True)
@@ -49,7 +34,10 @@ class NSBFCoefficients:
 
     Rows run over orders 0..M_trunc.  check_residuals holds the pointwise
     residuals of the four identities at M_trunc (beta entries None on the
-    price-only path); residual_by_order has one row per order built.
+    price-only path); residual_by_order[m, i] is the sup-norm residual of
+    identity i with the sums truncated at order m, one row per order built.
+    The identities are: sum alpha, alternating sum alpha, sum beta,
+    alternating sum beta (beta columns NaN when beta was not built).
     order_stop says why the build stopped ("plateau", "cap" or "fixed"),
     and plateau_residual is the best worst-identity residual over the
     built orders, against which the order was chosen.
@@ -58,9 +46,7 @@ class NSBFCoefficients:
     mesh: Mesh
     alpha: np.ndarray
     A: np.ndarray
-    G1: GridFunction
     G2: GridFunction
-    h_tilde: float
     M_trunc: int
     beta: Optional[np.ndarray] = None
     B: Optional[np.ndarray] = None
@@ -118,29 +104,10 @@ def recover_row(A_row: np.ndarray, l: np.ndarray, n: int, n_edge: int) -> np.nda
     return out
 
 
-def recover_alpha_beta(
-    A: np.ndarray, B: Optional[np.ndarray], l: np.ndarray, n_edge: int
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Divide the scaled families by l^n row-wise with the cleanup rule."""
-    alpha = np.empty_like(A)
-    for n in range(A.shape[0]):
-        alpha[n] = recover_row(A[n], l, n, n_edge)
-    beta = None
-    if B is not None:
-        beta = np.empty_like(B)
-        for n in range(B.shape[0]):
-            beta[n] = recover_row(B[n], l, n, n_edge)
-    return alpha, beta
-
-
 @dataclass(frozen=True)
 class InitialCoefficients:
-    """Orders 0 and 1 of both families, in plain and scaled form."""
+    """Orders 0 and 1 of both families in scaled form (A0 = alpha0, B0 = beta0)."""
 
-    alpha0: np.ndarray
-    alpha1: np.ndarray
-    beta0: Optional[np.ndarray]
-    beta1: Optional[np.ndarray]
     A0: np.ndarray
     A1: np.ndarray
     B0: Optional[np.ndarray]
@@ -159,9 +126,9 @@ def initial_coefficients(
     """Seed values for the recurrence.
 
     alpha0 = (g - 1/rho)/2 and A1 = (3/2)(Phi1 - l/rho) need no division;
-    alpha1 and beta1 come from the machine-safe recovery.  B1 is assembled
-    in a form with the near-L cancellations done symbolically (the raw
-    beta1 display divides 0/0 quantities at the left endpoint).
+    B1 needs alpha1, which comes from the machine-safe recovery.  B1 is
+    assembled in a form with the near-L cancellations done symbolically
+    (the raw beta1 display divides 0/0 quantities at the left endpoint).
     """
     l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
     p, w = c.p.values, c.w.values
@@ -172,10 +139,10 @@ def initial_coefficients(
     A0 = 0.5 * (g - 1.0 / rho)
     alpha0_prime = 0.5 * (g_p + rho_p / rho**2)
     A1 = 1.5 * (powers.Phi[1] - l / rho)
-    alpha1 = recover_row(A1, l, 1, n_edge)
 
-    B0 = B1 = beta1 = None
+    B0 = B1 = None
     if with_beta:
+        alpha1 = recover_row(A1, l, 1, n_edge)
         G1 = h_tilde + G2
         B0 = sqrt_pw * (alpha0_prime + rho_p / rho * A0) - G1 / (2.0 * rho)
         phi1_prime = g_p * powers.Y[1] + 1.0 / (g * p)
@@ -184,11 +151,8 @@ def initial_coefficients(
             + 1.5 * rho_p * l / rho**2
         )
         B1 = alpha1 + sqrt_pw * (l_alpha1_prime + rho_p / rho * A1) - 1.5 * l * G2 / rho
-        beta1 = recover_row(B1, l, 1, n_edge)
 
-    return InitialCoefficients(
-        alpha0=A0, alpha1=alpha1, beta0=B0, beta1=beta1, A0=A0, A1=A1, B0=B0, B1=B1
-    )
+    return InitialCoefficients(A0=A0, A1=A1, B0=B0, B1=B1)
 
 
 class _Recurrence:
@@ -235,7 +199,7 @@ def recurrence_step(
 
 
 def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tuple:
-    """Right-hand sides of the four sum identities, in IdentityReport order."""
+    """Right-hand sides of the four sum identities, in residual_by_order column order."""
     l, rho, w, q, p = (
         c.l.values,
         c.rho.values,
@@ -288,39 +252,12 @@ def _residual_row(pointwise: tuple) -> np.ndarray:
     return np.array([np.nan if r is None else float(np.max(r)) for r in pointwise])
 
 
-def check_identities(
-    alpha: np.ndarray,
-    beta: Optional[np.ndarray],
-    c: SLCoefficients,
-    h_tilde: float,
-    G2: np.ndarray,
-) -> IdentityReport:
-    """Residuals of the four sum identities for every truncation order.
-
-    Also suggests the truncation: the earliest order whose max residual is
-    within a factor two of the best achieved (the curves plateau once the
-    retained orders exhaust the attainable accuracy).
-    """
-    sums = _IdentitySums(c, h_tilde, G2, beta is not None)
-    pointwise = [
-        sums.add(alpha[n], None if beta is None else beta[n]) for n in range(alpha.shape[0])
-    ]
-    res = np.array([_residual_row(pw) for pw in pointwise])
-    suggested = _suggested_order(np.nanmax(res, axis=1))
-    return IdentityReport(
-        residual_by_order=res,
-        pointwise=pointwise[suggested],
-        suggested_order=suggested,
-    )
-
-
 def build_nsbf_coefficients(
     c: SLCoefficients,
     sol: ParticularSolution,
     powers: FormalPowerTable,
     order: Optional[int] = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    edge_fraction: float = DEFAULT_EDGE_FRACTION,
+    order_cap: int = ORDER_CAP,
     with_beta: bool = True,
 ) -> NSBFCoefficients:
     """Run the full coefficient pipeline and pick the truncation order.
@@ -344,8 +281,7 @@ def build_nsbf_coefficients(
 
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
-    G1 = GridFunction(mesh, h_t + G2.values)
-    n_edge = int(round(edge_fraction * (mesh.M - 1))) + 1
+    n_edge = int(round(EDGE_FRACTION * (mesh.M - 1))) + 1
     init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge, with_beta)
 
     sums = _IdentitySums(c, h_t, G2.values, with_beta)
@@ -392,9 +328,7 @@ def build_nsbf_coefficients(
         A=np.array(A_rows[:m_keep]),
         beta=np.array(beta_rows[:m_keep]) if with_beta else None,
         B=np.array(B_rows[:m_keep]) if with_beta else None,
-        G1=G1,
         G2=G2,
-        h_tilde=h_t,
         M_trunc=m_trunc,
         check_residuals=pointwise[m_trunc],
         residual_by_order=residual_by_order,

@@ -8,20 +8,18 @@ eigenfunction derivatives; asking for Greeks builds them.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import pricing
-from .coefficients import (
-    DEFAULT_EDGE_FRACTION,
-    DEFAULT_ORDER_CAP,
-    NSBFCoefficients,
-    build_nsbf_coefficients,
-)
+from .coefficients import NSBFCoefficients, build_nsbf_coefficients
 from .errors import (
-    NonFiniteParameter, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined,
+    ConfigError, NonFiniteParameter, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon,
+    VegaUndefined,
 )
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
@@ -36,16 +34,33 @@ class NumericsConfig:
 
     mesh_points: int = 10001
     nsbf_order: Optional[int] = None  # None: choose by identity-residual plateau
-    nsbf_order_cap: int = DEFAULT_ORDER_CAP
     omega_max: float = 15.0
     omega_grid_count: int = 100
-    refine_tol: float = 1e-12
     lambda_decay_cap: float = 35.0  # keep lambda_n * T <= cap
     lambda_cutoff: Optional[float] = None  # absolute cutoff lambda_n <= X, overrides the decay rule
-    n_max: Optional[int] = None  # explicit eigenterm count override
-    spps_tol: float = 1e-14
-    spps_max_terms: int = 64
-    edge_fraction: float = DEFAULT_EDGE_FRACTION
+
+    def __post_init__(self):
+        def check(ok: bool, name: str, rule: str):
+            if not ok:
+                raise ConfigError(f"numerics.{name} must be {rule}, got {getattr(self, name)!r}")
+
+        def integer(value) -> bool:
+            return isinstance(value, numbers.Integral)
+
+        def finite_positive(value) -> bool:
+            return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+
+        m = self.mesh_points
+        check(integer(m) and m >= 6 and m % 5 == 1, "mesh_points", "an integer >= 6 and 1 mod 5")
+        order = self.nsbf_order
+        check(order is None or (integer(order) and order >= 0), "nsbf_order",
+              "None or a non-negative integer")
+        check(finite_positive(self.omega_max), "omega_max", "finite and positive")
+        count = self.omega_grid_count
+        check(integer(count) and count >= 2, "omega_grid_count", "an integer >= 2")
+        check(finite_positive(self.lambda_decay_cap), "lambda_decay_cap", "finite and positive")
+        check(self.lambda_cutoff is None or finite_positive(self.lambda_cutoff), "lambda_cutoff",
+              "None or finite and positive")
 
 
 def solve_from_sl(
@@ -58,22 +73,14 @@ def solve_from_sl(
     for synthetic problems and gauge-invariance checks that construct or
     rescale the coefficients directly.
     """
-    particular = solve_particular(sl, tol=config.spps_tol, max_terms=config.spps_max_terms)
+    particular = solve_particular(sl)
     powers = build_formal_powers(particular, sl, K=1)
     steady, steady_prime = steady_state(particular, powers, sl)
     sl = replace(sl, steady=steady, steady_prime=steady_prime)
     coeffs = build_nsbf_coefficients(
-        sl,
-        particular,
-        powers,
-        order=config.nsbf_order,
-        order_cap=config.nsbf_order_cap,
-        edge_fraction=config.edge_fraction,
-        with_beta=with_derivatives,
+        sl, particular, powers, order=config.nsbf_order, with_beta=with_derivatives
     )
-    skeletons = find_eigenvalues(
-        coeffs, sl, config.omega_max, config.omega_grid_count, config.refine_tol
-    )
+    skeletons = find_eigenvalues(coeffs, sl, config.omega_max, config.omega_grid_count)
     pairs = assemble_pairs(skeletons, coeffs, sl, with_derivatives)
     return sl, particular, coeffs, pairs
 

@@ -142,15 +142,15 @@ def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> Eigen
     """Truncation rule, the same for every contract.
 
     Keep lambda_n <= config.lambda_cutoff when it is set, otherwise
-    lambda_n T <= config.lambda_decay_cap; at least the first pair, and
-    at most config.n_max pairs.  Eigenvalues increase, so the kept pairs
-    are a leading slice of the basis.
+    lambda_n T <= config.lambda_decay_cap, and at least the first pair.
+    Eigenvalues increase, so the kept pairs are a leading slice of the
+    basis.
     """
     if config.lambda_cutoff is None:
         kept = np.count_nonzero(pairs.lam * T <= config.lambda_decay_cap)
     else:
         kept = np.count_nonzero(pairs.lam <= config.lambda_cutoff)
-    return pairs[: max(kept, 1)][: config.n_max]
+    return pairs[: max(kept, 1)]
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .bessel import _jn_block, spherical_jn_block
+# spherical_jn_block is not called here; the name stays importable from this
+# module because perfbench/tracing.py wraps spectrum.spherical_jn_block by name.
+from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation
 from .mesh import GridFunction, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
+REFINE_TOL = 1e-12  # bisection stops once every root bracket is this narrow
 # Rows per basis array; a quote projects half a block at a time
 # (pricing.PROJECT_ROWS).  Blocks, not one (N, M) array per basis, because a
 # multi-megabyte array freed with an old solve leaves a hole that glibc's heap
@@ -96,17 +99,14 @@ def _row_views(blocks: tuple, start: int, stop: int) -> tuple:
     return tuple(out)
 
 
-def _odd_block(x: np.ndarray, n_orders: int, trig=None) -> np.ndarray:
+def _odd_block(x: np.ndarray, n_orders: int, trig: tuple) -> np.ndarray:
     """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1.
 
-    trig is (sin x, cos x) when the caller already holds them; the block is
-    then built for the odd orders alone.
+    trig is (sin x, cos x); the block is built for the odd orders alone.
     """
     n_odd = n_orders // 2
     if n_odd == 0:
         return np.zeros((0,) + np.shape(x))
-    if trig is None:
-        return spherical_jn_block(x, 2 * n_odd - 1)[1::2]
     return _jn_block(x, 2 * n_odd - 1, trig, odd=True)
 
 
@@ -132,7 +132,9 @@ def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     rho_u = c.rho.values[-1]
     alpha_u = coeffs.alpha[:, -1]
     x = np.asarray(omega, dtype=float) * l_u
-    val = np.sin(x) / rho_u + _odd_bessel_sum(_signed_odd(alpha_u), _odd_block(x, len(alpha_u)))
+    trig = np.sin(x), np.cos(x)
+    block = _odd_block(x, len(alpha_u), trig)
+    val = trig[0] / rho_u + _odd_bessel_sum(_signed_odd(alpha_u), block)
     return val if np.ndim(omega) else float(val)
 
 
@@ -141,7 +143,6 @@ def find_eigenvalues(
     c: SLCoefficients,
     omega_max: float,
     grid_count: int,
-    refine_tol: float = 1e-12,
 ) -> list[EigenPair]:
     """Bracket roots of the characteristic on a grid and bisect each one.
 
@@ -177,7 +178,7 @@ def find_eigenvalues(
     hi = np.array(hi_list)
     if lo.size:
         f_lo = characteristic(lo, coeffs, c)
-        while np.max(hi - lo) > refine_tol:
+        while np.max(hi - lo) > REFINE_TOL:
             mid = 0.5 * (lo + hi)
             f_mid = characteristic(mid, coeffs, c)
             go_right = f_lo * f_mid > 0.0

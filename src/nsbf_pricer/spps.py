@@ -20,6 +20,9 @@ from .errors import ConvergenceError, PositivityError
 from .mesh import GridFunction, cumulative_integral
 from .model import SLCoefficients
 
+SPPS_TOL = 1e-14  # stop once the last even iterate is this small relative to the sum
+SPPS_MAX_TERMS = 64
+
 
 @dataclass(frozen=True)
 class ParticularSolution:
@@ -43,7 +46,7 @@ class FormalPowerTable:
 
 
 def solve_particular(
-    c: SLCoefficients, tol: float = 1e-14, max_terms: int = 64
+    c: SLCoefficients, tol: float = SPPS_TOL, max_terms: int = SPPS_MAX_TERMS
 ) -> ParticularSolution:
     """Non-vanishing solution of (p g')' = q g with g(L) = 1/rho(L), g'(L) = 0."""
     mesh = c.mesh

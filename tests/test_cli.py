@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from nsbf_pricer import ConfigError, NumericsConfig
 from nsbf_pricer.cli import build_parser, load_config, main, numerics_from_config
 
 
@@ -59,6 +60,17 @@ class TestPrice:
         assert code == 0
         assert json.loads(out)["M_used"] == 12
 
+    def test_lambda_cutoff_flag(self, capsys, fast_config):
+        # at T = 0.5 the decay rule keeps lambda_n <= 70 (4 pairs); the cutoff
+        # 20 lies between lambda_2 ~ 14.1 and lambda_3 ~ 31.2
+        args = build_parser().parse_args(["price", "--config", fast_config, "--lambda-cutoff", "20"])
+        assert numerics_from_config(load_config(args)["numerics"]).lambda_cutoff == 20.0
+        _, out, _ = run_cli(capsys, "price", "--config", fast_config)
+        assert json.loads(out)["N_used"] == 4
+        code, out, err = run_cli(capsys, "price", "--config", fast_config, "--lambda-cutoff", "20")
+        assert code == 0, err
+        assert json.loads(out)["N_used"] == 2
+
 
 class TestConfigErrors:
     def test_invalid_barriers_named(self, capsys, tmp_path):
@@ -82,9 +94,42 @@ class TestConfigErrors:
         assert code == 2
         assert "model.type" in err
 
+    def test_invalid_mesh_is_a_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "price", "--mesh", "10000")
+        assert code == 2
+        assert "config error" in err and "mesh_points" in err
+
+    def test_removed_numerics_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"numerics": {"n_max": 5}}))
+        code, _, err = run_cli(capsys, "price", "--config", path.as_posix())
+        assert code == 2
+        assert "unknown keys ['n_max']" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/does/not/exist.json")
         assert code == 2
+
+
+class TestNumericsValidation:
+    # every invalid value of a field raises ConfigError when the config is built
+    BAD = {
+        "mesh_points": [10000, 5, 1, 2001.0, "2001"],
+        "nsbf_order": [-1, 2.5],
+        "omega_max": [0.0, -15.0, float("nan"), float("inf")],
+        "omega_grid_count": [1, 0, 100.0],
+        "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf")],
+        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf")],
+    }
+
+    @pytest.mark.parametrize("field", sorted(BAD))
+    def test_invalid_values_rejected(self, field):
+        for value in self.BAD[field]:
+            with pytest.raises(ConfigError, match=f"numerics.{field}"):
+                NumericsConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        NumericsConfig(mesh_points=6, nsbf_order=0, omega_grid_count=2, lambda_cutoff=1e-9)
 
 
 class TestSubcommands:
@@ -163,13 +208,7 @@ class TestPresets:
         assert asdict(numerics) == dict(
             mesh_points=10001,
             nsbf_order=None,
-            nsbf_order_cap=60,
-            refine_tol=1e-12,
             lambda_decay_cap=35.0,
             lambda_cutoff=None,
-            n_max=None,
-            spps_tol=1e-14,
-            spps_max_terms=64,
-            edge_fraction=0.01,
             **self.EXPECTED[name],
         )

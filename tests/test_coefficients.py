@@ -5,6 +5,7 @@ import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer.coefficients import (
+    EDGE_FRACTION,
     build_nsbf_coefficients,
     compute_G2,
     compute_h_tilde,
@@ -91,8 +92,28 @@ class TestInitialOp:
             sol, flat_sl, powers, compute_G2(flat_sl).values,
             compute_h_tilde(sol, flat_sl), n_edge=51,
         )
-        for arr in (init.alpha0, init.alpha1, init.beta0, init.beta1):
+        l = flat_sl.l.values
+        alpha1, beta1 = (recover_row(row, l, 1, 51) for row in (init.A1, init.B1))
+        for arr in (init.A0, init.A1, init.B0, init.B1, alpha1, beta1):
             assert np.max(np.abs(arr)) < 1e-11
+
+    def test_build_recovers_orders_one_from_the_seed_rows(self, medium):
+        # orders 0 and 1 of the build are the seed rows, and recover_row of
+        # A1 and B1 gives alpha1 and beta1 bit for bit
+        s = medium(-1.0, 2.0)
+        c, sol = s.sl, s.particular
+        n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
+        powers = build_formal_powers(sol, c, K=1)
+        init = nb.initial_coefficients(
+            sol, c, powers, compute_G2(c).values, compute_h_tilde(sol, c), n_edge
+        )
+        l = c.l.values
+        assert np.array_equal(s.coeffs.A[0], init.A0) and np.array_equal(s.coeffs.A[1], init.A1)
+        assert np.array_equal(s.coeffs.B[0], init.B0) and np.array_equal(s.coeffs.B[1], init.B1)
+        assert np.array_equal(s.coeffs.alpha[0], init.A0)
+        assert np.array_equal(s.coeffs.beta[0], init.B0)
+        assert np.array_equal(s.coeffs.alpha[1], recover_row(init.A1, l, 1, n_edge))
+        assert np.array_equal(s.coeffs.beta[1], recover_row(init.B1, l, 1, n_edge))
 
     def test_b1_matches_direct_display_away_from_left(self, medium):
         # the assembled B1 and the raw beta1 display agree where l is not tiny

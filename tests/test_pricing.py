@@ -253,6 +253,18 @@ class TestTruncation:
         assert gaps[0] < 1e-4 and gaps[2] <= gaps[0]
 
 
+    def test_lambda_cutoff_overrides_the_decay_rule(self):
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        lam = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(mesh_points=2001)).eigenvalues()
+        for cutoff, kept in ((0.5 * (lam[2] + lam[3]), 3), (float(lam[1]), 2), (0.5 * lam[0], 1)):
+            cfg = nb.NumericsConfig(mesh_points=2001, lambda_cutoff=cutoff)
+            s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve(with_derivatives=False)
+            for T in (1 / 360, 0.5, 5.0):
+                pairs = s.retained_pairs(contract(T=T))
+                assert np.array_equal(pairs.lam, lam[:kept])
+                assert s.price(contract(T=T), Y0).N_used == kept
+
+
 class TestContribution:
     def test_additivity(self, short):
         s = short(-2.0, 2.0)

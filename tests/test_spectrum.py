@@ -166,11 +166,19 @@ class TestAgainstMaskedPerPairRoute:
 
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_characteristic_equals_masked_blocks(self, medium, short, horizon):
+        # the odd-only block of the characteristic, on the preset's omega grid
+        # (also reversed and shuffled) and on its first bisection midpoints,
+        # equals the series over every order of a masked block
         s = self.solved(medium, short, horizon)
         alpha_u = s.coeffs.alpha[1::2, -1]
         signs = np.where(np.arange(alpha_u.size) % 2 == 0, 1.0, -1.0)
         omega = np.linspace(0.0, s.config.omega_max, s.config.omega_grid_count + 1)[1:]
-        for om in (omega, omega[::-1], np.random.default_rng(5).permutation(omega)):
+        vals = characteristic(omega, s.coeffs, s.sl)
+        bracket = vals[:-1] * vals[1:] < 0.0
+        mid = 0.5 * (omega[:-1][bracket] + omega[1:][bracket])
+        assert mid.size == len(s.pairs)
+        grids = (omega, omega[::-1], np.random.default_rng(5).permutation(omega), mid)
+        for om in grids:
             x = om * s.sl.l.values[-1]
             block = masked_jn_block(x, 2 * alpha_u.size - 1)[1::2]
             series = 2.0 * np.tensordot(signs * alpha_u, block, axes=(0, 0))
