@@ -24,7 +24,7 @@ from .errors import (
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
 from .pricing import ContributionReport, OptionContract, PricingResult
-from .spectrum import EigenBasis, assemble_pairs, find_eigenvalues
+from .spectrum import EigenBasis, assemble_pairs, find_eigenvalues, norm_identity_residuals
 from .spps import ParticularSolution, build_formal_powers, solve_particular, steady_state
 
 
@@ -214,4 +214,8 @@ class DoubleBarrierSolver:
         if res[2] is not None:
             out["identity_residual_beta_sum"] = float(np.max(res[2]))
             out["identity_residual_beta_alt"] = float(np.max(res[3]))
+        if self._has_derivatives:
+            out["max_norm_identity_residual"] = float(
+                np.max(norm_identity_residuals(self.pairs, self.sl))
+            )
         return out

@@ -25,12 +25,13 @@ rows; a surface does the same with one stencil on its price grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import VegaUndefined
+from .errors import NonFiniteParameter, VegaUndefined
 
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
@@ -67,6 +68,9 @@ class OptionContract:
     def __post_init__(self):
         if self.style not in ("call", "put", "custom"):
             raise ValueError(f"unknown option style {self.style!r}")
+        for name in ("T", "rebate"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteParameter(f"contract {name} must be finite, got {getattr(self, name)}")
         if self.T <= 0.0:
             raise ValueError("maturity must be positive")
         if self.rebate < 0.0:

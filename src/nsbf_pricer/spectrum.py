@@ -3,12 +3,16 @@
 The characteristic function is the Bessel-series eigenfunction evaluated
 at the upper barrier; its positive roots omega_n give the eigenvalues
 lambda_n = omega_n^2.  Roots are bracketed on a uniform omega grid and
-refined by bisection, then each eigenfunction (and optionally its
+refined by safeguarded Newton steps on the analytic omega-slope (the
+series coefficients at U do not depend on omega, so the slope comes from
+the same Bessel block), then each eigenfunction (and optionally its
 derivative) is assembled on the mesh from one evaluation of sin(omega l)
 and cos(omega l) and one shared block of the odd Bessel orders, the only
 ones the series uses.  The assembled basis is stacked (EigenBasis): phi_n
 and phi_n' are rows of (BLOCK_ROWS, M) arrays, and each EigenPair's
-functions are views of its rows, so the basis is held once.
+functions are views of its rows, so the basis is held once.  The slope
+at each root also checks each norm through the Sturm-Liouville identity
+(norm_identity_residuals).
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ import numpy as np
 # module because perfbench/tracing.py wraps spectrum.spherical_jn_block by name.
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
-from .errors import BoundaryViolation
+from .errors import BoundaryViolation, ConvergenceError
 from .mesh import GridFunction, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
-REFINE_TOL = 1e-12  # bisection stops once every root bracket is this narrow
+# A root is refined until its Newton step is at most half of REFINE_TOL, or
+# its bracket at most REFINE_TOL wide; REFINE_MAX_STEPS caps the steps.
+REFINE_TOL = 1e-12
+REFINE_MAX_STEPS = 60
 # Rows per basis array; a quote projects half a block at a time
 # (pricing.PROJECT_ROWS).  Blocks, not one (N, M) array per basis, because a
 # multi-megabyte array freed with an old solve leaves a hole that glibc's heap
@@ -42,8 +49,8 @@ class EigenPair:
     """One term of the pricing series.
 
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
-    norm_sq carries the normalization, and boundary_residual is
-    |phi(U)| / sup |phi|.
+    norm_sq carries the normalization, boundary_residual is
+    |phi(U)| / sup |phi|, and slope is d phi(U, omega) / d omega at the root.
     """
 
     n: int
@@ -53,6 +60,7 @@ class EigenPair:
     phi_prime: Optional[GridFunction] = None
     norm_sq: Optional[float] = None
     boundary_residual: Optional[float] = None
+    slope: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -126,16 +134,33 @@ def _odd_bessel_sum(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(signed * block, axis=0)
 
 
-def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
-    """Eigenfunction value at the upper barrier as a function of omega."""
+def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients, with_slope: bool = False):
+    """Eigenfunction value at the upper barrier as a function of omega.
+
+    With with_slope, returns (value, d value / d omega).  The coefficients at
+    U do not depend on omega, so the slope is l(U) times the series with
+    cos x for sin x and j_n' for j_n, where j_n' = (n j_{n-1} - (n+1) j_{n+1})
+    / (2n+1) reads the even orders of one all-orders block; that form has no
+    1/x and holds at omega = 0.  The value is summed from the same block.
+    """
     l_u = c.l.values[-1]
     rho_u = c.rho.values[-1]
     alpha_u = coeffs.alpha[:, -1]
     x = np.asarray(omega, dtype=float) * l_u
     trig = np.sin(x), np.cos(x)
-    block = _odd_block(x, len(alpha_u), trig)
-    val = trig[0] / rho_u + _odd_bessel_sum(_signed_odd(alpha_u), block)
-    return val if np.ndim(omega) else float(val)
+    signed = _signed_odd(alpha_u)
+    if not with_slope:
+        block = _odd_block(x, len(alpha_u), trig)
+        val = trig[0] / rho_u + _odd_bessel_sum(signed, block)
+        return val if np.ndim(omega) else float(val)
+    n_odd = signed.shape[0]
+    block = _jn_block(x, 2 * n_odd, trig)
+    even = block[0::2]
+    n = np.arange(1, 2 * n_odd, 2, dtype=float).reshape((-1,) + (1,) * np.ndim(x))
+    dj = (n * even[:-1] - (n + 1.0) * even[1:]) / (2.0 * n + 1.0)
+    val = trig[0] / rho_u + _odd_bessel_sum(signed, block[1::2])
+    slope = l_u * (trig[1] / rho_u + _odd_bessel_sum(signed, dj))
+    return (val, slope) if np.ndim(omega) else (float(val), float(slope))
 
 
 def find_eigenvalues(
@@ -144,7 +169,15 @@ def find_eigenvalues(
     omega_max: float,
     grid_count: int,
 ) -> list[EigenPair]:
-    """Bracket roots of the characteristic on a grid and bisect each one.
+    """Bracket roots of the characteristic on a grid and refine each by safeguarded Newton.
+
+    Each root starts at the regula-falsi point of its scan bracket.  A step
+    evaluates the characteristic and its analytic omega-slope at the roots
+    still moving, tightens each bracket from the sign of the value, and takes
+    the Newton step, or bisects where that step would leave the bracket.  A
+    root is frozen on its own once its Newton step is at most REFINE_TOL / 2
+    (it then takes that step) or its bracket is at most REFINE_TOL wide (it
+    takes the midpoint).  Each EigenPair keeps the slope of its last step.
 
     omega = 0 is a trivial root and is excluded; roots are returned in
     increasing order as EigenPair skeletons (no eigenfunction yet).
@@ -163,36 +196,47 @@ def find_eigenvalues(
             stacklevel=2,
         )
 
-    lo_list, hi_list = [], []
-    exact = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            exact.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            lo_list.append(grid[i])
-            hi_list.append(grid[i + 1])
-    if vals[-1] == 0.0:
-        exact.append(grid[-1])
-
-    lo = np.array(lo_list)
-    hi = np.array(hi_list)
-    if lo.size:
-        f_lo = characteristic(lo, coeffs, c)
-        while np.max(hi - lo) > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = characteristic(mid, coeffs, c)
-            go_right = f_lo * f_mid > 0.0
-            lo = np.where(go_right, mid, lo)
-            f_lo = np.where(go_right, f_mid, f_lo)
-            hi = np.where(go_right, hi, mid)
-    roots = np.sort(np.concatenate([0.5 * (lo + hi), np.array(exact)]))
-    if roots.size == 0:
+    # a sign change between neighbours, or a grid point that is a root (a
+    # zero-width bracket, frozen at its first step)
+    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    exact = np.flatnonzero(vals == 0.0)
+    if cross.size + exact.size == 0:
         raise ValueError(
             f"no eigenvalues found in (0, {omega_max}); widen the omega window"
         )
+    lo = np.concatenate([grid[cross], grid[exact]])
+    hi = np.concatenate([grid[cross + 1], grid[exact]])
+    f_lo = np.concatenate([vals[cross], vals[exact]])
+    regula_falsi = grid[cross] + step * vals[cross] / (vals[cross] - vals[cross + 1])
+    x = np.concatenate([regula_falsi, grid[exact]])
+    roots, slopes = np.empty_like(x), np.empty_like(x)
+    active = np.arange(x.size)
+    for _ in range(REFINE_MAX_STEPS):
+        f, df = characteristic(x, coeffs, c, with_slope=True)
+        left = np.sign(f) == np.sign(f_lo)  # the root lies right of x
+        lo, f_lo = np.where(left, x, lo), np.where(left, f, f_lo)
+        hi = np.where(left, hi, x)
+        usable = np.isfinite(df) & (df != 0.0)  # else bisect, without dividing by it
+        newton = np.where(usable, f / np.where(usable, df, 1.0), np.inf)
+        close = np.abs(newton) <= 0.5 * REFINE_TOL
+        done = close | (hi - lo <= REFINE_TOL)
+        final = np.where(close, np.clip(x - newton, lo, hi), 0.5 * (lo + hi))
+        roots[active[done]], slopes[active[done]] = final[done], df[done]
+        x = x - newton
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        keep = ~done
+        if not keep.any():
+            break
+        active, x, lo, hi, f_lo = active[keep], x[keep], lo[keep], hi[keep], f_lo[keep]
+    else:
+        raise ConvergenceError(
+            f"{active.size} eigenvalue(s) not refined to {REFINE_TOL:g} "
+            f"in {REFINE_MAX_STEPS} Newton steps"
+        )
+    order = np.argsort(roots)
     return [
-        EigenPair(n=i + 1, omega=float(om), lam=float(om * om))
-        for i, om in enumerate(roots)
+        EigenPair(n=i + 1, omega=float(om), lam=float(om * om), slope=float(d))
+        for i, (om, d) in enumerate(zip(roots[order], slopes[order]))
     ]
 
 
@@ -244,3 +288,19 @@ def assemble_pairs(
         for sk, row, drow, norm, res in zip(skeletons, rows, drows, norm_sq, residuals)
     )
     return EigenBasis(pairs, phi, dphi, np.array([sk.lam for sk in skeletons]), norm_sq)
+
+
+def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
+    """|p(U) phi_n'(U) d_omega phi(U, omega_n) / (2 omega_n) - norm_sq| / norm_sq per pair.
+
+    phi(y, omega) vanishes at L for every omega, so the Sturm-Liouville
+    identity int_L^U w phi_n^2 = p(U) phi_n'(U) d_lambda phi(U, lambda_n)
+    holds, with d_lambda = d_omega / (2 omega).  It checks each mesh norm
+    against the series at U alone, using the slope of the root's last
+    Newton step.  Needs the derivatives (basis.dphi).
+    """
+    dphi_u = np.concatenate([b[:, -1] for b in basis.dphi])
+    slope = np.array([p.slope for p in basis])
+    omega = np.array([p.omega for p in basis])
+    identity = c.p.values[-1] * dphi_u * slope / (2.0 * omega)
+    return np.abs(identity - basis.norm_sq) / basis.norm_sq

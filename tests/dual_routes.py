@@ -3,8 +3,9 @@
 Each helper recomputes something src builds another way: alpha_n from the
 Legendre/formal-power formula, G2 with the nested derivative, the
 pointwise identities that define w and q, the integrals inside one
-recurrence step, and Bessel blocks and eigenbases by the earlier masked,
-per-pair route.  Nothing in src calls them.
+recurrence step, Bessel blocks and eigenbases by the earlier masked,
+per-pair route, and eigenvalues by the earlier bisection sweeps.  Nothing in
+src calls them.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from nsbf_pricer.bessel import (
 )
 from nsbf_pricer.mesh import GridFunction, cumulative_integral, derivative_values, inner_product
 from nsbf_pricer.model import DiffusionSpec, SLCoefficients
+from nsbf_pricer.spectrum import REFINE_TOL, characteristic
 from nsbf_pricer.spps import FormalPowerTable
 
 
@@ -259,3 +261,37 @@ def per_pair_basis(skeletons, coeffs, c: SLCoefficients, with_derivatives: bool)
             out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
     out["lam"] = [sk.lam for sk in skeletons]
     return {k: np.array(v) for k, v in out.items()}
+
+
+def bisection_eigenvalues(coeffs, c: SLCoefficients, omega_max: float, grid_count: int) -> np.ndarray:
+    """Roots of the characteristic from the same scan, by vectorised bisection.
+
+    The refinement loop spectrum.find_eigenvalues ran before it took Newton
+    steps: every bracket is halved until all are REFINE_TOL wide, and each
+    root is its bracket's midpoint.
+    """
+    grid = np.linspace(0.0, omega_max, grid_count + 1)[1:]
+    vals = characteristic(grid, coeffs, c)
+    lo_list, hi_list = [], []
+    exact = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            exact.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            lo_list.append(grid[i])
+            hi_list.append(grid[i + 1])
+    if vals[-1] == 0.0:
+        exact.append(grid[-1])
+
+    lo = np.array(lo_list)
+    hi = np.array(hi_list)
+    if lo.size:
+        f_lo = characteristic(lo, coeffs, c)
+        while np.max(hi - lo) > REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            f_mid = characteristic(mid, coeffs, c)
+            go_right = f_lo * f_mid > 0.0
+            lo = np.where(go_right, mid, lo)
+            f_lo = np.where(go_right, f_mid, f_lo)
+            hi = np.where(go_right, hi, mid)
+    return np.sort(np.concatenate([0.5 * (lo + hi), np.array(exact)]))

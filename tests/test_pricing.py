@@ -34,6 +34,17 @@ class TestContractValidation:
         with pytest.raises(ValueError, match="maturity"):
             contract(T=0.0)
 
+    # a non-finite T or rebate fails when the contract is built, not as a NaN or 0.0 price
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_maturity(self, T):
+        with pytest.raises(nb.NonFiniteParameter, match="T"):
+            contract(T=T)
+
+    @pytest.mark.parametrize("rebate", [math.nan, math.inf])
+    def test_non_finite_rebate(self, rebate):
+        with pytest.raises(nb.NonFiniteParameter, match="rebate"):
+            contract(rebate=rebate)
+
 
 class TestFourierCoefficients:
     def test_zero_payoff_zero_price(self, medium):

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
+from nsbf_pricer import spectrum
 from nsbf_pricer.coefficients import build_nsbf_coefficients
 from nsbf_pricer.engine import solve_from_sl
 from nsbf_pricer.mesh import derivative_values, inner_product
-from nsbf_pricer.spectrum import assemble_pairs, characteristic, find_eigenvalues
+from nsbf_pricer.spectrum import (
+    assemble_pairs, characteristic, find_eigenvalues, norm_identity_residuals,
+)
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
-from dual_routes import masked_jn_block, per_pair_basis
+from conftest import make_solver
+from dual_routes import bisection_eigenvalues, masked_jn_block, per_pair_basis
+
+# the benchmark's model grid over the published ranges
+GRID = [(b, g) for b in (-2.0, -0.5, 1.0) for g in (0.0, 1.0, 2.0, 3.0)]
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +44,96 @@ class TestCharacteristic:
         lo = characteristic(w - 0.02, s.coeffs, s.sl)
         hi = characteristic(w + 0.02, s.coeffs, s.sl)
         assert lo * hi < 0
+
+
+class TestCharacteristicSlope:
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_matches_centred_difference(self, medium, short, horizon):
+        s = medium(-1.0, 2.0) if horizon == "six-month" else short(-2.0, 2.0)
+        omega = np.linspace(0.3, 0.995 * s.config.omega_max, 37)
+        omega = np.concatenate([omega, [p.omega for p in s.pairs]])
+        value, slope = characteristic(omega, s.coeffs, s.sl, with_slope=True)
+        h = 1e-6
+        centred = (characteristic(omega + h, s.coeffs, s.sl)
+                   - characteristic(omega - h, s.coeffs, s.sl)) / (2.0 * h)
+        assert np.max(np.abs(slope - centred)) < 1e-7 * np.max(np.abs(slope))
+        assert np.max(np.abs(value - characteristic(omega, s.coeffs, s.sl))) < 1e-15
+
+    def test_flat_cosine_and_origin(self, flat_sl, flat_solved):
+        # phi(U, omega) = sin(omega) on the flat problem, and the slope needs no 1/x at 0
+        _, coeffs, _ = flat_solved
+        omega = np.array([0.0, 0.5, 1.7, 9.3])
+        value, slope = characteristic(omega, coeffs, flat_sl, with_slope=True)
+        assert np.max(np.abs(slope - np.cos(omega))) < 1e-8
+        assert characteristic(0.0, coeffs, flat_sl, with_slope=True) == (0.0, slope[0])
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    @pytest.mark.parametrize("beta, gamma", GRID)
+    def test_few_steps_and_agrees_with_bisection(self, horizon, beta, gamma, monkeypatch):
+        s = make_solver(beta, gamma, short=horizon == "one-day").solve(with_derivatives=False)
+        window = s.config.omega_max, s.config.omega_grid_count
+        original, slope_calls = spectrum.characteristic, []
+
+        def counted(*args, **kwargs):
+            slope_calls.append(kwargs.get("with_slope", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "characteristic", counted)
+        roots = np.array([p.omega for p in find_eigenvalues(s.coeffs, s.sl, *window)])
+        monkeypatch.undo()
+        assert sum(slope_calls) <= 6
+        ref = bisection_eigenvalues(s.coeffs, s.sl, *window)
+        assert roots.shape == ref.shape
+        # bisection stops with brackets up to 1e-12 wide and takes their midpoints
+        assert np.max(np.abs(roots - ref)) <= 5e-13
+        worst = np.max(np.abs(characteristic(roots, s.coeffs, s.sl)))
+        assert worst <= np.max(np.abs(characteristic(ref, s.coeffs, s.sl)))
+
+    def test_step_out_of_bracket_bisects(self, flat_sl, monkeypatch):
+        # arctan(omega - 11) on the bracket (10, 20): the regula-falsi start
+        # lies where the slope is small, so its Newton step leaves the
+        # bracket and the next point is the bracket's midpoint
+        points = []
+
+        def fake(omega, coeffs, c, with_slope=False):
+            u = np.asarray(omega) - 11.0
+            if with_slope:
+                points.append(np.array(omega, copy=True))
+                return np.arctan(u), 1.0 / (1.0 + u * u)
+            return np.arctan(u)
+
+        monkeypatch.setattr(spectrum, "characteristic", fake)
+        with pytest.warns(UserWarning, match="skip roots"):
+            (root,) = find_eigenvalues(None, flat_sl, omega_max=20.0, grid_count=2)
+        start = points[0][0]
+        u = start - 11.0
+        assert 10.0 < start < 20.0 and start - np.arctan(u) * (1.0 + u * u) < 10.0
+        assert points[1][0] == 0.5 * (10.0 + start)
+        assert root.omega == pytest.approx(11.0, abs=1e-12)
+        assert root.slope == pytest.approx(1.0, abs=1e-12)
+
+    def test_step_cap_raises(self, medium, monkeypatch):
+        s = medium(-1.0, 2.0)
+        monkeypatch.setattr(spectrum, "REFINE_MAX_STEPS", 1)
+        with pytest.raises(nb.ConvergenceError, match="Newton steps"):
+            find_eigenvalues(s.coeffs, s.sl, s.config.omega_max, s.config.omega_grid_count)
+
+
+class TestNormIdentity:
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_preset_models_within_bound(self, medium, short, horizon):
+        # preset models: table1-medium (-1, 2) and table3-short (-2, 2)
+        s = medium(-1.0, 2.0) if horizon == "six-month" else short(-2.0, 2.0)
+        residuals = norm_identity_residuals(s.pairs, s.sl)
+        assert residuals.shape == (len(s.pairs),)
+        assert np.max(residuals) < 1e-8
+        assert s.diagnostics()["max_norm_identity_residual"] == np.max(residuals)
+
+    def test_reported_only_with_derivatives(self):
+        s = make_solver(-1.0, 2.0).solve(with_derivatives=False)
+        assert "max_norm_identity_residual" not in s.diagnostics()
 
 
 class TestFindEigenvalues:
@@ -167,7 +264,7 @@ class TestAgainstMaskedPerPairRoute:
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_characteristic_equals_masked_blocks(self, medium, short, horizon):
         # the odd-only block of the characteristic, on the preset's omega grid
-        # (also reversed and shuffled) and on its first bisection midpoints,
+        # (also reversed and shuffled) and on its scan brackets' midpoints,
         # equals the series over every order of a masked block
         s = self.solved(medium, short, horizon)
         alpha_u = s.coeffs.alpha[1::2, -1]
