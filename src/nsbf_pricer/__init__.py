@@ -74,5 +74,19 @@ from .spectrum import (
 from .spps import ParticularSolution, build_formal_powers, solve_particular
 from .bessel import spherical_jn_block
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundaryViolation", "ConfigError", "ContributionReport", "ConvergenceError", "DiffusionSpec",
+    "DoubleBarrierSolver", "EJDCEVParams", "EigenBasis", "EigenPair", "FDGrid", "FDSolution",
+    "GridFunction", "InstabilityError", "InvalidQuoteInput", "Mesh", "NSBFCoefficients",
+    "NSBFError", "NonFiniteParameter", "NonFiniteSpot", "NumericsConfig", "OptionContract",
+    "ParameterOutOfRange", "ParticularSolution", "PositivityError", "PricingResult",
+    "SLCoefficients", "SpotOutsideBarriers", "TimeOutsideHorizon", "VegaUndefined",
+    "antiderivative", "assemble_pairs", "build_formal_powers", "build_mesh",
+    "build_nsbf_coefficients", "build_sl_coefficients", "calibrate_delta", "characteristic",
+    "compute_G2", "compute_h_tilde", "contribution", "delta", "derivative", "drift_of",
+    "ejdcev_spec", "fd_price", "find_eigenvalues", "fourier_coefficients", "initial_coefficients",
+    "inner_product", "interpolate", "recurrence_step", "rows_at", "scale_gauge",
+    "solve_particular", "solve_pde", "spherical_jn_block", "theta", "value", "value_surface",
+    "vega",
+]
 __version__ = "0.1.0"

@@ -165,16 +165,16 @@ def _dump_json(payload, cfg: dict):
 
 
 def _solver_for(cfg: dict) -> tuple[DoubleBarrierSolver, OptionContract, float]:
+    """The solved basis of the configured model, the contract and the spot."""
     spec, y0 = model_from_config(cfg.get("model"))
     contract = contract_from_config(cfg.get("contract"))
     numerics = numerics_from_config(cfg.get("numerics", {}))
-    solver = DoubleBarrierSolver(spec, contract.L, contract.U, numerics)
+    solver = DoubleBarrierSolver(spec, contract.L, contract.U, numerics).solve()
     return solver, contract, y0
 
 
 def cmd_price(cfg: dict, greeks: bool) -> int:
     solver, contract, y0 = _solver_for(cfg)
-    solver.solve(with_derivatives=greeks)
     result = solver.price(contract, y0, greeks=greeks)
     _dump_json(asdict(result), cfg)
     return 0
@@ -182,7 +182,6 @@ def cmd_price(cfg: dict, greeks: bool) -> int:
 
 def cmd_surface(cfg: dict) -> int:
     solver, contract, _ = _solver_for(cfg)
-    solver.solve(with_derivatives=False)
     t_grid, y_grid, surf = solver.surface(contract)
     lines = ["t\\y," + ",".join(f"{y:.10g}" for y in y_grid)]
     for ti, row in zip(t_grid, surf):
@@ -193,7 +192,6 @@ def cmd_surface(cfg: dict) -> int:
 
 def cmd_spectrum(cfg: dict) -> int:
     solver, contract, _ = _solver_for(cfg)
-    solver.solve(with_derivatives=False)
     records = [
         {"n": p.n, "omega": p.omega, "lambda": p.lam, "norm_sq": p.norm_sq}
         for p in solver.pairs
@@ -209,7 +207,6 @@ def cmd_spectrum(cfg: dict) -> int:
 
 def cmd_contrib(cfg: dict) -> int:
     solver, contract, y0 = _solver_for(cfg)
-    solver.solve(with_derivatives=False)
     bands = [tuple(b) for b in cfg.get("bands", [[1, 5], [6, 10], [11, 15], [16, 20],
                                                  [21, 25], [26, 30], [31, 35], [36, 40],
                                                  [41, 45], [46, None]])]
@@ -229,22 +226,17 @@ def cmd_contrib(cfg: dict) -> int:
 
 def cmd_check_coefficients(cfg: dict) -> int:
     solver, _, _ = _solver_for(cfg)
-    solver.solve(with_derivatives=True)
     res = solver.coeffs.check_residuals
     y = solver.mesh.points
     lines = ["y,res_alpha_sum,res_alpha_alt,res_beta_sum,res_beta_alt"]
     for i in range(len(y)):
-        cols = [f"{y[i]:.10g}"] + [
-            ("" if r is None else f"{r[i]:.6e}") for r in res
-        ]
-        lines.append(",".join(cols))
+        lines.append(",".join([f"{y[i]:.10g}"] + [f"{r[i]:.6e}" for r in res]))
     _emit("\n".join(lines) + "\n", cfg)
     return 0
 
 
 def cmd_oracle_compare(cfg: dict) -> int:
     solver, contract, y0 = _solver_for(cfg)
-    solver.solve(with_derivatives=False)
     nsbf = solver.price(contract, y0).price
     grid_cfg = cfg.get("fd", {})
     grid = FDGrid(
@@ -285,7 +277,7 @@ def cmd_table(cfg: dict) -> int:
             base_contract = contract_from_config(cfg["contract"])
             numerics = numerics_from_config(cfg.get("numerics", {}))
             solver = DoubleBarrierSolver(spec, base_contract.L, base_contract.U, numerics)
-            solver.solve(with_derivatives=True)
+            solver.solve()
             for K in strikes:
                 cells = [f"{K:g},{beta:g},{gamma:g}"]
                 for style in ("call", "put"):

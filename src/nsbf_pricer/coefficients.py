@@ -7,8 +7,9 @@ the scaled form A_n = l^n alpha_n, B_n = l^n beta_n by a two-step integral
 recurrence, then divided back with near-left-endpoint cleanup (the raw
 quotient is dominated by quadrature noise where l^n is tiny).  Four
 closed-form sum identities serve as a self-test and pick the truncation
-order: the partial-sum residual stops improving once the retained orders
-exhaust the representation's accuracy.
+orders, one per family: the alpha pair picks alpha's order and the beta
+pair beta's, each where its partial-sum residual stops improving because
+the retained orders exhaust the representation's accuracy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import SLCoefficients
 from .spps import FormalPowerTable, ParticularSolution
 
 ORDER_CAP = 60  # safety limit of the order search
-PLATEAU_PATIENCE = 3  # orders without a new best identity residual before the search stops
+PLATEAU_PATIENCE = 3  # orders without a new best identity residual before a family stops
 EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 
 
@@ -32,35 +33,36 @@ EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 class NSBFCoefficients:
     """alpha/beta families (rows indexed by order) with their scaled forms.
 
-    Rows run over orders 0..M_trunc.  check_residuals holds the pointwise
-    residuals of the four identities at M_trunc (beta entries None on the
-    price-only path); residual_by_order[m, i] is the sup-norm residual of
-    identity i with the sums truncated at order m, one row per order built.
-    The identities are: sum alpha, alternating sum alpha, sum beta,
-    alternating sum beta (beta columns NaN when beta was not built).
-    order_stop says why the build stopped ("plateau", "cap" or "fixed"),
-    and plateau_residual is the best worst-identity residual over the
-    built orders, against which the order was chosen.
+    alpha and A have rows for orders 0..M_trunc, beta and B for orders
+    0..M_beta, with M_beta <= M_trunc.  The identities are: sum alpha,
+    alternating sum alpha, sum beta, alternating sum beta.  check_residuals
+    holds their pointwise residuals, the alpha pair at M_trunc and the beta
+    pair at M_beta; residual_by_order[m, i] is the sup-norm residual of
+    identity i with the sums truncated at order m, one row per alpha order
+    built (beta columns NaN past the last beta order built).
+    suggested_order is alpha's order by the plateau rule, order_stop says
+    why the build stopped ("plateau", "cap" or "fixed"), and
+    plateau_residual is alpha's best worst-identity residual over the built
+    orders, against which M_trunc was chosen.
     """
 
     mesh: Mesh
     alpha: np.ndarray
     A: np.ndarray
+    beta: np.ndarray
+    B: np.ndarray
     G2: GridFunction
     M_trunc: int
-    beta: Optional[np.ndarray] = None
-    B: Optional[np.ndarray] = None
-    check_residuals: Optional[tuple] = None
-    residual_by_order: Optional[np.ndarray] = None
-    suggested_order: Optional[int] = None
-    order_stop: Optional[str] = None
-    plateau_residual: Optional[float] = None
+    M_beta: int
+    check_residuals: tuple
+    residual_by_order: np.ndarray
+    suggested_order: int
+    order_stop: str
+    plateau_residual: float
 
     @property
     def max_residual(self) -> float:
-        if self.check_residuals is None:
-            return float("nan")
-        return float(max(np.max(r) for r in self.check_residuals if r is not None))
+        return float(max(np.max(r) for r in self.check_residuals))
 
 
 def compute_G2(c: SLCoefficients) -> GridFunction:
@@ -110,8 +112,8 @@ class InitialCoefficients:
 
     A0: np.ndarray
     A1: np.ndarray
-    B0: Optional[np.ndarray]
-    B1: Optional[np.ndarray]
+    B0: np.ndarray
+    B1: np.ndarray
 
 
 def initial_coefficients(
@@ -121,7 +123,6 @@ def initial_coefficients(
     G2: np.ndarray,
     h_tilde: float,
     n_edge: int,
-    with_beta: bool = True,
 ) -> InitialCoefficients:
     """Seed values for the recurrence.
 
@@ -140,17 +141,15 @@ def initial_coefficients(
     alpha0_prime = 0.5 * (g_p + rho_p / rho**2)
     A1 = 1.5 * (powers.Phi[1] - l / rho)
 
-    B0 = B1 = None
-    if with_beta:
-        alpha1 = recover_row(A1, l, 1, n_edge)
-        G1 = h_tilde + G2
-        B0 = sqrt_pw * (alpha0_prime + rho_p / rho * A0) - G1 / (2.0 * rho)
-        phi1_prime = g_p * powers.Y[1] + 1.0 / (g * p)
-        l_alpha1_prime = (
-            1.5 * (phi1_prime - sqrt_wp * (2.0 * alpha1 / 3.0 + 1.0 / rho))
-            + 1.5 * rho_p * l / rho**2
-        )
-        B1 = alpha1 + sqrt_pw * (l_alpha1_prime + rho_p / rho * A1) - 1.5 * l * G2 / rho
+    alpha1 = recover_row(A1, l, 1, n_edge)
+    G1 = h_tilde + G2
+    B0 = sqrt_pw * (alpha0_prime + rho_p / rho * A0) - G1 / (2.0 * rho)
+    phi1_prime = g_p * powers.Y[1] + 1.0 / (g * p)
+    l_alpha1_prime = (
+        1.5 * (phi1_prime - sqrt_wp * (2.0 * alpha1 / 3.0 + 1.0 / rho))
+        + 1.5 * rho_p * l / rho**2
+    )
+    B1 = alpha1 + sqrt_pw * (l_alpha1_prime + rho_p / rho * A1) - 1.5 * l * G2 / rho
 
     return InitialCoefficients(A0=A0, A1=A1, B0=B0, B1=B1)
 
@@ -221,35 +220,36 @@ def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tupl
     return rhs_a_sum, rhs_a_alt, rhs_b_sum, rhs_b_alt
 
 
-def _suggested_order(worst: np.ndarray) -> int:
-    """Earliest order whose worst residual is within a factor two of the best."""
-    return int(np.argmax(worst <= 2.0 * float(np.min(worst))))
+class _Family:
+    """One coefficient family fed one order at a time, with its plateau search.
 
+    Each order's scaled and recovered rows are kept, and the recovered row
+    is added to the running sum and alternating sum whose targets are the
+    family's two identities; sup[n] holds their sup-norm residuals at order n.
+    """
 
-class _IdentitySums:
-    """Running partial sums of the four identities, fed one order at a time."""
+    def __init__(self, targets: tuple):
+        self.targets = targets
+        self.sums = [np.zeros_like(t) for t in targets]
+        self.scaled, self.rows, self.pointwise, self.sup = [], [], [], []
+        self.best, self.best_at = np.inf, 0
 
-    def __init__(self, c: SLCoefficients, h_tilde: float, G2: np.ndarray, with_beta: bool):
-        self._targets = _identity_targets(c, h_tilde, G2)
-        self._sums = [np.zeros(c.mesh.M) for _ in range(4 if with_beta else 2)]
-        self._sign = 1.0
+    def add(self, n: int, scaled: np.ndarray, row: np.ndarray) -> bool:
+        """Record order n; True once PLATEAU_PATIENCE orders passed without a new best."""
+        self.scaled.append(scaled)
+        self.rows.append(row)
+        self.sums[0] += row
+        self.sums[1] += -row if n % 2 else row
+        self.pointwise.append([np.abs(s - t) for s, t in zip(self.sums, self.targets)])
+        self.sup.append([float(np.max(r)) for r in self.pointwise[n]])
+        if max(self.sup[n]) < self.best:
+            self.best, self.best_at = max(self.sup[n]), n
+            return False
+        return n - self.best_at >= PLATEAU_PATIENCE
 
-    def add(self, alpha_n: np.ndarray, beta_n: Optional[np.ndarray]) -> tuple:
-        """Pointwise residuals with the sums truncated at this order.
-
-        The beta entries are None on the price-only path.
-        """
-        for k, row in enumerate((alpha_n,) if beta_n is None else (alpha_n, beta_n)):
-            self._sums[2 * k] += row
-            self._sums[2 * k + 1] += self._sign * row
-        self._sign = -self._sign
-        pointwise = [np.abs(s - t) for s, t in zip(self._sums, self._targets)]
-        return tuple(pointwise + [None] * (4 - len(pointwise)))
-
-
-def _residual_row(pointwise: tuple) -> np.ndarray:
-    """Sup-norm residual of each identity (NaN where beta was not built)."""
-    return np.array([np.nan if r is None else float(np.max(r)) for r in pointwise])
+    def suggested_order(self) -> int:
+        """Earliest order whose worst residual is within a factor two of the best."""
+        return int(np.argmax(np.max(self.sup, axis=1) <= 2.0 * self.best))
 
 
 def build_nsbf_coefficients(
@@ -258,23 +258,24 @@ def build_nsbf_coefficients(
     powers: FormalPowerTable,
     order: Optional[int] = None,
     order_cap: int = ORDER_CAP,
-    with_beta: bool = True,
 ) -> NSBFCoefficients:
-    """Run the full coefficient pipeline and pick the truncation order.
+    """Run the full coefficient pipeline and pick each family's truncation order.
 
-    With order=None the orders are built one at a time while the worst of
-    the identity residuals is tracked through running partial sums.  The
-    search stops once that residual has not improved on its best for
-    PLATEAU_PATIENCE orders (order_stop "plateau"), or at order_cap, a
-    safety limit that warns when reached (order_stop "cap").  The
-    truncation is then the earliest built order whose residual is within a
-    factor two of the best.  On every reference model, with and without
-    beta, a patience of two already picks the order a full run to order 60
-    picks; one does not (the price-only curve of (beta, gamma) = (-2, 0)
-    fails to improve from order 0 to order 1), and three leaves an order of
-    margin.  An explicit order builds exactly orders 0..order and skips the
-    search (order_stop "fixed").  with_beta=False runs the price-only
-    reduced path (no beta family, no derivative representation).
+    With order=None the orders are built one at a time, and each family's
+    worst identity residual (the larger of its two) is tracked through
+    running partial sums.  A family has plateaued once that residual has
+    not improved on its best for PLATEAU_PATIENCE orders.  Beta's rows stop
+    when beta has plateaued, and the build ends when alpha has (order_stop
+    "plateau"), or at order_cap, a safety limit that warns when reached
+    (order_stop "cap").  Each family's order is then the earliest built
+    order whose residual is within a factor two of its best, and beta's is
+    capped at alpha's.  On every reference model, for both families, a
+    patience of two already picks the order a full run to order 60 picks;
+    one does not (alpha's curve on (beta, gamma) = (-2, 0) fails to
+    improve from order 0 to order 1), and three leaves an order of margin.
+    Alpha's rows, and with them the eigenvalues and eigenfunctions, do not
+    depend on beta's.  An explicit order builds exactly orders 0..order of
+    both families and skips the search (order_stop "fixed").
     """
     mesh = c.mesh
     l = c.l.values
@@ -282,57 +283,51 @@ def build_nsbf_coefficients(
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
     n_edge = int(round(EDGE_FRACTION * (mesh.M - 1))) + 1
-    init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge, with_beta)
+    init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge)
 
-    sums = _IdentitySums(c, h_t, G2.values, with_beta)
+    targets = _identity_targets(c, h_t, G2.values)
+    alpha, beta = _Family(targets[:2]), _Family(targets[2:])
     recurrence = _Recurrence(c, sol)
-    last = order if order is not None else order_cap
-    A_rows, B_rows, alpha_rows, beta_rows, pointwise, residual_rows = [], [], [], [], [], []
-    best, best_at = np.inf, 0
-    stop = "fixed" if order is not None else "cap"
-    for n in range(last + 1):
+    search = order is None
+    stop = "cap" if search else "fixed"
+    beta_open = True
+    for n in range((order_cap if search else order) + 1):
         if n < 2:
             A_n, B_n = (init.A0, init.B0) if n == 0 else (init.A1, init.B1)
         else:
-            B_prev = B_rows[n - 2] if with_beta else None
-            A_n, B_n = recurrence.step(n, A_rows[n - 2], B_prev)
-        A_rows.append(A_n)
-        alpha_rows.append(recover_row(A_n, l, n, n_edge))
-        if with_beta:
-            B_rows.append(B_n)
-            beta_rows.append(recover_row(B_n, l, n, n_edge))
-        pointwise.append(sums.add(alpha_rows[n], beta_rows[n] if with_beta else None))
-        residual_rows.append(_residual_row(pointwise[n]))
-
-        worst = float(np.nanmax(residual_rows[n]))
-        if worst < best:
-            best, best_at = worst, n
-        elif order is None and n - best_at >= PLATEAU_PATIENCE:
+            B_prev = beta.scaled[n - 2] if beta_open else None
+            A_n, B_n = recurrence.step(n, alpha.scaled[n - 2], B_prev)
+        if beta_open:
+            beta_open = not (beta.add(n, B_n, recover_row(B_n, l, n, n_edge)) and search)
+        if alpha.add(n, A_n, recover_row(A_n, l, n, n_edge)) and search:
             stop = "plateau"
             break
 
-    residual_by_order = np.array(residual_rows)
-    suggested = _suggested_order(np.nanmax(residual_by_order, axis=1))
     if stop == "cap":
         warnings.warn(
-            f"coefficient order search reached the cap {order_cap} before the identity "
-            f"residual plateaued; best residual {best:.3e} at order {best_at}",
+            f"coefficient order search reached the cap {order_cap} before the alpha identity "
+            f"residual plateaued; best residual {alpha.best:.3e} at order {alpha.best_at}",
             stacklevel=2,
         )
-    m_trunc = order if order is not None else suggested
-    m_keep = m_trunc + 1
+    suggested = alpha.suggested_order()
+    m_alpha = suggested if search else order
+    m_beta = min(beta.suggested_order(), m_alpha) if search else order
+    residual_by_order = np.full((len(alpha.sup), 4), np.nan)
+    residual_by_order[:, :2] = alpha.sup
+    residual_by_order[: len(beta.sup), 2:] = beta.sup
 
     return NSBFCoefficients(
         mesh=mesh,
-        alpha=np.array(alpha_rows[:m_keep]),
-        A=np.array(A_rows[:m_keep]),
-        beta=np.array(beta_rows[:m_keep]) if with_beta else None,
-        B=np.array(B_rows[:m_keep]) if with_beta else None,
+        alpha=np.array(alpha.rows[: m_alpha + 1]),
+        A=np.array(alpha.scaled[: m_alpha + 1]),
+        beta=np.array(beta.rows[: m_beta + 1]),
+        B=np.array(beta.scaled[: m_beta + 1]),
         G2=G2,
-        M_trunc=m_trunc,
-        check_residuals=pointwise[m_trunc],
+        M_trunc=m_alpha,
+        M_beta=m_beta,
+        check_residuals=(*alpha.pointwise[m_alpha], *beta.pointwise[m_beta]),
         residual_by_order=residual_by_order,
         suggested_order=suggested,
         order_stop=stop,
-        plateau_residual=best,
+        plateau_residual=alpha.best,
     )

@@ -2,8 +2,9 @@
 
 One DoubleBarrierSolver instance owns the spectral data for a (model,
 barrier interval, numerics) triple and prices any number of contracts
-against it.  The price-only reduced path skips the beta family and the
-eigenfunction derivatives; asking for Greeks builds them.
+against it.  Every solve builds both coefficient families, each truncated
+at its own order, and assembles the eigenfunctions with their derivatives,
+so a price and its Greeks come from one solve.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class NumericsConfig:
 
 
 def solve_from_sl(
-    sl: SLCoefficients, config: NumericsConfig, with_derivatives: bool = True
+    sl: SLCoefficients, config: NumericsConfig
 ) -> tuple[SLCoefficients, ParticularSolution, NSBFCoefficients, EigenBasis]:
     """Coefficient and spectral stages for pre-built Sturm-Liouville data.
 
@@ -77,11 +78,9 @@ def solve_from_sl(
     powers = build_formal_powers(particular, sl, K=1)
     steady, steady_prime = steady_state(particular, powers, sl)
     sl = replace(sl, steady=steady, steady_prime=steady_prime)
-    coeffs = build_nsbf_coefficients(
-        sl, particular, powers, order=config.nsbf_order, with_beta=with_derivatives
-    )
+    coeffs = build_nsbf_coefficients(sl, particular, powers, order=config.nsbf_order)
     skeletons = find_eigenvalues(coeffs, sl, config.omega_max, config.omega_grid_count)
-    pairs = assemble_pairs(skeletons, coeffs, sl, with_derivatives)
+    pairs = assemble_pairs(skeletons, coeffs, sl)
     return sl, particular, coeffs, pairs
 
 
@@ -106,26 +105,27 @@ class DoubleBarrierSolver:
         self.particular: Optional[ParticularSolution] = None
         self.coeffs: Optional[NSBFCoefficients] = None
         self.pairs: Optional[EigenBasis] = None
-        self._has_derivatives = False
         self._diagnostics: Optional[dict] = None
 
     def solve(self, with_derivatives: bool = True) -> "DoubleBarrierSolver":
-        """Build coefficients, locate the spectrum, assemble eigenfunctions."""
+        """Build coefficients, locate the spectrum, assemble eigenfunctions and derivatives.
+
+        with_derivatives is accepted and ignored: every solve builds the
+        derivatives.  It stays for callers that still pass it (the benchmark
+        harness does).
+        """
         self.mesh = build_mesh(self.L, self.U, self.config.mesh_points)
         sl = build_sl_coefficients(self.spec, self.mesh)
-        self.sl, self.particular, self.coeffs, self.pairs = solve_from_sl(
-            sl, self.config, with_derivatives
-        )
-        self._has_derivatives = with_derivatives
+        self.sl, self.particular, self.coeffs, self.pairs = solve_from_sl(sl, self.config)
         self._diagnostics = self._solve_report()
         return self
 
-    def _ensure_solved(self, with_derivatives: bool):
-        if self.pairs is None or (with_derivatives and not self._has_derivatives):
-            self.solve(with_derivatives=with_derivatives)
+    def _ensure_solved(self):
+        if self.pairs is None:
+            self.solve()
 
     def eigenvalues(self) -> np.ndarray:
-        self._ensure_solved(False)
+        self._ensure_solved()
         return self.pairs.lam.copy()
 
     def retained_pairs(self, contract: OptionContract) -> EigenBasis:
@@ -156,7 +156,7 @@ class DoubleBarrierSolver:
             raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{self.L}, {self.U}]")
         if not 0.0 <= t <= contract.T:
             raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
-        self._ensure_solved(greeks)
+        self._ensure_solved()
         pairs = self.retained_pairs(contract)
         g = pricing.fourier_coefficients(contract, pairs, self.sl)
         at = pricing.rows_at(y0, pairs, self.sl)
@@ -187,7 +187,7 @@ class DoubleBarrierSolver:
 
     def surface(self, contract: OptionContract, t_count: int = 101, y_count: int = 101):
         self._check_contract(contract)
-        self._ensure_solved(False)
+        self._ensure_solved()
         pairs = self.retained_pairs(contract)
         g = pricing.fourier_coefficients(contract, pairs, self.sl)
         return pricing.value_surface(contract, pairs, g, self.sl, t_count, y_count)
@@ -198,24 +198,22 @@ class DoubleBarrierSolver:
 
     def _solve_report(self) -> dict:
         res = self.coeffs.check_residuals
-        out = {
+        return {
             "mesh_points": self.mesh.M,
             "nsbf_order": self.coeffs.M_trunc,
+            "nsbf_beta_order": self.coeffs.M_beta,
             "nsbf_suggested_order": self.coeffs.suggested_order,
             "nsbf_orders_built": int(self.coeffs.residual_by_order.shape[0]),
             "nsbf_order_stop": self.coeffs.order_stop,
             "nsbf_plateau_residual": float(self.coeffs.plateau_residual),
             "identity_residual_alpha_sum": float(np.max(res[0])),
             "identity_residual_alpha_alt": float(np.max(res[1])),
+            "identity_residual_beta_sum": float(np.max(res[2])),
+            "identity_residual_beta_alt": float(np.max(res[3])),
             "eigenvalues_found": len(self.pairs),
             "max_boundary_residual": max(p.boundary_residual for p in self.pairs),
+            "max_norm_identity_residual": float(
+                np.max(norm_identity_residuals(self.pairs, self.sl))
+            ),
             "spps_terms": self.particular.series_order,
         }
-        if res[2] is not None:
-            out["identity_residual_beta_sum"] = float(np.max(res[2]))
-            out["identity_residual_beta_alt"] = float(np.max(res[3]))
-        if self._has_derivatives:
-            out["max_norm_identity_residual"] = float(
-                np.max(norm_identity_residuals(self.pairs, self.sl))
-            )
-        return out

@@ -159,8 +159,10 @@ class Stencil:
 
 
 def stencil(mesh: Mesh, y) -> Stencil:
-    """The interpolation stencil at points y (scalar or array) inside [L, U]."""
+    """The interpolation stencil at finite points y (scalar or array) inside [L, U]."""
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y_arr)):
+        raise ValueError("evaluation point is not finite")
     pad = 1e-12 * (mesh.U - mesh.L)
     if np.any(y_arr < mesh.L - pad) or np.any(y_arr > mesh.U + pad):
         raise ValueError(f"evaluation point outside [{mesh.L}, {mesh.U}]")

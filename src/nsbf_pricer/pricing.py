@@ -161,13 +161,13 @@ def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> Eigen
 class Rows:
     """phi_n, phi_n', h and h' at points y, from one interpolation stencil.
 
-    The points run along the last axis; dphi is None when the basis has no
-    derivatives.  Every evaluation below reads these rows.
+    The points run along the last axis.  Every evaluation below reads these
+    rows.
     """
 
     y: object
     phi: np.ndarray
-    dphi: Optional[np.ndarray]
+    dphi: np.ndarray
     h: np.ndarray
     dh: np.ndarray
 
@@ -179,8 +179,9 @@ def rows_at(y, pairs: EigenBasis, c: SLCoefficients) -> Rows:
     def stacked(blocks):
         return np.concatenate([at(b) for b in blocks]) if blocks else np.empty((0, len(at.den)))
 
-    dphi = None if pairs.dphi is None else stacked(pairs.dphi)
-    return Rows(y, stacked(pairs.phi), dphi, at(c.steady.values), at(c.steady_prime.values))
+    return Rows(
+        y, stacked(pairs.phi), stacked(pairs.dphi), at(c.steady.values), at(c.steady_prime.values)
+    )
 
 
 def value(at: Rows, t: float, contract: OptionContract, pairs: EigenBasis, g: np.ndarray):
@@ -210,9 +211,7 @@ def value_surface(
 
 
 def delta(at: Rows, contract: OptionContract, pairs: EigenBasis, g: np.ndarray) -> float:
-    """Series Delta at (y0, 0) for a one-point at; needs eigenfunction derivatives."""
-    if at.dphi is None:
-        raise ValueError("eigenfunction derivatives were not assembled")
+    """Series Delta at (y0, 0) for a one-point at."""
     modes = float(np.sum(g * at.dphi[:, 0] * np.exp(-pairs.lam * contract.T)))
     return modes + contract.rebate * float(at.dh[0])
 

@@ -5,14 +5,15 @@ at the upper barrier; its positive roots omega_n give the eigenvalues
 lambda_n = omega_n^2.  Roots are bracketed on a uniform omega grid and
 refined by safeguarded Newton steps on the analytic omega-slope (the
 series coefficients at U do not depend on omega, so the slope comes from
-the same Bessel block), then each eigenfunction (and optionally its
-derivative) is assembled on the mesh from one evaluation of sin(omega l)
-and cos(omega l) and one shared block of the odd Bessel orders, the only
-ones the series uses.  The assembled basis is stacked (EigenBasis): phi_n
-and phi_n' are rows of (BLOCK_ROWS, M) arrays, and each EigenPair's
-functions are views of its rows, so the basis is held once.  The slope
-at each root also checks each norm through the Sturm-Liouville identity
-(norm_identity_residuals).
+the same Bessel block), then each eigenfunction and its derivative are
+assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
+and one shared block of the odd Bessel orders, the only ones the series
+uses; the derivative's beta series, truncated no higher than alpha's,
+reads the block's leading rows.  The assembled basis is stacked
+(EigenBasis): phi_n and phi_n' are rows of (BLOCK_ROWS, M) arrays, and
+each EigenPair's functions are views of its rows, so the basis is held
+once.  The slope at each root also checks each norm through the
+Sturm-Liouville identity (norm_identity_residuals).
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class EigenPair:
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
     norm_sq carries the normalization, boundary_residual is
     |phi(U)| / sup |phi|, and slope is d phi(U, omega) / d omega at the root.
+    find_eigenvalues returns skeletons (n, omega, lam, slope); every pair
+    assemble_pairs returns has phi, phi_prime, norm_sq and boundary_residual.
     """
 
     n: int
@@ -68,15 +71,15 @@ class EigenBasis:
     """The eigenpairs of one solve, stacked in row blocks.
 
     phi (dphi) is a tuple of 2-D arrays whose rows, block after block, are
-    phi_1, phi_2, ... (phi_1', ...) on the mesh; dphi is None when
-    derivatives were not assembled.  Indexing gives the EigenPair of one
-    row, whose phi and phi_prime are GridFunction views of its rows; a
-    contiguous slice gives the basis of those rows, again as views.
+    phi_1, phi_2, ... (phi_1', ...) on the mesh.  Indexing gives the
+    EigenPair of one row, whose phi and phi_prime are GridFunction views of
+    its rows; a contiguous slice gives the basis of those rows, again as
+    views.
     """
 
     pairs: tuple
     phi: tuple
-    dphi: Optional[tuple]
+    dphi: tuple
     lam: np.ndarray
     norm_sq: np.ndarray
 
@@ -92,8 +95,7 @@ class EigenBasis:
         start, stop, step = index.indices(len(self))
         if step != 1:
             raise ValueError("a basis slice must be contiguous")
-        phi = _row_views(self.phi, start, stop)
-        dphi = None if self.dphi is None else _row_views(self.dphi, start, stop)
+        phi, dphi = (_row_views(b, start, stop) for b in (self.phi, self.dphi))
         return EigenBasis(self.pairs[index], phi, dphi, self.lam[index], self.norm_sq[index])
 
 
@@ -241,30 +243,24 @@ def find_eigenvalues(
 
 
 def assemble_pairs(
-    skeletons: list[EigenPair],
-    coeffs: NSBFCoefficients,
-    c: SLCoefficients,
-    with_derivatives: bool = False,
+    skeletons: list[EigenPair], coeffs: NSBFCoefficients, c: SLCoefficients
 ) -> EigenBasis:
-    """Eigenfunctions (and derivatives) for every located root, stacked.
+    """Eigenfunctions and their derivatives for every located root, stacked.
 
     phi_n and phi_n' are written straight into row n-1 of the basis's row
     blocks.  Each root evaluates sin(omega l) and cos(omega l) once on the
     mesh, and one block of the odd Bessel orders built from them serves
-    phi_n and phi_n'.  Norms are taken per row block after the loop.
+    phi_n and phi_n'.  The block holds alpha's odd orders; beta is truncated
+    at an order no higher than alpha's, so its odd rows read the block's
+    leading rows.  Norms are taken per row block after the loop.
     """
-    if with_derivatives and coeffs.beta is None:
-        raise ValueError("beta coefficients were not built (price-only reduced path)")
     n, l, rho = len(skeletons), c.l.values, c.rho.values
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
-    dphi = tuple(np.empty_like(b) for b in phi) if with_derivatives else None
-    rows = [r for b in phi for r in b]
-    drows = [r for b in dphi for r in b] if with_derivatives else [None] * n
-    alpha = _signed_odd(coeffs.alpha)
-    if with_derivatives:
-        beta = _signed_odd(coeffs.beta)
-        sqrt_wp = np.sqrt(c.w.values / c.p.values)
-        rho_ratio = c.rho_prime.values / rho
+    dphi = tuple(np.empty_like(b) for b in phi)
+    rows, drows = [r for b in phi for r in b], [r for b in dphi for r in b]
+    alpha, beta = _signed_odd(coeffs.alpha), _signed_odd(coeffs.beta)
+    sqrt_wp = np.sqrt(c.w.values / c.p.values)
+    rho_ratio = c.rho_prime.values / rho
     residuals = []
     for sk, row, drow in zip(skeletons, rows, drows):
         x = sk.omega * l
@@ -277,14 +273,13 @@ def assemble_pairs(
                 f"phi_{sk.n}(U) = {row[-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
             )
         residuals.append(float(abs(row[-1]) / sup))
-        if with_derivatives:
-            inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
-            inner += _odd_bessel_sum(beta, block)
-            np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
+        inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+        inner += _odd_bessel_sum(beta, block[: len(beta)])
+        np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
     norm_sq = np.concatenate([integrate(c.mesh, b * b * c.w.values) for b in phi] or [np.empty(0)])
     pairs = tuple(
-        replace(sk, phi=GridFunction(c.mesh, row), norm_sq=float(norm), boundary_residual=res,
-                phi_prime=None if drow is None else GridFunction(c.mesh, drow))
+        replace(sk, phi=GridFunction(c.mesh, row), phi_prime=GridFunction(c.mesh, drow),
+                norm_sq=float(norm), boundary_residual=res)
         for sk, row, drow, norm, res in zip(skeletons, rows, drows, norm_sq, residuals)
     )
     return EigenBasis(pairs, phi, dphi, np.array([sk.lam for sk in skeletons]), norm_sq)
@@ -297,7 +292,7 @@ def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
     identity int_L^U w phi_n^2 = p(U) phi_n'(U) d_lambda phi(U, lambda_n)
     holds, with d_lambda = d_omega / (2 omega).  It checks each mesh norm
     against the series at U alone, using the slope of the root's last
-    Newton step.  Needs the derivatives (basis.dphi).
+    Newton step.
     """
     dphi_u = np.concatenate([b[:, -1] for b in basis.dphi])
     slope = np.array([p.slope for p in basis])

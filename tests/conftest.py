@@ -21,7 +21,7 @@ def medium():
     def get(beta, gamma):
         key = (beta, gamma)
         if key not in cache:
-            cache[key] = make_solver(beta, gamma).solve(with_derivatives=True)
+            cache[key] = make_solver(beta, gamma).solve()
         return cache[key]
 
     return get
@@ -35,7 +35,7 @@ def short():
     def get(beta, gamma):
         key = (beta, gamma)
         if key not in cache:
-            cache[key] = make_solver(beta, gamma, short=True).solve(with_derivatives=True)
+            cache[key] = make_solver(beta, gamma, short=True).solve()
         return cache[key]
 
     return get

@@ -224,11 +224,12 @@ def masked_jn_block(x, m_max: int, trig=None) -> np.ndarray:
     return out if np.ndim(x) else out[:, 0]
 
 
-def per_pair_basis(skeletons, coeffs, c: SLCoefficients, with_derivatives: bool) -> dict:
+def per_pair_basis(skeletons, coeffs, c: SLCoefficients) -> dict:
     """phi, phi', lam, norm_sq and boundary residuals assembled one pair at a time.
 
     Every order of a masked Bessel block, the signed odd coefficients formed
-    again for each pair, and one inner product per norm.
+    again for each pair, and one inner product per norm.  phi sums alpha's
+    odd rows over the block and phi' beta's over its leading rows.
     """
 
     def odd_sum(coeff_rows, block):
@@ -255,10 +256,9 @@ def per_pair_basis(skeletons, coeffs, c: SLCoefficients, with_derivatives: bool)
         out["phi"].append(phi)
         out["norm_sq"].append(inner_product(gf, gf, c.w))
         out["boundary_residual"].append(float(abs(phi[-1]) / float(np.max(np.abs(phi)))))
-        if with_derivatives:
-            inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
-            inner += odd_sum(coeffs.beta, block)
-            out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
+        inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+        inner += odd_sum(coeffs.beta, block[: coeffs.beta.shape[0] // 2])
+        out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
     out["lam"] = [sk.lam for sk in skeletons]
     return {k: np.array(v) for k, v in out.items()}
 

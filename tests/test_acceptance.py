@@ -239,6 +239,30 @@ def test_criterion_4_table4_contributions(short, oracle):
     assert ok, detail
 
 
+# one-day pricer-oracle bounds at the node strikes, about twice the worst gap
+# measured on the gamma = 0 grid models (price 2.7e-10 and Theta 1.5e-7 at
+# call K=95 on (-0.5, 0), Delta 1.2e-10 at call K=95 on (-2, 0))
+ONE_DAY_NODE_BOUND = {"price": 1e-9, "delta": 1e-9, "theta": 3e-7}
+
+
+@pytest.mark.parametrize("beta", [-2.0, -0.5, 1.0])
+def test_one_day_greeks_at_node_strikes_match_oracle(short, oracle, beta):
+    # K=95 and 105 are nodes of the pricer's and the oracle's meshes, so no
+    # payoff kink falls inside a quadrature panel; a Greeks quote keeps
+    # alpha's full order for the price
+    gaps = []
+    for K in (95.0, 105.0):
+        r = short(beta, 0.0).price(contract(K=K, T=SHORT_T), Y0, greeks=True)
+        q = oracle(beta, 0.0, SHORT_T).quote("call", K, Y0)
+        for name, got, est in (("price", r.price, q.price), ("delta", r.delta, q.delta),
+                               ("theta", r.theta, q.theta)):
+            gap = abs(got - est.value)
+            assert est.error < 0.1 * ONE_DAY_NODE_BOUND[name]
+            gaps.append((gap / ONE_DAY_NODE_BOUND[name], gap, name, K))
+    worst = max(gaps)
+    assert worst[0] <= 1.0, f"{worst[2]} at call K={worst[3]}: gap {worst[1]:.2e}"
+
+
 def test_criterion_5_identity_suite(medium, short):
     worst = 0.0
     worst_at = None
@@ -281,7 +305,7 @@ def test_criterion_6_spectral_properties(medium, short):
     base_price = base.price(c, Y0).price
     for kappa in (0.1, 10.0):
         scaled = nb.scale_gauge(base.sl, kappa)
-        *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig(), with_derivatives=False)
+        *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig())
         kept = pricing.select_pairs(pairs_k, c.T, nb.NumericsConfig())
         g = pricing.fourier_coefficients(c, kept, scaled)
         price_k = pricing.value(pricing.rows_at(Y0, kept, scaled), 0.0, c, kept, g)
@@ -420,7 +444,7 @@ def test_criterion_10_degenerate_exactness():
     params = nb.EJDCEVParams(beta=-1.0, gamma=0.0, b=0.0, c=0.0, rbar=0.0, qbar=0.0)
     spec = nb.ejdcev_spec(params)
     solver = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(omega_max=25.0, omega_grid_count=250))
-    solver.solve(with_derivatives=False)
+    solver.solve()
     delta = params.delta
     l_u = math.sqrt(2.0) * (U - L) / delta
     worst_omega = max(

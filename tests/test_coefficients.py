@@ -22,10 +22,10 @@ from dual_routes import (
 )
 
 
-def build_coeffs(sl, order=None, with_beta=True, K=1):
+def build_coeffs(sl, order=None, K=1):
     sol = solve_particular(sl)
     powers = build_formal_powers(sol, sl, K=K)
-    return sol, powers, build_nsbf_coefficients(sl, sol, powers, order=order, with_beta=with_beta)
+    return sol, powers, build_nsbf_coefficients(sl, sol, powers, order=order)
 
 
 class TestG2:
@@ -233,10 +233,17 @@ class TestIdentities:
         worst = np.nanmax(s.coeffs.residual_by_order, axis=1)
         assert worst[2] > worst[min(30, len(worst) - 1)]
 
-    def test_price_only_path_skips_beta(self, flat_sl):
-        _, _, coeffs = build_coeffs(flat_sl, order=4, with_beta=False)
-        assert coeffs.beta is None and coeffs.B is None
-        assert coeffs.check_residuals[2] is None
+    def test_check_residuals_at_each_family_order(self, short):
+        # the alpha pair is read at alpha's order and the beta pair at beta's
+        s = short(-2.0, 0.0)
+        coeffs = s.coeffs
+        assert coeffs.M_beta < coeffs.M_trunc
+        assert coeffs.alpha.shape[0] == coeffs.A.shape[0] == coeffs.M_trunc + 1
+        assert coeffs.beta.shape[0] == coeffs.B.shape[0] == coeffs.M_beta + 1
+        sup = [float(np.max(r)) for r in coeffs.check_residuals]
+        assert sup[:2] == list(coeffs.residual_by_order[coeffs.M_trunc, :2])
+        assert sup[2:] == list(coeffs.residual_by_order[coeffs.M_beta, 2:])
+        assert coeffs.max_residual == max(sup)
 
 
 class TestLegendreTable:
@@ -295,26 +302,43 @@ PRESET_MODELS = [("medium", b, g) for b in (0.5, 0.0, -1.0, -2.0) for g in (0.0,
 ]
 
 
+def suggested(worst):
+    """Earliest order within a factor two of the best, as the order search picks it."""
+    return int(np.argmax(worst <= 2.0 * np.min(worst)))
+
+
 class TestOrderSearch:
     def test_plateau_stop_keeps_the_full_search_order(self, medium, short):
+        # each family's order equals the one its own residual curve picks on
+        # a run to order 60; beta's is capped at alpha's
         solvers = {"medium": medium, "short": short}
         mismatches = []
         for horizon, beta, gamma in PRESET_MODELS:
             s = solvers[horizon](beta, gamma)
             powers = build_formal_powers(s.particular, s.sl, K=1)
-            for with_beta in (True, False):
-                if with_beta:
-                    early = s.coeffs
-                else:
-                    early = build_nsbf_coefficients(s.sl, s.particular, powers, with_beta=False)
-                full = build_nsbf_coefficients(
-                    s.sl, s.particular, powers, order=60, with_beta=with_beta
+            early = s.coeffs
+            full = build_nsbf_coefficients(s.sl, s.particular, powers, order=60)
+            assert early.order_stop == "plateau"
+            assert early.residual_by_order.shape[0] < 25
+            by_family = full.residual_by_order.reshape(-1, 2, 2).max(axis=2)
+            alpha_order = suggested(by_family[:, 0])
+            beta_order = min(suggested(by_family[:, 1]), alpha_order)
+            if (early.M_trunc, early.M_beta) != (alpha_order, beta_order):
+                mismatches.append(
+                    (horizon, beta, gamma, early.M_trunc, early.M_beta, alpha_order, beta_order)
                 )
-                assert early.order_stop == "plateau"
-                assert early.residual_by_order.shape[0] < 25
-                if early.M_trunc != full.suggested_order:
-                    mismatches.append((horizon, beta, gamma, with_beta, early.M_trunc, full.suggested_order))
         assert not mismatches
+
+    def test_beta_stops_at_its_own_plateau(self, short):
+        # beta's rows end three orders after its best; alpha runs on alone
+        coeffs = short(-2.0, 0.0).coeffs
+        built = coeffs.residual_by_order
+        beta_built = int(np.count_nonzero(~np.isnan(built[:, 2])))
+        assert np.all(np.isnan(built[beta_built:, 2:]))
+        assert not np.any(np.isnan(built[:, :2]))
+        beta_worst = np.max(built[:beta_built, 2:], axis=1)
+        assert beta_built - 1 - int(np.argmin(beta_worst)) == 3
+        assert beta_built < built.shape[0]
 
     def test_cap_before_plateau_warns(self, medium):
         s = medium(-1.0, 2.0)
@@ -323,19 +347,25 @@ class TestOrderSearch:
             coeffs = build_nsbf_coefficients(s.sl, s.particular, powers, order_cap=5)
         assert coeffs.order_stop == "cap"
         assert coeffs.residual_by_order.shape[0] == 6
-        assert coeffs.M_trunc <= 5
+        assert coeffs.M_beta <= coeffs.M_trunc <= 5
 
     def test_explicit_order_is_fixed(self, flat_sl):
         _, _, coeffs = build_coeffs(flat_sl, order=8)
         assert coeffs.order_stop == "fixed"
-        assert coeffs.M_trunc == 8
+        assert coeffs.M_trunc == coeffs.M_beta == 8
+        assert coeffs.alpha.shape[0] == coeffs.beta.shape[0] == 9
         assert coeffs.residual_by_order.shape[0] == 9
+        assert not np.any(np.isnan(coeffs.residual_by_order))
 
     def test_diagnostics_report_the_stop(self, medium):
         s = medium(-1.0, 2.0)
         diag = s.diagnostics()
-        worst = np.nanmax(s.coeffs.residual_by_order, axis=1)
+        worst = np.max(s.coeffs.residual_by_order[:, :2], axis=1)  # alpha's pair
         assert diag["nsbf_order_stop"] == "plateau"
         assert diag["nsbf_orders_built"] == worst.size
         assert diag["nsbf_plateau_residual"] == float(np.min(worst))
         assert worst[diag["nsbf_order"]] <= 2.0 * diag["nsbf_plateau_residual"]
+        assert diag["nsbf_beta_order"] == s.coeffs.M_beta <= diag["nsbf_order"]
+        res = s.coeffs.check_residuals
+        assert diag["identity_residual_beta_sum"] == float(np.max(res[2]))
+        assert diag["identity_residual_beta_alt"] == float(np.max(res[3]))

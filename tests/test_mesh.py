@@ -126,6 +126,14 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="outside"):
             interpolate(f, 89.0)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [100.0, math.nan]])
+    def test_non_finite_point_rejected(self, y):
+        # a NaN point fails loudly, not as nan with a numpy cast warning
+        m = build_mesh(90, 120, 101)
+        f = GridFunction(m, np.ones(m.M))
+        with pytest.raises(ValueError, match="not finite"):
+            interpolate(f, y)
+
 
 class TestDerivative:
     def test_cubic(self):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
-from nsbf_pricer import pricing, spectrum
+from nsbf_pricer import engine, pricing, spectrum
 from nsbf_pricer.fd import FDGrid, fd_price
 from nsbf_pricer.mesh import derivative_values, inner_product, interpolate_values
+
+from conftest import make_solver
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -128,6 +130,39 @@ class TestQuoteInputValidation:
         s = medium(-1.0, 2.0)
         assert abs(s.price(contract(), L).price) < 1e-8
         assert abs(s.price(contract(), U, t=0.5).price) < 1e-8
+
+    def test_rows_at_non_finite_point(self, medium):
+        s = medium(-1.0, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            nb.rows_at(math.nan, s.pairs, s.sl)
+
+
+class TestOneSolvePath:
+    """A price quote and a Greeks quote come from the same solve."""
+
+    # table1-medium, table3-short, and the one-day model whose orders differ most
+    @pytest.mark.parametrize("beta, gamma, T, K", [
+        (-1.0, 2.0, 0.5, 100.0), (-2.0, 2.0, 1 / 360, 100.0), (-2.0, 0.0, 1 / 360, 95.0),
+    ])
+    def test_greeks_quote_price_equals_price_quote(self, beta, gamma, T, K):
+        s = make_solver(beta, gamma, short=T < 0.5)
+        c = contract(K=K, T=T)
+        assert s.price(c, Y0).price == s.price(c, Y0, greeks=True).price
+
+    def test_price_then_greeks_solves_once(self, monkeypatch):
+        solves = []
+        original = engine.solve_from_sl
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_from_sl", counted)
+        s = make_solver(-1.0, 2.0, mesh_points=2001)
+        s.price(contract(), Y0)
+        r = s.price(contract(), Y0, greeks=True)
+        assert len(solves) == 1
+        assert r.delta is not None and r.theta is not None
 
 
 class TestValueSurface:
@@ -251,7 +286,7 @@ class TestTruncation:
         # six-month price by less than 1e-4 (and geometrically less per band)
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
         cfg = nb.NumericsConfig(omega_max=90.0, omega_grid_count=600)
-        s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve(with_derivatives=False)
+        s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve()
         assert len(s.pairs) >= 45
         c = contract()
 
@@ -269,7 +304,7 @@ class TestTruncation:
         lam = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(mesh_points=2001)).eigenvalues()
         for cutoff, kept in ((0.5 * (lam[2] + lam[3]), 3), (float(lam[1]), 2), (0.5 * lam[0], 1)):
             cfg = nb.NumericsConfig(mesh_points=2001, lambda_cutoff=cutoff)
-            s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve(with_derivatives=False)
+            s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve()
             for T in (1 / 360, 0.5, 5.0):
                 pairs = s.retained_pairs(contract(T=T))
                 assert np.array_equal(pairs.lam, lam[:kept])

@@ -26,7 +26,7 @@ HORIZONS = {"six-month": (0.5, -1.0, 2.0), "one-day": (1.0 / 360.0, -2.0, 3.0)}
 # 300 random strike pairs per solve, the largest rise of a call (fall of a
 # put) with K was 3.3e-12 (one day) and the largest parity gap 9.6e-14
 TOL = 1e-9
-# gauge: price-only six-month solves at 65 gauges kappa in [1e-3, 1e3] (25
+# gauge: six-month solves at 65 gauges kappa in [1e-3, 1e3] (25
 # log-spaced with three contracts, 40 random with random contracts) priced
 # within 7.1e-15 of the unscaled solve
 GAUGE_TOL = 1e-12
@@ -104,9 +104,9 @@ def test_prices_monotone_in_strike(solved, K1, K2, y0, R):
 
 
 @pytest.fixture(scope="module")
-def price_only_six_month(medium):
+def six_month_basis(medium):
     T, beta, gamma = HORIZONS["six-month"]
-    return solve_from_sl(medium(beta, gamma).sl, nb.NumericsConfig(), with_derivatives=False)
+    return solve_from_sl(medium(beta, gamma).sl, nb.NumericsConfig())
 
 
 def _series_price(solved_sl, style, K, R, y0):
@@ -120,8 +120,8 @@ def _series_price(solved_sl, style, K, R, y0):
 
 @settings(max_examples=10, deadline=None)
 @given(log_kappa=st.floats(-3.0, 3.0), style=styles, K=strikes, y0=spots, R=rebates)
-def test_price_unchanged_by_gauge(price_only_six_month, log_kappa, style, K, y0, R):
-    sl = nb.scale_gauge(price_only_six_month[0], 10.0**log_kappa)
-    scaled = solve_from_sl(sl, nb.NumericsConfig(), with_derivatives=False)
-    expected = _series_price(price_only_six_month, style, K, R, y0)
+def test_price_unchanged_by_gauge(six_month_basis, log_kappa, style, K, y0, R):
+    sl = nb.scale_gauge(six_month_basis[0], 10.0**log_kappa)
+    scaled = solve_from_sl(sl, nb.NumericsConfig())
+    expected = _series_price(six_month_basis, style, K, R, y0)
     assert _series_price(scaled, style, K, R, y0) == pytest.approx(expected, abs=GAUGE_TOL)

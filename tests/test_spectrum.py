@@ -1,17 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer import spectrum
-from nsbf_pricer.coefficients import build_nsbf_coefficients
 from nsbf_pricer.engine import solve_from_sl
 from nsbf_pricer.mesh import derivative_values, inner_product
 from nsbf_pricer.spectrum import (
     assemble_pairs, characteristic, find_eigenvalues, norm_identity_residuals,
 )
-from nsbf_pricer.spps import build_formal_powers, solve_particular
 
 from conftest import make_solver
 from dual_routes import bisection_eigenvalues, masked_jn_block, per_pair_basis
@@ -72,7 +71,7 @@ class TestNewtonRefinement:
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     @pytest.mark.parametrize("beta, gamma", GRID)
     def test_few_steps_and_agrees_with_bisection(self, horizon, beta, gamma, monkeypatch):
-        s = make_solver(beta, gamma, short=horizon == "one-day").solve(with_derivatives=False)
+        s = make_solver(beta, gamma, short=horizon == "one-day").solve()
         window = s.config.omega_max, s.config.omega_grid_count
         original, slope_calls = spectrum.characteristic, []
 
@@ -131,9 +130,10 @@ class TestNormIdentity:
         assert np.max(residuals) < 1e-8
         assert s.diagnostics()["max_norm_identity_residual"] == np.max(residuals)
 
-    def test_reported_only_with_derivatives(self):
+    def test_reported_by_every_solve(self):
+        # with_derivatives is an ignored keyword: every solve assembles phi'
         s = make_solver(-1.0, 2.0).solve(with_derivatives=False)
-        assert "max_norm_identity_residual" not in s.diagnostics()
+        assert s.diagnostics()["max_norm_identity_residual"] < 1e-8
 
 
 class TestFindEigenvalues:
@@ -203,7 +203,7 @@ class TestEigenfunctionDerivative:
     def test_flat_cosine(self, flat_sl, flat_solved):
         _, coeffs, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
-        p1 = assemble_pairs(pairs[:1], coeffs, flat_sl, with_derivatives=True)[0]
+        p1 = assemble_pairs(pairs[:1], coeffs, flat_sl)[0]
         dphi = p1.phi_prime.values
         exact = p1.omega * np.cos(p1.omega * x)
         assert np.max(np.abs(dphi - exact)) < 1e-8
@@ -221,14 +221,17 @@ class TestEigenfunctionDerivative:
         s = medium(-1.0, 2.0)
         assert s.pairs[0].phi_prime.values[0] > 0
 
-    def test_requires_beta(self, flat_sl):
-        sol = solve_particular(flat_sl)
-        powers = build_formal_powers(sol, flat_sl, K=1)
-        coeffs = build_nsbf_coefficients(flat_sl, sol, powers, order=4, with_beta=False)
-        pairs = find_eigenvalues(coeffs, flat_sl, 10.0, 100)
-        assert assemble_pairs(pairs, coeffs, flat_sl).dphi is None
-        with pytest.raises(ValueError, match="beta"):
-            assemble_pairs(pairs, coeffs, flat_sl, with_derivatives=True)
+    def test_beta_order_moves_only_the_derivatives(self, short):
+        # beta reads the leading rows of alpha's Bessel block: a lower beta
+        # order leaves phi and the norms bit-identical and moves phi' alone
+        s = short(-2.0, 0.0)
+        assert s.coeffs.M_beta < s.coeffs.M_trunc
+        low = replace(s.coeffs, beta=s.coeffs.beta[:4], B=s.coeffs.B[:4], M_beta=3)
+        basis = assemble_pairs(s.pairs, low, s.sl)
+        assert np.array_equal(np.concatenate(basis.phi), np.concatenate(s.pairs.phi))
+        assert np.array_equal(basis.norm_sq, s.pairs.norm_sq)
+        moved = np.abs(np.concatenate(basis.dphi) - np.concatenate(s.pairs.dphi))
+        assert 0.0 < np.max(moved) < 1e-3 * np.max(np.abs(np.concatenate(s.pairs.dphi)))
 
 
 class TestGaugeInvariance:
@@ -236,7 +239,7 @@ class TestGaugeInvariance:
     def test_spectrum_invariant(self, medium, kappa):
         s = medium(-1.0, 1.0)
         scaled = nb.scale_gauge(s.sl, kappa)
-        *_, pairs = solve_from_sl(scaled, nb.NumericsConfig(), with_derivatives=False)
+        *_, pairs = solve_from_sl(scaled, nb.NumericsConfig())
         lam_base = s.eigenvalues()[: len(pairs)]
         lam_scaled = np.array([p.lam for p in pairs])[: len(lam_base)]
         assert np.max(np.abs(lam_scaled - lam_base) / lam_base) < 1e-9
@@ -252,7 +255,7 @@ class TestAgainstMaskedPerPairRoute:
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_basis_equals_per_pair_loop(self, medium, short, horizon):
         s = self.solved(medium, short, horizon)
-        ref = per_pair_basis(s.pairs, s.coeffs, s.sl, with_derivatives=True)
+        ref = per_pair_basis(s.pairs, s.coeffs, s.sl)
         b = s.pairs
         assert np.array_equal(np.concatenate(b.phi), ref["phi"])
         assert np.array_equal(np.concatenate(b.dphi), ref["dphi"])
