@@ -15,13 +15,12 @@ from .engine import DoubleBarrierSolver, NumericsConfig
 from .errors import ConfigError, NSBFError
 from .fd import FDGrid, fd_price
 from .model import DiffusionSpec, EJDCEVParams, ejdcev_spec
-from .presets import default_config, preset
+from .presets import DEFAULT_BANDS, default_config, preset
 from .pricing import OptionContract
 
 _FLAG_TO_NUMERIC = {
     "mesh": "mesh_points",
     "omega_max": "omega_max",
-    "omega_grid": "omega_grid_count",
     "nsbf_order": "nsbf_order",
     "lambda_cutoff": "lambda_cutoff",
 }
@@ -51,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], help="output format")
         p.add_argument("--mesh", type=int, metavar="M", help="mesh point count")
         p.add_argument("--omega-max", type=float, dest="omega_max", metavar="W")
-        p.add_argument("--omega-grid", type=int, dest="omega_grid", metavar="COUNT")
         p.add_argument("--nsbf-order", type=int, dest="nsbf_order", metavar="M")
         p.add_argument("--lambda-cutoff", type=float, dest="lambda_cutoff", metavar="X")
     return parser
@@ -207,9 +205,7 @@ def cmd_spectrum(cfg: dict) -> int:
 
 def cmd_contrib(cfg: dict) -> int:
     solver, contract, y0 = _solver_for(cfg)
-    bands = [tuple(b) for b in cfg.get("bands", [[1, 5], [6, 10], [11, 15], [16, 20],
-                                                 [21, 25], [26, 30], [31, 35], [36, 40],
-                                                 [41, 45], [46, None]])]
+    bands = [tuple(b) for b in cfg.get("bands", DEFAULT_BANDS)]
     result = solver.price(contract, y0, bands=bands)
     if cfg.get("output", {}).get("format") == "csv":
         lines = ["band,contribution"]

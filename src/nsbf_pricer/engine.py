@@ -36,7 +36,6 @@ class NumericsConfig:
     mesh_points: int = 10001
     nsbf_order: Optional[int] = None  # None: choose by identity-residual plateau
     omega_max: float = 15.0
-    omega_grid_count: int = 100
     lambda_decay_cap: float = 35.0  # keep lambda_n * T <= cap
     lambda_cutoff: Optional[float] = None  # absolute cutoff lambda_n <= X, overrides the decay rule
 
@@ -57,8 +56,6 @@ class NumericsConfig:
         check(order is None or (integer(order) and order >= 0), "nsbf_order",
               "None or a non-negative integer")
         check(finite_positive(self.omega_max), "omega_max", "finite and positive")
-        count = self.omega_grid_count
-        check(integer(count) and count >= 2, "omega_grid_count", "an integer >= 2")
         check(finite_positive(self.lambda_decay_cap), "lambda_decay_cap", "finite and positive")
         check(self.lambda_cutoff is None or finite_positive(self.lambda_cutoff), "lambda_cutoff",
               "None or finite and positive")
@@ -79,7 +76,7 @@ def solve_from_sl(
     steady, steady_prime = steady_state(particular, powers, sl)
     sl = replace(sl, steady=steady, steady_prime=steady_prime)
     coeffs = build_nsbf_coefficients(sl, particular, powers, order=config.nsbf_order)
-    skeletons = find_eigenvalues(coeffs, sl, config.omega_max, config.omega_grid_count)
+    skeletons = find_eigenvalues(coeffs, sl, config.omega_max)
     pairs = assemble_pairs(skeletons, coeffs, sl)
     return sl, particular, coeffs, pairs
 

@@ -91,22 +91,25 @@ def _same_mesh(a: Mesh, b: Mesh) -> bool:
     return a is b or (a.M == b.M and a.L == b.L and a.U == b.U)
 
 
+def _panel_partials(mesh: Mesh, values) -> np.ndarray:
+    """partial[..., p, k-1] = integral over [start of panel p, its node k], k = 1..5.
+
+    The panels are read through a strided view of the values, not copied.
+    """
+    values = np.asarray(values, dtype=float)
+    panels = sliding_window_view(values, PANEL + 1, axis=-1)[..., ::PANEL, :]
+    return mesh.h * (panels @ _CUM_WEIGHTS.T)
+
+
 def cumulative_integral(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """F with F(L) = 0 and F' ~ values, via composite six-point Newton-Cotes.
 
     Interior nodes of each panel receive the integral of that panel's
     quintic interpolant, so the result is degree-5 exact at every node.
     """
-    values = np.asarray(values, dtype=float)
-    n_panels = (mesh.M - 1) // PANEL
-    idx = PANEL * np.arange(n_panels)[:, None] + np.arange(PANEL + 1)[None, :]
-    # partial[p, k-1] = integral over [panel start, node k], k = 1..5
-    partial = mesh.h * (values[idx] @ _CUM_WEIGHTS.T)
+    partial = _panel_partials(mesh, values)
     starts = np.concatenate(([0.0], np.cumsum(partial[:, -1])[:-1]))
-    out = np.empty(mesh.M)
-    out[0] = 0.0
-    out[1:] = (starts[:, None] + partial).ravel()
-    return out
+    return np.concatenate(([0.0], (starts[:, None] + partial).ravel()))
 
 
 def antiderivative(f: GridFunction) -> GridFunction:
@@ -118,13 +121,10 @@ def integrate(mesh: Mesh, values: np.ndarray):
     """Integral over the full interval [L, U]; stacked rows give one per row.
 
     The closed panel rule of cumulative_integral, summed panel by panel in
-    the same order, read through a strided view of the panels and without
-    filling the interior nodes.
+    the same order, without filling the interior nodes.
     """
-    values = np.asarray(values, dtype=float)
-    panels = sliding_window_view(values, PANEL + 1, axis=-1)[..., ::PANEL, :]
-    total = np.cumsum(mesh.h * (panels @ _CUM_WEIGHTS.T)[..., -1], axis=-1)[..., -1]
-    return float(total) if values.ndim == 1 else total
+    total = np.cumsum(_panel_partials(mesh, values)[..., -1], axis=-1)[..., -1]
+    return float(total) if np.ndim(values) == 1 else total
 
 
 def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:

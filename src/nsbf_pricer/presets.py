@@ -30,6 +30,10 @@ _BASE_CONTRACT = {
 
 _BASE_OUTPUT = {"format": "json", "path": None}
 
+# eigenindex bands of the contribution report (contrib); None: to the last term
+DEFAULT_BANDS = [[1, 5], [6, 10], [11, 15], [16, 20], [21, 25],
+                 [26, 30], [31, 35], [36, 40], [41, 45], [46, None]]
+
 PRESETS = {
     # six-month horizon: a handful of eigenvalues inside omega < 15 suffice
     "table1-medium": {
@@ -47,15 +51,14 @@ PRESETS = {
     "table3-short": {
         "model": dict(_BASE_MODEL, beta=-2.0),
         "contract": dict(_BASE_CONTRACT, T=1.0 / 360.0),
-        "numerics": {"omega_max": 100.0, "omega_grid_count": 1000},
+        "numerics": {"omega_max": 100.0},
         "output": dict(_BASE_OUTPUT),
         "sweep": {
             "K": [100.0],
             "beta": [-2.0, 1.0],
             "gamma": [3.0, 2.0, 1.0, 0.0],
         },
-        "bands": [[1, 5], [6, 10], [11, 15], [16, 20], [21, 25],
-                  [26, 30], [31, 35], [36, 40], [41, 45], [46, None]],
+        "bands": DEFAULT_BANDS,
     },
 }
 

@@ -2,23 +2,25 @@
 
 The characteristic function is the Bessel-series eigenfunction evaluated
 at the upper barrier; its positive roots omega_n give the eigenvalues
-lambda_n = omega_n^2.  Roots are bracketed on a uniform omega grid and
-refined by safeguarded Newton steps on the analytic omega-slope (the
-series coefficients at U do not depend on omega, so the slope comes from
-the same Bessel block), then each eigenfunction and its derivative are
+lambda_n = omega_n^2.  The roots lie about pi / l(U) apart, so they are
+bracketed on a uniform omega grid of SCAN_PER_SPACING points per spacing
+and refined by safeguarded Newton steps on the analytic omega-slope (the
+series coefficients at U do not depend on omega, so value and slope come
+from one Bessel block).  Each eigenfunction and its derivative are then
 assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
 and one shared block of the odd Bessel orders, the only ones the series
 uses; the derivative's beta series, truncated no higher than alpha's,
 reads the block's leading rows.  The assembled basis is stacked
 (EigenBasis): phi_n and phi_n' are rows of (BLOCK_ROWS, M) arrays, and
 each EigenPair's functions are views of its rows, so the basis is held
-once.  The slope at each root also checks each norm through the
-Sturm-Liouville identity (norm_identity_residuals).
+once.  Sturm's oscillation theorem checks that the scan skipped no root
+(phi_N has N - 1 interior zeros), and the slope at each root checks each
+norm through the Sturm-Liouville identity (norm_identity_residuals).
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,6 +35,8 @@ from .mesh import GridFunction, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
+# Scan points per expected root spacing pi / l(U) of the characteristic.
+SCAN_PER_SPACING = 20
 # A root is refined until its Newton step is at most half of REFINE_TOL, or
 # its bracket at most REFINE_TOL wide; REFINE_MAX_STEPS caps the steps.
 REFINE_TOL = 1e-12
@@ -109,17 +113,6 @@ def _row_views(blocks: tuple, start: int, stop: int) -> tuple:
     return tuple(out)
 
 
-def _odd_block(x: np.ndarray, n_orders: int, trig: tuple) -> np.ndarray:
-    """Rows j_1(x), j_3(x), ... for the odd orders among coefficient rows 0..n_orders-1.
-
-    trig is (sin x, cos x); the block is built for the odd orders alone.
-    """
-    n_odd = n_orders // 2
-    if n_odd == 0:
-        return np.zeros((0,) + np.shape(x))
-    return _jn_block(x, 2 * n_odd - 1, trig, odd=True)
-
-
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
     """(-1)^m c_{2m+1}: the odd coefficient rows with alternating signs."""
     odd = coeff_rows[1::2]
@@ -136,25 +129,20 @@ def _odd_bessel_sum(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(signed * block, axis=0)
 
 
-def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients, with_slope: bool = False):
-    """Eigenfunction value at the upper barrier as a function of omega.
+def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
+    """Eigenfunction value at the upper barrier and its omega-slope, (value, d value / d omega).
 
-    With with_slope, returns (value, d value / d omega).  The coefficients at
-    U do not depend on omega, so the slope is l(U) times the series with
-    cos x for sin x and j_n' for j_n, where j_n' = (n j_{n-1} - (n+1) j_{n+1})
-    / (2n+1) reads the even orders of one all-orders block; that form has no
-    1/x and holds at omega = 0.  The value is summed from the same block.
+    The coefficients at U do not depend on omega, so the slope is l(U) times
+    the series with cos x for sin x and j_n' for j_n, where j_n' = (n j_{n-1}
+    - (n+1) j_{n+1}) / (2n+1) reads the even orders of one all-orders block;
+    that form has no 1/x and holds at omega = 0.  The value is summed from
+    the odd orders of the same block.
     """
     l_u = c.l.values[-1]
     rho_u = c.rho.values[-1]
-    alpha_u = coeffs.alpha[:, -1]
     x = np.asarray(omega, dtype=float) * l_u
     trig = np.sin(x), np.cos(x)
-    signed = _signed_odd(alpha_u)
-    if not with_slope:
-        block = _odd_block(x, len(alpha_u), trig)
-        val = trig[0] / rho_u + _odd_bessel_sum(signed, block)
-        return val if np.ndim(omega) else float(val)
+    signed = _signed_odd(coeffs.alpha[:, -1])
     n_odd = signed.shape[0]
     block = _jn_block(x, 2 * n_odd, trig)
     even = block[0::2]
@@ -169,34 +157,29 @@ def find_eigenvalues(
     coeffs: NSBFCoefficients,
     c: SLCoefficients,
     omega_max: float,
-    grid_count: int,
 ) -> list[EigenPair]:
-    """Bracket roots of the characteristic on a grid and refine each by safeguarded Newton.
+    """Bracket roots of the characteristic on a scan and refine each by safeguarded Newton.
 
-    Each root starts at the regula-falsi point of its scan bracket.  A step
-    evaluates the characteristic and its analytic omega-slope at the roots
-    still moving, tightens each bracket from the sign of the value, and takes
-    the Newton step, or bisects where that step would leave the bracket.  A
-    root is frozen on its own once its Newton step is at most REFINE_TOL / 2
-    (it then takes that step) or its bracket is at most REFINE_TOL wide (it
-    takes the midpoint).  Each EigenPair keeps the slope of its last step.
+    The scan holds ceil(SCAN_PER_SPACING * omega_max * l(U) / pi) points,
+    SCAN_PER_SPACING per expected root spacing; assemble_pairs checks by
+    Sturm's zero count that it skipped none.  Each root starts at the
+    regula-falsi point of its scan bracket.  A step evaluates the
+    characteristic and its analytic omega-slope at the roots still moving,
+    tightens each bracket from the sign of the value, and takes the Newton
+    step, or bisects where that step would leave the bracket.  A root is
+    frozen on its own once its Newton step is at most REFINE_TOL / 2 (it then
+    takes that step) or its bracket is at most REFINE_TOL wide (it takes the
+    midpoint).  Each EigenPair keeps the slope of its last step.
 
     omega = 0 is a trivial root and is excluded; roots are returned in
     increasing order as EigenPair skeletons (no eigenfunction yet).
     """
-    if omega_max <= 0 or grid_count < 2:
-        raise ValueError("need omega_max > 0 and at least two grid points")
-    grid = np.linspace(0.0, omega_max, grid_count + 1)[1:]
-    step = grid[1] - grid[0]
-    vals = characteristic(grid, coeffs, c)
-
-    spacing = np.pi / c.l.values[-1]
-    if spacing < 2.0 * step:
-        warnings.warn(
-            f"omega grid step {step:.4g} may skip roots spaced ~{spacing:.4g}; "
-            "increase the grid count",
-            stacklevel=2,
-        )
+    if not omega_max > 0:
+        raise ValueError(f"need omega_max > 0, got {omega_max}")
+    count = math.ceil(SCAN_PER_SPACING * omega_max * c.l.values[-1] / math.pi)
+    grid = np.linspace(0.0, omega_max, count + 1)[1:]
+    step = omega_max / count
+    vals, _ = characteristic(grid, coeffs, c)
 
     # a sign change between neighbours, or a grid point that is a root (a
     # zero-width bracket, frozen at its first step)
@@ -214,7 +197,7 @@ def find_eigenvalues(
     roots, slopes = np.empty_like(x), np.empty_like(x)
     active = np.arange(x.size)
     for _ in range(REFINE_MAX_STEPS):
-        f, df = characteristic(x, coeffs, c, with_slope=True)
+        f, df = characteristic(x, coeffs, c)
         left = np.sign(f) == np.sign(f_lo)  # the root lies right of x
         lo, f_lo = np.where(left, x, lo), np.where(left, f, f_lo)
         hi = np.where(left, hi, x)
@@ -253,6 +236,10 @@ def assemble_pairs(
     phi_n and phi_n'.  The block holds alpha's odd orders; beta is truncated
     at an order no higher than alpha's, so its odd rows read the block's
     leading rows.  Norms are taken per row block after the loop.
+
+    By Sturm's oscillation theorem phi_N, the top row of N roots, changes
+    sign N - 1 times over the interior nodes exactly when the roots are the
+    first N eigenvalues; any other count raises ConvergenceError.
     """
     n, l, rho = len(skeletons), c.l.values, c.rho.values
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
@@ -265,7 +252,8 @@ def assemble_pairs(
     for sk, row, drow in zip(skeletons, rows, drows):
         x = sk.omega * l
         trig = np.sin(x), np.cos(x)
-        block = _odd_block(x, coeffs.alpha.shape[0], trig)
+        # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
+        block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
         np.add(trig[0] / rho, _odd_bessel_sum(alpha, block), out=row)
         sup = float(np.max(np.abs(row)))
         if abs(row[-1]) > BOUNDARY_TOL * sup:
@@ -276,6 +264,14 @@ def assemble_pairs(
         inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
         inner += _odd_bessel_sum(beta, block[: len(beta)])
         np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
+    if rows:
+        interior = np.signbit(rows[-1][1:-1])
+        changes = int(np.count_nonzero(interior[1:] != interior[:-1]))
+        if changes != n - 1:
+            raise ConvergenceError(
+                f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
+                "the omega scan skipped a root or found a spurious one"
+            )
     norm_sq = np.concatenate([integrate(c.mesh, b * b * c.w.values) for b in phi] or [np.empty(0)])
     pairs = tuple(
         replace(sk, phi=GridFunction(c.mesh, row), phi_prime=GridFunction(c.mesh, drow),

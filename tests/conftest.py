@@ -8,7 +8,7 @@ L, U, Y0 = 90.0, 120.0, 100.0
 
 def make_solver(beta, gamma, short=False, **overrides):
     spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=beta, gamma=gamma))
-    kw = dict(omega_max=100.0, omega_grid_count=1000) if short else {}
+    kw = dict(omega_max=100.0) if short else {}
     kw.update(overrides)
     return nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(**kw))
 

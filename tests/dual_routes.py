@@ -264,14 +264,14 @@ def per_pair_basis(skeletons, coeffs, c: SLCoefficients) -> dict:
 
 
 def bisection_eigenvalues(coeffs, c: SLCoefficients, omega_max: float, grid_count: int) -> np.ndarray:
-    """Roots of the characteristic from the same scan, by vectorised bisection.
+    """Roots of the characteristic from an explicit scan of grid_count points, by bisection.
 
     The refinement loop spectrum.find_eigenvalues ran before it took Newton
     steps: every bracket is halved until all are REFINE_TOL wide, and each
     root is its bracket's midpoint.
     """
     grid = np.linspace(0.0, omega_max, grid_count + 1)[1:]
-    vals = characteristic(grid, coeffs, c)
+    vals, _ = characteristic(grid, coeffs, c)
     lo_list, hi_list = [], []
     exact = []
     for i in range(len(grid) - 1):
@@ -286,10 +286,10 @@ def bisection_eigenvalues(coeffs, c: SLCoefficients, omega_max: float, grid_coun
     lo = np.array(lo_list)
     hi = np.array(hi_list)
     if lo.size:
-        f_lo = characteristic(lo, coeffs, c)
+        f_lo, _ = characteristic(lo, coeffs, c)
         while np.max(hi - lo) > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            f_mid = characteristic(mid, coeffs, c)
+            f_mid, _ = characteristic(mid, coeffs, c)
             go_right = f_lo * f_mid > 0.0
             lo = np.where(go_right, mid, lo)
             f_lo = np.where(go_right, f_mid, f_lo)

@@ -443,7 +443,7 @@ def test_criterion_10_degenerate_exactness():
     # coefficients through the standard model path
     params = nb.EJDCEVParams(beta=-1.0, gamma=0.0, b=0.0, c=0.0, rbar=0.0, qbar=0.0)
     spec = nb.ejdcev_spec(params)
-    solver = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(omega_max=25.0, omega_grid_count=250))
+    solver = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(omega_max=25.0))
     solver.solve()
     delta = params.delta
     l_u = math.sqrt(2.0) * (U - L) / delta

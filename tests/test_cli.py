@@ -19,7 +19,7 @@ def fast_config(tmp_path):
     cfg = {
         "model": {"type": "ejdcev", "beta": -1.0, "gamma": 2.0},
         "contract": {"style": "call", "K": 100.0, "L": 90.0, "U": 120.0, "T": 0.5},
-        "numerics": {"mesh_points": 2001, "omega_max": 15.0, "omega_grid_count": 100},
+        "numerics": {"mesh_points": 2001, "omega_max": 15.0},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -106,6 +106,17 @@ class TestConfigErrors:
         assert code == 2
         assert "unknown keys ['n_max']" in err
 
+    def test_removed_grid_count_rejected(self, capsys, tmp_path):
+        # the omega scan is sized from l(U); its point count is no setting
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"numerics": {"omega_grid_count": 100}}))
+        code, _, err = run_cli(capsys, "price", "--config", path.as_posix())
+        assert code == 2
+        assert "unknown keys ['omega_grid_count']" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--omega-grid", "100"])
+        assert exc.value.code == 2
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/does/not/exist.json")
         assert code == 2
@@ -117,7 +128,6 @@ class TestNumericsValidation:
         "mesh_points": [10000, 5, 1, 2001.0, "2001"],
         "nsbf_order": [-1, 2.5],
         "omega_max": [0.0, -15.0, float("nan"), float("inf")],
-        "omega_grid_count": [1, 0, 100.0],
         "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf")],
         "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf")],
     }
@@ -129,7 +139,7 @@ class TestNumericsValidation:
                 NumericsConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        NumericsConfig(mesh_points=6, nsbf_order=0, omega_grid_count=2, lambda_cutoff=1e-9)
+        NumericsConfig(mesh_points=6, nsbf_order=0, lambda_cutoff=1e-9)
 
 
 class TestSubcommands:
@@ -197,8 +207,8 @@ class TestSubcommands:
 class TestPresets:
     # the NumericsConfig each preset resolves to, written out in full
     EXPECTED = {
-        "table1-medium": dict(omega_max=15.0, omega_grid_count=100),
-        "table3-short": dict(omega_max=100.0, omega_grid_count=1000),
+        "table1-medium": dict(omega_max=15.0),
+        "table3-short": dict(omega_max=100.0),
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -285,7 +285,7 @@ class TestTruncation:
         # adding eigenterms beyond the exponential-decay cutoff changes the
         # six-month price by less than 1e-4 (and geometrically less per band)
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
-        cfg = nb.NumericsConfig(omega_max=90.0, omega_grid_count=600)
+        cfg = nb.NumericsConfig(omega_max=90.0)
         s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve()
         assert len(s.pairs) >= 45
         c = contract()

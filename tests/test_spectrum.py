@@ -22,7 +22,7 @@ GRID = [(b, g) for b in (-2.0, -0.5, 1.0) for g in (0.0, 1.0, 2.0, 3.0)]
 @pytest.fixture(scope="module")
 def flat_solved(flat_sl):
     # (particular, coefficients, pairs); the returned Sturm-Liouville data is not needed
-    return solve_from_sl(flat_sl, nb.NumericsConfig(omega_max=40.0, omega_grid_count=400))[1:]
+    return solve_from_sl(flat_sl, nb.NumericsConfig(omega_max=40.0))[1:]
 
 
 class TestCharacteristic:
@@ -30,18 +30,18 @@ class TestCharacteristic:
         _, coeffs, _ = flat_solved
         l_u = flat_sl.l.values[-1]
         omegas = np.array([0.5, 1.7, 9.3])
-        vals = characteristic(omegas, coeffs, flat_sl)
+        vals, _ = characteristic(omegas, coeffs, flat_sl)
         assert np.max(np.abs(vals - np.sin(omegas * l_u))) < 1e-8
 
     def test_zero_at_origin(self, flat_sl, flat_solved):
         _, coeffs, _ = flat_solved
-        assert characteristic(0.0, coeffs, flat_sl) == 0.0
+        assert characteristic(0.0, coeffs, flat_sl)[0] == 0.0
 
     def test_sign_change_at_first_reference_eigenvalue(self, short):
         s = short(1.0, 1.0)
         w = math.sqrt(4.4047)
-        lo = characteristic(w - 0.02, s.coeffs, s.sl)
-        hi = characteristic(w + 0.02, s.coeffs, s.sl)
+        lo, _ = characteristic(w - 0.02, s.coeffs, s.sl)
+        hi, _ = characteristic(w + 0.02, s.coeffs, s.sl)
         assert lo * hi < 0
 
 
@@ -51,20 +51,19 @@ class TestCharacteristicSlope:
         s = medium(-1.0, 2.0) if horizon == "six-month" else short(-2.0, 2.0)
         omega = np.linspace(0.3, 0.995 * s.config.omega_max, 37)
         omega = np.concatenate([omega, [p.omega for p in s.pairs]])
-        value, slope = characteristic(omega, s.coeffs, s.sl, with_slope=True)
+        _, slope = characteristic(omega, s.coeffs, s.sl)
         h = 1e-6
-        centred = (characteristic(omega + h, s.coeffs, s.sl)
-                   - characteristic(omega - h, s.coeffs, s.sl)) / (2.0 * h)
+        centred = (characteristic(omega + h, s.coeffs, s.sl)[0]
+                   - characteristic(omega - h, s.coeffs, s.sl)[0]) / (2.0 * h)
         assert np.max(np.abs(slope - centred)) < 1e-7 * np.max(np.abs(slope))
-        assert np.max(np.abs(value - characteristic(omega, s.coeffs, s.sl))) < 1e-15
 
     def test_flat_cosine_and_origin(self, flat_sl, flat_solved):
         # phi(U, omega) = sin(omega) on the flat problem, and the slope needs no 1/x at 0
         _, coeffs, _ = flat_solved
         omega = np.array([0.0, 0.5, 1.7, 9.3])
-        value, slope = characteristic(omega, coeffs, flat_sl, with_slope=True)
+        _, slope = characteristic(omega, coeffs, flat_sl)
         assert np.max(np.abs(slope - np.cos(omega))) < 1e-8
-        assert characteristic(0.0, coeffs, flat_sl, with_slope=True) == (0.0, slope[0])
+        assert characteristic(0.0, coeffs, flat_sl) == (0.0, slope[0])
 
 
 class TestNewtonRefinement:
@@ -72,44 +71,44 @@ class TestNewtonRefinement:
     @pytest.mark.parametrize("beta, gamma", GRID)
     def test_few_steps_and_agrees_with_bisection(self, horizon, beta, gamma, monkeypatch):
         s = make_solver(beta, gamma, short=horizon == "one-day").solve()
-        window = s.config.omega_max, s.config.omega_grid_count
-        original, slope_calls = spectrum.characteristic, []
+        original, sizes = spectrum.characteristic, []
 
-        def counted(*args, **kwargs):
-            slope_calls.append(kwargs.get("with_slope", False))
-            return original(*args, **kwargs)
+        def counted(omega, *args):
+            sizes.append(np.size(omega))
+            return original(omega, *args)
 
         monkeypatch.setattr(spectrum, "characteristic", counted)
-        roots = np.array([p.omega for p in find_eigenvalues(s.coeffs, s.sl, *window)])
+        roots = np.array([p.omega for p in find_eigenvalues(s.coeffs, s.sl, s.config.omega_max)])
         monkeypatch.undo()
-        assert sum(slope_calls) <= 6
-        ref = bisection_eigenvalues(s.coeffs, s.sl, *window)
+        # the scan, then at most six Newton steps
+        assert len(sizes) <= 7
+        ref = bisection_eigenvalues(s.coeffs, s.sl, s.config.omega_max, sizes[0])
         assert roots.shape == ref.shape
         # bisection stops with brackets up to 1e-12 wide and takes their midpoints
         assert np.max(np.abs(roots - ref)) <= 5e-13
-        worst = np.max(np.abs(characteristic(roots, s.coeffs, s.sl)))
-        assert worst <= np.max(np.abs(characteristic(ref, s.coeffs, s.sl)))
+        worst = np.max(np.abs(characteristic(roots, s.coeffs, s.sl)[0]))
+        assert worst <= np.max(np.abs(characteristic(ref, s.coeffs, s.sl)[0]))
 
     def test_step_out_of_bracket_bisects(self, flat_sl, monkeypatch):
-        # arctan(omega - 11) on the bracket (10, 20): the regula-falsi start
-        # lies where the slope is small, so its Newton step leaves the
-        # bracket and the next point is the bracket's midpoint
+        # arctan(omega - 11) on the bracket (10, 20) of a two-point scan
+        # (l(U) = 1): the regula-falsi start lies where the slope is small,
+        # so its Newton step leaves the bracket and the next point is the
+        # bracket's midpoint
         points = []
 
-        def fake(omega, coeffs, c, with_slope=False):
+        def fake(omega, coeffs, c):
+            points.append(np.array(omega, copy=True))
             u = np.asarray(omega) - 11.0
-            if with_slope:
-                points.append(np.array(omega, copy=True))
-                return np.arctan(u), 1.0 / (1.0 + u * u)
-            return np.arctan(u)
+            return np.arctan(u), 1.0 / (1.0 + u * u)
 
         monkeypatch.setattr(spectrum, "characteristic", fake)
-        with pytest.warns(UserWarning, match="skip roots"):
-            (root,) = find_eigenvalues(None, flat_sl, omega_max=20.0, grid_count=2)
-        start = points[0][0]
+        monkeypatch.setattr(spectrum, "SCAN_PER_SPACING", 0.3)
+        (root,) = find_eigenvalues(None, flat_sl, omega_max=20.0)
+        assert np.array_equal(points[0], [10.0, 20.0])
+        start = points[1][0]
         u = start - 11.0
         assert 10.0 < start < 20.0 and start - np.arctan(u) * (1.0 + u * u) < 10.0
-        assert points[1][0] == 0.5 * (10.0 + start)
+        assert points[2][0] == 0.5 * (10.0 + start)
         assert root.omega == pytest.approx(11.0, abs=1e-12)
         assert root.slope == pytest.approx(1.0, abs=1e-12)
 
@@ -117,7 +116,7 @@ class TestNewtonRefinement:
         s = medium(-1.0, 2.0)
         monkeypatch.setattr(spectrum, "REFINE_MAX_STEPS", 1)
         with pytest.raises(nb.ConvergenceError, match="Newton steps"):
-            find_eigenvalues(s.coeffs, s.sl, s.config.omega_max, s.config.omega_grid_count)
+            find_eigenvalues(s.coeffs, s.sl, s.config.omega_max)
 
 
 class TestNormIdentity:
@@ -148,15 +147,38 @@ class TestFindEigenvalues:
         assert lam[0] > 0
         assert np.all(np.diff(lam) > 0)
 
-    def test_missed_root_warning(self, medium):
+    def test_missed_root_raises(self, medium):
+        # without omega_2, the top eigenfunction of N roots changes sign N
+        # times, not N - 1 (Sturm's oscillation theorem)
         s = medium(-1.0, 2.0)
-        with pytest.warns(UserWarning, match="skip roots"):
-            find_eigenvalues(s.coeffs, s.sl, omega_max=15.0, grid_count=10)
+        skeletons = [p for p in s.pairs if p.n != 2]
+        with pytest.raises(nb.ConvergenceError, match="changes sign"):
+            assemble_pairs(skeletons, s.coeffs, s.sl)
+
+    def test_coarse_scan_raises(self, medium, monkeypatch):
+        # a scan of one point per two spacings steps over roots; the solve
+        # refuses the basis instead of pricing with eigenterms missing
+        s = medium(-1.0, 2.0)
+        monkeypatch.setattr(spectrum, "SCAN_PER_SPACING", 0.5)
+        with pytest.raises(nb.ConvergenceError, match="changes sign"):
+            solve_from_sl(s.sl, s.config)
+
+    def test_wide_barriers_match_fine_bisection(self):
+        # the root spacing pi / l(U) of a wide interval is below two steps
+        # of a 100-point scan on (0, 15); the derived scan still finds every
+        # root that bisection finds on a fine explicit grid
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        s = nb.DoubleBarrierSolver(spec, 50.0, 250.0, nb.NumericsConfig(mesh_points=4001)).solve()
+        assert math.pi / s.sl.l.values[-1] < 2.0 * s.config.omega_max / 100
+        ref = bisection_eigenvalues(s.coeffs, s.sl, s.config.omega_max, 20000)
+        omegas = np.array([p.omega for p in s.pairs])
+        assert omegas.shape == ref.shape
+        assert np.max(np.abs(omegas - ref)) <= 5e-13
 
     def test_empty_window_rejected(self, medium):
         s = medium(-1.0, 2.0)
         with pytest.raises(ValueError, match="widen"):
-            find_eigenvalues(s.coeffs, s.sl, omega_max=1.0, grid_count=50)
+            find_eigenvalues(s.coeffs, s.sl, omega_max=1.0)
 
     def test_asymptotic_spacing(self, short):
         s = short(-2.0, 2.0)
@@ -266,21 +288,23 @@ class TestAgainstMaskedPerPairRoute:
 
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_characteristic_equals_masked_blocks(self, medium, short, horizon):
-        # the odd-only block of the characteristic, on the preset's omega grid
-        # (also reversed and shuffled) and on its scan brackets' midpoints,
-        # equals the series over every order of a masked block
+        # the characteristic's value from its all-orders block, on the scan
+        # grid (also reversed and shuffled) and on its brackets' midpoints,
+        # equals the series over the odd rows of a masked block
         s = self.solved(medium, short, horizon)
         alpha_u = s.coeffs.alpha[1::2, -1]
         signs = np.where(np.arange(alpha_u.size) % 2 == 0, 1.0, -1.0)
-        omega = np.linspace(0.0, s.config.omega_max, s.config.omega_grid_count + 1)[1:]
-        vals = characteristic(omega, s.coeffs, s.sl)
+        l_u = s.sl.l.values[-1]
+        count = math.ceil(spectrum.SCAN_PER_SPACING * s.config.omega_max * l_u / math.pi)
+        omega = np.linspace(0.0, s.config.omega_max, count + 1)[1:]
+        vals, _ = characteristic(omega, s.coeffs, s.sl)
         bracket = vals[:-1] * vals[1:] < 0.0
         mid = 0.5 * (omega[:-1][bracket] + omega[1:][bracket])
         assert mid.size == len(s.pairs)
         grids = (omega, omega[::-1], np.random.default_rng(5).permutation(omega), mid)
         for om in grids:
-            x = om * s.sl.l.values[-1]
-            block = masked_jn_block(x, 2 * alpha_u.size - 1)[1::2]
+            x = om * l_u
+            block = masked_jn_block(x, 2 * alpha_u.size)[1::2]
             series = 2.0 * np.tensordot(signs * alpha_u, block, axes=(0, 0))
             ref = np.sin(x) / s.sl.rho.values[-1] + series
-            assert np.array_equal(characteristic(om, s.coeffs, s.sl), ref)
+            assert np.array_equal(characteristic(om, s.coeffs, s.sl)[0], ref)
