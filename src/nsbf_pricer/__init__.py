@@ -13,7 +13,6 @@ from .coefficients import (
     compute_G2,
     compute_h_tilde,
     initial_coefficients,
-    recurrence_step,
 )
 from .engine import DoubleBarrierSolver, NumericsConfig
 from .errors import (
@@ -35,9 +34,7 @@ from .fd import FDGrid, FDSolution, fd_price, solve_pde
 from .mesh import (
     GridFunction,
     Mesh,
-    antiderivative,
     build_mesh,
-    derivative,
     inner_product,
     interpolate,
 )
@@ -56,6 +53,7 @@ from .pricing import (
     OptionContract,
     PricingResult,
     contribution,
+    decay_factors,
     delta,
     fourier_coefficients,
     rows_at,
@@ -81,12 +79,11 @@ __all__ = [
     "NSBFError", "NonFiniteParameter", "NonFiniteSpot", "NumericsConfig", "OptionContract",
     "ParameterOutOfRange", "ParticularSolution", "PositivityError", "PricingResult",
     "SLCoefficients", "SpotOutsideBarriers", "TimeOutsideHorizon", "VegaUndefined",
-    "antiderivative", "assemble_pairs", "build_formal_powers", "build_mesh",
-    "build_nsbf_coefficients", "build_sl_coefficients", "calibrate_delta", "characteristic",
-    "compute_G2", "compute_h_tilde", "contribution", "delta", "derivative", "drift_of",
-    "ejdcev_spec", "fd_price", "find_eigenvalues", "fourier_coefficients", "initial_coefficients",
-    "inner_product", "interpolate", "recurrence_step", "rows_at", "scale_gauge",
-    "solve_particular", "solve_pde", "spherical_jn_block", "theta", "value", "value_surface",
-    "vega",
+    "assemble_pairs", "build_formal_powers", "build_mesh", "build_nsbf_coefficients",
+    "build_sl_coefficients", "calibrate_delta", "characteristic", "compute_G2", "compute_h_tilde",
+    "contribution", "decay_factors", "delta", "drift_of", "ejdcev_spec", "fd_price",
+    "find_eigenvalues", "fourier_coefficients", "initial_coefficients", "inner_product",
+    "interpolate", "rows_at", "scale_gauge", "solve_particular", "solve_pde", "spherical_jn_block",
+    "theta", "value", "value_surface", "vega",
 ]
 __version__ = "0.1.0"

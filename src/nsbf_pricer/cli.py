@@ -190,9 +190,10 @@ def cmd_surface(cfg: dict) -> int:
 
 def cmd_spectrum(cfg: dict) -> int:
     solver, contract, _ = _solver_for(cfg)
+    basis = solver.pairs
     records = [
-        {"n": p.n, "omega": p.omega, "lambda": p.lam, "norm_sq": p.norm_sq}
-        for p in solver.pairs
+        {"n": i + 1, "omega": float(om), "lambda": float(lam), "norm_sq": float(norm)}
+        for i, (om, lam, norm) in enumerate(zip(basis.omega, basis.lam, basis.norm_sq))
     ]
     if cfg.get("output", {}).get("format") == "csv":
         lines = ["n,omega,lambda,norm_sq"]

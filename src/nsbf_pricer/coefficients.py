@@ -20,12 +20,18 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
 from .model import SLCoefficients
 from .spps import FormalPowerTable, ParticularSolution
 
 ORDER_CAP = 60  # safety limit of the order search
 PLATEAU_PATIENCE = 3  # orders without a new best identity residual before a family stops
+# Largest alpha plateau residual the order search accepts.  On the EJDCEV
+# models good plateaus sit at 1.5e-6 or below from 1001 mesh nodes up; a
+# plateau near 10 is an order-0 "plateau" of a series that never converged,
+# and its basis prices nonsense.
+PLATEAU_RESIDUAL_MAX = 1e-3
 EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 
 
@@ -184,19 +190,6 @@ class _Recurrence:
         return A_n, B_n
 
 
-def recurrence_step(
-    n: int,
-    A_prev: np.ndarray,
-    B_prev: Optional[np.ndarray],
-    c: SLCoefficients,
-    sol: ParticularSolution,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """One step of the order-raising recurrence (n >= 2), from order n-2."""
-    if n < 2:
-        raise ValueError("recurrence starts at n = 2")
-    return _Recurrence(c, sol).step(n, A_prev, B_prev)
-
-
 def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tuple:
     """Right-hand sides of the four sum identities, in residual_by_order column order."""
     l, rho, w, q, p = (
@@ -274,8 +267,10 @@ def build_nsbf_coefficients(
     one does not (alpha's curve on (beta, gamma) = (-2, 0) fails to
     improve from order 0 to order 1), and three leaves an order of margin.
     Alpha's rows, and with them the eigenvalues and eigenfunctions, do not
-    depend on beta's.  An explicit order builds exactly orders 0..order of
-    both families and skips the search (order_stop "fixed").
+    depend on beta's.  A search whose alpha plateau residual exceeds
+    PLATEAU_RESIDUAL_MAX raises ConvergenceError.  An explicit order builds
+    exactly orders 0..order of both families and skips the search (order_stop
+    "fixed").
     """
     mesh = c.mesh
     l = c.l.values
@@ -303,6 +298,12 @@ def build_nsbf_coefficients(
             stop = "plateau"
             break
 
+    if search and alpha.best > PLATEAU_RESIDUAL_MAX:
+        raise ConvergenceError(
+            f"the alpha identity residual plateaued at {alpha.best:.3e} (order {alpha.best_at}), "
+            f"above {PLATEAU_RESIDUAL_MAX:g}: the coefficient series does not converge on "
+            "this model and interval"
+        )
     if stop == "cap":
         warnings.warn(
             f"coefficient order search reached the cap {order_cap} before the alpha identity "

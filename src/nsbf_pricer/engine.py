@@ -76,9 +76,8 @@ def solve_from_sl(
     steady, steady_prime = steady_state(particular, powers, sl)
     sl = replace(sl, steady=steady, steady_prime=steady_prime)
     coeffs = build_nsbf_coefficients(sl, particular, powers, order=config.nsbf_order)
-    skeletons = find_eigenvalues(coeffs, sl, config.omega_max)
-    pairs = assemble_pairs(skeletons, coeffs, sl)
-    return sl, particular, coeffs, pairs
+    basis = assemble_pairs(find_eigenvalues(coeffs, sl, config.omega_max), coeffs, sl)
+    return sl, particular, coeffs, basis
 
 
 class DoubleBarrierSolver:
@@ -157,19 +156,20 @@ class DoubleBarrierSolver:
         pairs = self.retained_pairs(contract)
         g = pricing.fourier_coefficients(contract, pairs, self.sl)
         at = pricing.rows_at(y0, pairs, self.sl)
-        px = pricing.value(at, t, contract, pairs, g)
+        decay = pricing.decay_factors(pairs, contract, t)
+        px = pricing.value(at, contract, g, decay)
 
         d = v = th = None
         if greeks:
-            d = pricing.delta(at, contract, pairs, g)
-            th = pricing.theta(at, contract, pairs, g)
+            d = pricing.delta(at, contract, g, decay)
+            th = pricing.theta(at, pairs, g, decay)
             try:
                 v = pricing.vega(y0, d, self.spec)
             except VegaUndefined:
                 v = None
         report: Optional[ContributionReport] = None
         if bands is not None:
-            report = pricing.contribution_report(bands, at, t, contract, pairs, g)
+            report = pricing.contribution_report(bands, at, contract, g, decay)
 
         return PricingResult(
             price=px,
@@ -208,7 +208,7 @@ class DoubleBarrierSolver:
             "identity_residual_beta_sum": float(np.max(res[2])),
             "identity_residual_beta_alt": float(np.max(res[3])),
             "eigenvalues_found": len(self.pairs),
-            "max_boundary_residual": max(p.boundary_residual for p in self.pairs),
+            "max_boundary_residual": float(np.max(self.pairs.boundary_residual)),
             "max_norm_identity_residual": float(
                 np.max(norm_identity_residuals(self.pairs, self.sl))
             ),

@@ -112,11 +112,6 @@ def cumulative_integral(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], (starts[:, None] + partial).ravel()))
 
 
-def antiderivative(f: GridFunction) -> GridFunction:
-    """Antiderivative vanishing at the mesh's lower endpoint."""
-    return GridFunction(f.mesh, cumulative_integral(f.mesh, f.values))
-
-
 def integrate(mesh: Mesh, values: np.ndarray):
     """Integral over the full interval [L, U]; stacked rows give one per row.
 
@@ -195,7 +190,3 @@ def derivative_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     out[-2] = -(_D_EDGE1 @ v[-5:][::-1])
     out[-1] = -(_D_EDGE0 @ v[-5:][::-1])
     return out / mesh.h
-
-
-def derivative(f: GridFunction) -> GridFunction:
-    return GridFunction(f.mesh, derivative_values(f.mesh, f.values))

@@ -11,16 +11,19 @@ the Sturm-Liouville equation with h(L) = 0 and h(U) = 1, which the solve
 keeps on its Sturm-Liouville data (spps.steady_state).  R h carries the
 boundary values, so every modal weight decays like exp(-lambda_n (T - t))
 and the same truncation rule serves every contract.  Greeks reuse the
-eigendata: Delta sums g_n phi_n'(y0) and adds R h'(y0), Theta sums
-g_n lambda_n phi_n(y0) (the steady part does not depend on time), and
-Vega is Delta / sigma'(y0) by the chain rule.
+eigendata and the same time factors: Delta sums g_n phi_n'(y0)
+exp(-lambda_n (T - t)) and adds R h'(y0), Theta sums g_n lambda_n phi_n(y0)
+exp(-lambda_n (T - t)) (the steady part does not depend on time), and Vega
+is Delta / sigma'(y0) by the chain rule.
 
 A quote touches the stacked basis (spectrum.EigenBasis) twice.  The
 coefficients g travel as one array: d = f - R h is built once and projected
 onto one row block of the basis at a time with the panel arithmetic of
 mesh.inner_product.  Then one interpolation stencil at y0 reads phi, phi',
 h and h' (Rows), and value, Delta, Theta and the band report all use those
-rows; a surface does the same with one stencil on its price grid.
+rows; a surface does the same with one stencil on its price grid.  The
+time factors exp(-lambda_n (T - t)) are formed once per quote, so the
+series and its Greeks are taken at the same t.
 """
 
 from __future__ import annotations
@@ -184,11 +187,19 @@ def rows_at(y, pairs: EigenBasis, c: SLCoefficients) -> Rows:
     )
 
 
-def value(at: Rows, t: float, contract: OptionContract, pairs: EigenBasis, g: np.ndarray):
-    """Truncated series value at the points of at and calendar time t <= T."""
+def decay_factors(pairs: EigenBasis, contract: OptionContract, t: float) -> np.ndarray:
+    """exp(-lambda_n (T - t)) for every pair, at calendar time t <= T.
+
+    A quote forms them once; value, delta, theta and the band report read them.
+    """
     if t > contract.T:
         raise ValueError("evaluation time beyond maturity")
-    out = np.tensordot(g * np.exp(-pairs.lam * (contract.T - t)), at.phi, axes=(0, 0))
+    return np.exp(-pairs.lam * (contract.T - t))
+
+
+def value(at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray):
+    """Truncated series value at the points of at, at the time of decay."""
+    out = np.tensordot(g * decay, at.phi, axes=(0, 0))
     out = out + contract.rebate * at.h
     return out if np.ndim(at.y) else float(out[0])
 
@@ -210,9 +221,9 @@ def value_surface(
     return t_grid, y_grid, surface
 
 
-def delta(at: Rows, contract: OptionContract, pairs: EigenBasis, g: np.ndarray) -> float:
-    """Series Delta at (y0, 0) for a one-point at."""
-    modes = float(np.sum(g * at.dphi[:, 0] * np.exp(-pairs.lam * contract.T)))
+def delta(at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray) -> float:
+    """Series Delta at y0, at the time of decay, for a one-point at."""
+    modes = float(np.sum(g * at.dphi[:, 0] * decay))
     return modes + contract.rebate * float(at.dh[0])
 
 
@@ -229,40 +240,32 @@ def vega(y0: float, delta_value: float, spec: DiffusionSpec) -> float:
     return delta_value / sp
 
 
-def theta(at: Rows, contract: OptionContract, pairs: EigenBasis, g: np.ndarray) -> float:
-    """Series Theta (calendar-time derivative) at (y0, 0) for a one-point at."""
-    lam = pairs.lam
-    return float(np.sum(g * lam * at.phi[:, 0] * np.exp(-lam * contract.T)))
+def theta(at: Rows, pairs: EigenBasis, g: np.ndarray, decay: np.ndarray) -> float:
+    """Series Theta (calendar-time derivative) at y0, at the time of decay, for a one-point at."""
+    return float(np.sum(g * pairs.lam * at.phi[:, 0] * decay))
 
 
-def contribution(
-    n1: int, n2: int, at: Rows, t: float, contract: OptionContract, pairs: EigenBasis, g: np.ndarray
-) -> float:
-    """Partial sum of the modal terms over eigenindices n1..n2 at (y0, t)."""
-    if not (1 <= n1 <= n2 <= len(pairs)):
-        raise ValueError(f"band {n1}-{n2} outside the retained 1..{len(pairs)} pairs")
+def contribution(n1: int, n2: int, at: Rows, g: np.ndarray, decay: np.ndarray) -> float:
+    """Partial sum of the modal terms over eigenindices n1..n2 at y0, at the time of decay."""
+    if not (1 <= n1 <= n2 <= len(g)):
+        raise ValueError(f"band {n1}-{n2} outside the retained 1..{len(g)} pairs")
     sel = slice(n1 - 1, n2)
-    return float(np.sum(g[sel] * at.phi[sel, 0] * np.exp(-pairs.lam[sel] * (contract.T - t))))
+    return float(np.sum(g[sel] * at.phi[sel, 0] * decay[sel]))
 
 
 def contribution_report(
-    bands: list[tuple],
-    at: Rows,
-    t: float,
-    contract: OptionContract,
-    pairs: EigenBasis,
-    g: np.ndarray,
+    bands: list[tuple], at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray
 ) -> ContributionReport:
     """Contributions for explicit (n1, n2) bands; n2 = None runs to the last pair."""
     steady = contract.rebate * float(at.h[0])
     rows = []
     total = steady
     for n1, n2 in bands:
-        hi = len(pairs) if n2 is None else min(n2, len(pairs))
-        if n1 > len(pairs):
+        hi = len(g) if n2 is None else min(n2, len(g))
+        if n1 > len(g):
             rows.append((n1, n2, 0.0))
             continue
-        val = contribution(n1, hi, at, t, contract, pairs, g)
+        val = contribution(n1, hi, at, g, decay)
         rows.append((n1, n2, val))
         total += val
     return ContributionReport(bands=tuple(rows), total=total, steady=steady)

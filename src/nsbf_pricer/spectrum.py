@@ -10,19 +10,18 @@ from one Bessel block).  Each eigenfunction and its derivative are then
 assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
 and one shared block of the odd Bessel orders, the only ones the series
 uses; the derivative's beta series, truncated no higher than alpha's,
-reads the block's leading rows.  The assembled basis is stacked
-(EigenBasis): phi_n and phi_n' are rows of (BLOCK_ROWS, M) arrays, and
-each EigenPair's functions are views of its rows, so the basis is held
-once.  Sturm's oscillation theorem checks that the scan skipped no root
-(phi_N has N - 1 interior zeros), and the slope at each root checks each
-norm through the Sturm-Liouville identity (norm_identity_residuals).
+reads the block's leading rows.  The assembled basis (EigenBasis) holds
+each fact once, as arrays: phi_n and phi_n' are rows of (BLOCK_ROWS, M)
+arrays, and an EigenPair is a view of one row, built when asked.  Sturm's
+oscillation theorem checks that the scan skipped no root (phi_N has N - 1
+interior zeros), and the slope at each root checks each norm through the
+Sturm-Liouville identity (norm_identity_residuals).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation, ConvergenceError
-from .mesh import GridFunction, integrate
+from .mesh import GridFunction, Mesh, integrate
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -51,66 +50,72 @@ BLOCK_ROWS = 8
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One term of the pricing series.
+    """One term of the pricing series, a view of one row of an EigenBasis.
 
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
     norm_sq carries the normalization, boundary_residual is
     |phi(U)| / sup |phi|, and slope is d phi(U, omega) / d omega at the root.
-    find_eigenvalues returns skeletons (n, omega, lam, slope); every pair
-    assemble_pairs returns has phi, phi_prime, norm_sq and boundary_residual.
+    phi and phi_prime are GridFunction views of the basis's rows.
     """
 
     n: int
     omega: float
     lam: float
-    phi: Optional[GridFunction] = None
-    phi_prime: Optional[GridFunction] = None
-    norm_sq: Optional[float] = None
-    boundary_residual: Optional[float] = None
-    slope: Optional[float] = None
+    phi: GridFunction
+    phi_prime: GridFunction
+    norm_sq: float
+    boundary_residual: float
+    slope: float
 
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """The eigenpairs of one solve, stacked in row blocks.
+    """The eigenpairs of one solve, held once as arrays.
 
-    phi (dphi) is a tuple of 2-D arrays whose rows, block after block, are
-    phi_1, phi_2, ... (phi_1', ...) on the mesh.  Indexing gives the
-    EigenPair of one row, whose phi and phi_prime are GridFunction views of
-    its rows; a contiguous slice gives the basis of those rows, again as
-    views.
+    omega, lam, slope, norm_sq and boundary_residual hold one entry per
+    pair.  phi (dphi) is a tuple of 2-D arrays whose rows, block after
+    block, are phi_1, phi_2, ... (phi_1', ...) on the mesh; every block but
+    the last has BLOCK_ROWS rows.  Indexing or iterating builds the
+    EigenPair view of a row when asked; a leading slice gives the basis of
+    the first pairs, again as views.
     """
 
-    pairs: tuple
+    mesh: Mesh
+    omega: np.ndarray
+    lam: np.ndarray
+    slope: np.ndarray
+    norm_sq: np.ndarray
+    boundary_residual: np.ndarray
     phi: tuple
     dphi: tuple
-    lam: np.ndarray
-    norm_sq: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.omega)
 
     def __iter__(self):
-        return iter(self.pairs)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, index):
-        if not isinstance(index, slice):
-            return self.pairs[index]
-        start, stop, step = index.indices(len(self))
-        if step != 1:
-            raise ValueError("a basis slice must be contiguous")
-        phi, dphi = (_row_views(b, start, stop) for b in (self.phi, self.dphi))
-        return EigenBasis(self.pairs[index], phi, dphi, self.lam[index], self.norm_sq[index])
-
-
-def _row_views(blocks: tuple, start: int, stop: int) -> tuple:
-    """Views of rows start..stop-1 of a sequence of row blocks."""
-    out, lo = [], 0
-    for b in blocks:
-        if lo < stop and lo + len(b) > start:
-            out.append(b[max(start - lo, 0) : stop - lo])
-        lo += len(b)
-    return tuple(out)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if start != 0 or step != 1:
+                raise ValueError("a basis slice must be leading: basis[:stop]")
+            # every block but the last holds BLOCK_ROWS rows: keep the blocks
+            # that hold the first stop rows, the last one cut short
+            kept = -(-stop // BLOCK_ROWS)
+            phi, dphi = (tuple(b[: stop - k * BLOCK_ROWS] for k, b in enumerate(blocks[:kept]))
+                         for blocks in (self.phi, self.dphi))
+            return EigenBasis(self.mesh, self.omega[:stop], self.lam[:stop], self.slope[:stop],
+                              self.norm_sq[:stop], self.boundary_residual[:stop], phi, dphi)
+        i = range(len(self))[index]
+        block, row = divmod(i, BLOCK_ROWS)
+        return EigenPair(
+            n=i + 1, omega=float(self.omega[i]), lam=float(self.lam[i]),
+            phi=GridFunction(self.mesh, self.phi[block][row]),
+            phi_prime=GridFunction(self.mesh, self.dphi[block][row]),
+            norm_sq=float(self.norm_sq[i]), boundary_residual=float(self.boundary_residual[i]),
+            slope=float(self.slope[i]),
+        )
 
 
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
@@ -157,7 +162,7 @@ def find_eigenvalues(
     coeffs: NSBFCoefficients,
     c: SLCoefficients,
     omega_max: float,
-) -> list[EigenPair]:
+) -> np.ndarray:
     """Bracket roots of the characteristic on a scan and refine each by safeguarded Newton.
 
     The scan holds ceil(SCAN_PER_SPACING * omega_max * l(U) / pi) points,
@@ -169,10 +174,10 @@ def find_eigenvalues(
     step, or bisects where that step would leave the bracket.  A root is
     frozen on its own once its Newton step is at most REFINE_TOL / 2 (it then
     takes that step) or its bracket is at most REFINE_TOL wide (it takes the
-    midpoint).  Each EigenPair keeps the slope of its last step.
+    midpoint).
 
-    omega = 0 is a trivial root and is excluded; roots are returned in
-    increasing order as EigenPair skeletons (no eigenfunction yet).
+    omega = 0 is a trivial root and is excluded; the roots omega_n are
+    returned as an array in increasing order.
     """
     if not omega_max > 0:
         raise ValueError(f"need omega_max > 0, got {omega_max}")
@@ -194,7 +199,7 @@ def find_eigenvalues(
     f_lo = np.concatenate([vals[cross], vals[exact]])
     regula_falsi = grid[cross] + step * vals[cross] / (vals[cross] - vals[cross + 1])
     x = np.concatenate([regula_falsi, grid[exact]])
-    roots, slopes = np.empty_like(x), np.empty_like(x)
+    roots = np.empty_like(x)
     active = np.arange(x.size)
     for _ in range(REFINE_MAX_STEPS):
         f, df = characteristic(x, coeffs, c)
@@ -205,8 +210,7 @@ def find_eigenvalues(
         newton = np.where(usable, f / np.where(usable, df, 1.0), np.inf)
         close = np.abs(newton) <= 0.5 * REFINE_TOL
         done = close | (hi - lo <= REFINE_TOL)
-        final = np.where(close, np.clip(x - newton, lo, hi), 0.5 * (lo + hi))
-        roots[active[done]], slopes[active[done]] = final[done], df[done]
+        roots[active[done]] = np.where(close, np.clip(x - newton, lo, hi), 0.5 * (lo + hi))[done]
         x = x - newton
         x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
         keep = ~done
@@ -218,52 +222,56 @@ def find_eigenvalues(
             f"{active.size} eigenvalue(s) not refined to {REFINE_TOL:g} "
             f"in {REFINE_MAX_STEPS} Newton steps"
         )
-    order = np.argsort(roots)
-    return [
-        EigenPair(n=i + 1, omega=float(om), lam=float(om * om), slope=float(d))
-        for i, (om, d) in enumerate(zip(roots[order], slopes[order]))
-    ]
+    return np.sort(roots)
 
 
-def assemble_pairs(
-    skeletons: list[EigenPair], coeffs: NSBFCoefficients, c: SLCoefficients
-) -> EigenBasis:
-    """Eigenfunctions and their derivatives for every located root, stacked.
+def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenBasis:
+    """The basis of the roots omega: eigenfunctions and their derivatives, stacked.
 
     phi_n and phi_n' are written straight into row n-1 of the basis's row
     blocks.  Each root evaluates sin(omega l) and cos(omega l) once on the
     mesh, and one block of the odd Bessel orders built from them serves
     phi_n and phi_n'.  The block holds alpha's odd orders; beta is truncated
     at an order no higher than alpha's, so its odd rows read the block's
-    leading rows.  Norms are taken per row block after the loop.
+    leading rows.  The checks, the norms and the boundary residuals are
+    taken over the row blocks after the loop, and one characteristic call
+    at the roots gives their slopes.
 
-    By Sturm's oscillation theorem phi_N, the top row of N roots, changes
-    sign N - 1 times over the interior nodes exactly when the roots are the
-    first N eigenvalues; any other count raises ConvergenceError.
+    A non-finite value in any row raises ConvergenceError, and an
+    eigenfunction whose |phi(U)| exceeds BOUNDARY_TOL * sup |phi| raises
+    BoundaryViolation.  By Sturm's oscillation theorem phi_N, the top row of
+    N roots, changes sign N - 1 times over the interior nodes exactly when
+    the roots are the first N eigenvalues; any other count raises
+    ConvergenceError.
     """
-    n, l, rho = len(skeletons), c.l.values, c.rho.values
+    omega = np.asarray(omega, dtype=float)
+    n, l, rho = omega.size, c.l.values, c.rho.values
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
     dphi = tuple(np.empty_like(b) for b in phi)
     rows, drows = [r for b in phi for r in b], [r for b in dphi for r in b]
     alpha, beta = _signed_odd(coeffs.alpha), _signed_odd(coeffs.beta)
     sqrt_wp = np.sqrt(c.w.values / c.p.values)
     rho_ratio = c.rho_prime.values / rho
-    residuals = []
-    for sk, row, drow in zip(skeletons, rows, drows):
-        x = sk.omega * l
+    for om, row, drow in zip(omega, rows, drows):
+        x = om * l
         trig = np.sin(x), np.cos(x)
         # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
         block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
         np.add(trig[0] / rho, _odd_bessel_sum(alpha, block), out=row)
-        sup = float(np.max(np.abs(row)))
-        if abs(row[-1]) > BOUNDARY_TOL * sup:
-            raise BoundaryViolation(
-                f"phi_{sk.n}(U) = {row[-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
-            )
-        residuals.append(float(abs(row[-1]) / sup))
-        inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+        inner = (coeffs.G2.values * trig[0] + om * trig[1]) / rho
         inner += _odd_bessel_sum(beta, block[: len(beta)])
         np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
+    if not all(np.isfinite(b).all() for b in phi + dphi):
+        raise ConvergenceError("an assembled eigenfunction or derivative is not finite")
+    residual = np.concatenate(
+        [np.abs(b[:, -1]) / np.max(np.abs(b), axis=1) for b in phi] or [np.empty(0)]
+    )
+    (bad,) = np.nonzero(residual > BOUNDARY_TOL)
+    if bad.size:
+        i = bad[0]
+        raise BoundaryViolation(
+            f"phi_{i + 1}(U) = {rows[i][-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
+        )
     if rows:
         interior = np.signbit(rows[-1][1:-1])
         changes = int(np.count_nonzero(interior[1:] != interior[:-1]))
@@ -273,12 +281,8 @@ def assemble_pairs(
                 "the omega scan skipped a root or found a spurious one"
             )
     norm_sq = np.concatenate([integrate(c.mesh, b * b * c.w.values) for b in phi] or [np.empty(0)])
-    pairs = tuple(
-        replace(sk, phi=GridFunction(c.mesh, row), phi_prime=GridFunction(c.mesh, drow),
-                norm_sq=float(norm), boundary_residual=res)
-        for sk, row, drow, norm, res in zip(skeletons, rows, drows, norm_sq, residuals)
-    )
-    return EigenBasis(pairs, phi, dphi, np.array([sk.lam for sk in skeletons]), norm_sq)
+    _, slope = characteristic(omega, coeffs, c)
+    return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi)
 
 
 def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
@@ -287,11 +291,8 @@ def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
     phi(y, omega) vanishes at L for every omega, so the Sturm-Liouville
     identity int_L^U w phi_n^2 = p(U) phi_n'(U) d_lambda phi(U, lambda_n)
     holds, with d_lambda = d_omega / (2 omega).  It checks each mesh norm
-    against the series at U alone, using the slope of the root's last
-    Newton step.
+    against the series at U alone, using the slope at each root.
     """
     dphi_u = np.concatenate([b[:, -1] for b in basis.dphi])
-    slope = np.array([p.slope for p in basis])
-    omega = np.array([p.omega for p in basis])
-    identity = c.p.values[-1] * dphi_u * slope / (2.0 * omega)
+    identity = c.p.values[-1] * dphi_u * basis.slope / (2.0 * basis.omega)
     return np.abs(identity - basis.norm_sq) / basis.norm_sq

@@ -224,8 +224,8 @@ def masked_jn_block(x, m_max: int, trig=None) -> np.ndarray:
     return out if np.ndim(x) else out[:, 0]
 
 
-def per_pair_basis(skeletons, coeffs, c: SLCoefficients) -> dict:
-    """phi, phi', lam, norm_sq and boundary residuals assembled one pair at a time.
+def per_pair_basis(omega, coeffs, c: SLCoefficients) -> dict:
+    """phi, phi', lam, norm_sq and boundary residuals of the roots omega, one pair at a time.
 
     Every order of a masked Bessel block, the signed odd coefficients formed
     again for each pair, and one inner product per norm.  phi sums alpha's
@@ -244,8 +244,8 @@ def per_pair_basis(skeletons, coeffs, c: SLCoefficients) -> dict:
     rho_ratio = c.rho_prime.values / rho
     n_odd = coeffs.alpha.shape[0] // 2
     out = {"phi": [], "dphi": [], "norm_sq": [], "boundary_residual": []}
-    for sk in skeletons:
-        x = sk.omega * l
+    for om in omega:
+        x = om * l
         trig = np.sin(x), np.cos(x)
         if n_odd:
             block = masked_jn_block(x, 2 * n_odd - 1, trig)[1::2]
@@ -256,10 +256,10 @@ def per_pair_basis(skeletons, coeffs, c: SLCoefficients) -> dict:
         out["phi"].append(phi)
         out["norm_sq"].append(inner_product(gf, gf, c.w))
         out["boundary_residual"].append(float(abs(phi[-1]) / float(np.max(np.abs(phi)))))
-        inner = (coeffs.G2.values * trig[0] + sk.omega * trig[1]) / rho
+        inner = (coeffs.G2.values * trig[0] + om * trig[1]) / rho
         inner += odd_sum(coeffs.beta, block[: coeffs.beta.shape[0] // 2])
         out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
-    out["lam"] = [sk.lam for sk in skeletons]
+    out["lam"] = [om * om for om in omega]
     return {k: np.array(v) for k, v in out.items()}
 
 

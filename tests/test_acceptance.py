@@ -308,7 +308,8 @@ def test_criterion_6_spectral_properties(medium, short):
         *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig())
         kept = pricing.select_pairs(pairs_k, c.T, nb.NumericsConfig())
         g = pricing.fourier_coefficients(c, kept, scaled)
-        price_k = pricing.value(pricing.rows_at(Y0, kept, scaled), 0.0, c, kept, g)
+        price_k = pricing.value(pricing.rows_at(Y0, kept, scaled), c, g,
+                                pricing.decay_factors(kept, c, 0.0))
         rel = abs(price_k - base_price) / base_price
         if rel > 1e-9:
             problems.append(f"gauge kappa={kappa}: relative price shift {rel:.1e}")
@@ -329,13 +330,15 @@ def test_criterion_7_greeks_vs_finite_differences(medium):
             g = pricing.fourier_coefficients(c, pairs, solver.sl)
 
             def value(y, t):
-                return pricing.value(pricing.rows_at(y, pairs, solver.sl), t, c, pairs, g)
+                decay = pricing.decay_factors(pairs, c, t)
+                return pricing.value(pricing.rows_at(y, pairs, solver.sl), c, g, decay)
 
             at = pricing.rows_at(Y0, pairs, solver.sl)
-            d = pricing.delta(at, c, pairs, g)
+            decay = pricing.decay_factors(pairs, c, 0.0)
+            d = pricing.delta(at, c, g, decay)
             fd_d = (value(Y0 + h, 0.0) - value(Y0 - h, 0.0)) / (2 * h)
             worst_d = max(worst_d, abs(d - fd_d) / abs(fd_d))
-            th = pricing.theta(at, c, pairs, g)
+            th = pricing.theta(at, pairs, g, decay)
             dt = c.T / 2000.0
             v0, v1, v2 = (value(Y0, k * dt) for k in range(3))
             fd_t = (-3 * v0 + 4 * v1 - v2) / (2 * dt)
@@ -393,7 +396,8 @@ def test_criterion_9_rebate(medium, short):
     phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
     series = np.tensordot(fn * np.exp(-lam * (MEDIUM_T - 0.1)), phis, axes=(0, 0))
     g = pricing.fourier_coefficients(plain, pairs, solver.sl)
-    got = pricing.value(pricing.rows_at(ys, pairs, solver.sl), 0.1, plain, pairs, g)
+    got = pricing.value(pricing.rows_at(ys, pairs, solver.sl), plain, g,
+                        pricing.decay_factors(pairs, plain, 0.1))
     if not (np.array_equal(fn, g) and np.array_equal(got, series)):
         problems.append("R=0 path is not bit-identical to the plain series")
     # consistent boundary data reconstructs at least 5x better in L2_w: with

@@ -6,11 +6,12 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer.coefficients import (
     EDGE_FRACTION,
+    PLATEAU_RESIDUAL_MAX,
+    _Recurrence,
     build_nsbf_coefficients,
     compute_G2,
     compute_h_tilde,
     recover_row,
-    recurrence_step,
 )
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
@@ -168,7 +169,7 @@ class TestRecurrence:
         for n in (2, 3, 7):
             args = (n, s.coeffs.A[n - 2], s.coeffs.B[n - 2], s.sl, s.particular)
             A_ref, B_ref, _, _ = recurrence_reference(*args)
-            A_n, B_n = recurrence_step(*args)
+            A_n, B_n = _Recurrence(s.sl, s.particular).step(*args[:3])
             for got in (A_n, s.coeffs.A[n]):
                 assert np.array_equal(got, A_ref)
             for got in (B_n, s.coeffs.B[n]):
@@ -184,10 +185,6 @@ class TestRecurrence:
         assert worst[8] < worst[2]
         assert np.min(worst) < 1e-9
 
-    def test_requires_n_at_least_two(self, medium):
-        s = medium(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            recurrence_step(1, s.coeffs.A[0], None, s.sl, s.particular)
 
 
 class TestRecovery:
@@ -369,3 +366,16 @@ class TestOrderSearch:
         res = s.coeffs.check_residuals
         assert diag["identity_residual_beta_sum"] == float(np.max(res[2]))
         assert diag["identity_residual_beta_alt"] == float(np.max(res[3]))
+
+    def test_nonconvergent_plateau_raises(self):
+        # (beta, gamma) = (-2, 0) on [40, 250]: alpha's residual curve is
+        # best at order 0, near 13.5, and a basis built on it priced the
+        # six-month call near 5e26 (Crank-Nicolson: 26.93)
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-2.0, gamma=0.0))
+        s = nb.DoubleBarrierSolver(spec, 40.0, 250.0)
+        with pytest.raises(nb.ConvergenceError, match="plateaued"):
+            s.solve()
+        # an explicit order skips the search and its bound
+        sl = nb.build_sl_coefficients(spec, nb.build_mesh(40.0, 250.0, 10001))
+        _, _, coeffs = build_coeffs(sl, order=2)
+        assert coeffs.plateau_residual > PLATEAU_RESIDUAL_MAX

@@ -20,7 +20,7 @@ def contract(style="call", K=100.0, T=0.5, rebate=0.0):
 def value_at(s, c, pairs, y, t=0.0):
     """Series value of contract c on the given pairs of solver s at (y, t)."""
     g = pricing.fourier_coefficients(c, pairs, s.sl)
-    return pricing.value(pricing.rows_at(y, pairs, s.sl), t, c, pairs, g)
+    return pricing.value(pricing.rows_at(y, pairs, s.sl), c, g, pricing.decay_factors(pairs, c, t))
 
 
 class TestContractValidation:
@@ -205,7 +205,8 @@ class TestGreeks:
         c = contract()
         pairs = s.retained_pairs(c)
         g = pricing.fourier_coefficients(c, pairs, s.sl)
-        d = pricing.delta(pricing.rows_at(Y0, pairs, s.sl), c, pairs, g)
+        decay = pricing.decay_factors(pairs, c, 0.0)
+        d = pricing.delta(pricing.rows_at(Y0, pairs, s.sl), c, g, decay)
         h = (U - L) / 2000.0
         fd = (value_at(s, c, pairs, Y0 + h) - value_at(s, c, pairs, Y0 - h)) / (2 * h)
         assert abs(d - fd) / abs(fd) < 1e-3
@@ -215,11 +216,25 @@ class TestGreeks:
         c = contract()
         pairs = s.retained_pairs(c)
         g = pricing.fourier_coefficients(c, pairs, s.sl)
-        th = pricing.theta(pricing.rows_at(Y0, pairs, s.sl), c, pairs, g)
+        decay = pricing.decay_factors(pairs, c, 0.0)
+        th = pricing.theta(pricing.rows_at(Y0, pairs, s.sl), pairs, g, decay)
         dt = c.T / 2000.0
         v = [value_at(s, c, pairs, Y0, k * dt) for k in range(3)]
         fd = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
         assert abs(th - fd) / abs(fd) < 1e-3
+
+    @pytest.mark.parametrize("R", [0.0, 5.0])
+    def test_greeks_at_half_maturity_match_price_differences(self, medium, R):
+        # Delta and Theta at t = T/2 take the series at T - t, as the price does
+        s = medium(-1.0, 2.0)
+        c = contract(rebate=R)
+        t = c.T / 2.0
+        r = s.price(c, Y0, greeks=True, t=t)
+        h, dt = (U - L) / 2000.0, c.T / 2000.0
+        fd_d = (s.price(c, Y0 + h, t=t).price - s.price(c, Y0 - h, t=t).price) / (2 * h)
+        fd_t = (s.price(c, Y0, t=t + dt).price - s.price(c, Y0, t=t - dt).price) / (2 * dt)
+        assert abs(r.delta - fd_d) / abs(fd_d) < 1e-3
+        assert abs(r.theta - fd_t) / abs(fd_t) < 1e-3
 
     def test_vega_definition(self, medium):
         s = medium(0.5, 2.0)
@@ -317,7 +332,8 @@ class TestContribution:
         c = contract(T=1 / 360)
         pairs = s.retained_pairs(c)
         g = pricing.fourier_coefficients(c, pairs, s.sl)
-        total = pricing.contribution(1, len(pairs), pricing.rows_at(Y0, pairs, s.sl), 0.0, c, pairs, g)
+        at = pricing.rows_at(Y0, pairs, s.sl)
+        total = pricing.contribution(1, len(pairs), at, g, pricing.decay_factors(pairs, c, 0.0))
         assert total == pytest.approx(value_at(s, c, pairs, Y0), abs=1e-12)
 
     def test_band_sum_equals_price(self, medium, short):
@@ -338,10 +354,11 @@ class TestContribution:
         pairs = s.retained_pairs(c)
         g = pricing.fourier_coefficients(c, pairs, s.sl)
         at = pricing.rows_at(Y0, pairs, s.sl)
+        decay = pricing.decay_factors(pairs, c, 0.0)
         with pytest.raises(ValueError, match="band"):
-            pricing.contribution(0, 5, at, 0.0, c, pairs, g)
+            pricing.contribution(0, 5, at, g, decay)
         with pytest.raises(ValueError, match="band"):
-            pricing.contribution(5, 2, at, 0.0, c, pairs, g)
+            pricing.contribution(5, 2, at, g, decay)
 
 
 class TestRebate:
@@ -359,7 +376,8 @@ class TestRebate:
             assert np.array_equal(value_at(s, plain, pairs, ys, t), series)
         dphis = np.array([nb.interpolate(p.phi_prime, Y0) for p in pairs])
         modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
-        assert pricing.delta(pricing.rows_at(Y0, pairs, s.sl), plain, pairs, fn) == modes
+        decay = pricing.decay_factors(pairs, plain, 0.0)
+        assert pricing.delta(pricing.rows_at(Y0, pairs, s.sl), plain, fn, decay) == modes
 
     def test_steady_state_solves_the_boundary_problem(self, medium):
         # h(L) = 0, h(U) = 1, h' matches differencing, and (p h')' = q h
@@ -426,8 +444,8 @@ class TestStackedBasis:
         h = interpolate_values(s.mesh, s.sl.steady.values, y0)
         dh = interpolate_values(s.mesh, s.sl.steady_prime.values, y0)
         price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
-        delta = float(np.sum(g * dphi * np.exp(-lam * c.T))) + c.rebate * dh
-        theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * c.T)))
+        delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
+        theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
         rows, total = [], c.rebate * h
         for n1, n2 in bands:
             sel = slice(n1 - 1, len(pairs) if n2 is None else n2)
@@ -466,12 +484,22 @@ class TestStackedBasis:
             assert heights == [min(rows, len(basis) - i) for i in range(0, len(basis), rows)]
             assert [b.shape for b in basis.dphi] == [b.shape for b in basis.phi]
             for i, p in enumerate(basis):
+                assert p.n == i + 1
                 assert np.shares_memory(p.phi.values, basis.phi[i // rows][i % rows])
                 assert np.shares_memory(p.phi_prime.values, basis.dphi[i // rows][i % rows])
-                assert p.lam == basis.lam[i] and p.norm_sq == basis.norm_sq[i]
+                assert (p.omega, p.lam, p.norm_sq, p.boundary_residual, p.slope) == (
+                    basis.omega[i], basis.lam[i], basis.norm_sq[i], basis.boundary_residual[i],
+                    basis.slope[i])
             n = len(basis)
-            for start, stop in ((0, 1), (0, min(13, n)), (3, min(21, n)), (min(9, n - 1), n)):
-                part = basis[start:stop]
-                assert np.array_equal(np.vstack(part.phi), np.vstack(basis.phi)[start:stop])
-                assert all(np.shares_memory(a, b) for a, b in zip(part.phi, basis.phi[start // rows :]))
-                assert part[0] is basis[start] and len(part) == stop - start
+            for stop in (1, min(13, n), n, n + 5):
+                part = basis[:stop]
+                assert np.array_equal(np.vstack(part.phi), np.vstack(basis.phi)[:stop])
+                assert np.array_equal(np.vstack(part.dphi), np.vstack(basis.dphi)[:stop])
+                assert all(np.shares_memory(a, b) for a, b in zip(part.phi, basis.phi))
+                assert len(part) == min(stop, n) and np.array_equal(part.lam, basis.lam[:stop])
+                last = part[-1]
+                assert (last.n, last.omega) == (len(part), basis.omega[len(part) - 1])
+                assert np.array_equal(last.phi.values, basis[len(part) - 1].phi.values)
+            for bad in (slice(3, 9), slice(None, None, 2)):
+                with pytest.raises(ValueError, match="leading"):
+                    basis[bad]

@@ -78,7 +78,8 @@ def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
     )
     pairs = solver.retained_pairs(c)
     g = pricing.fourier_coefficients(c, pairs, solver.sl)
-    got = pricing.value(pricing.rows_at(y0, pairs, solver.sl), t, c, pairs, g)
+    decay = pricing.decay_factors(pairs, c, t)
+    got = pricing.value(pricing.rows_at(y0, pairs, solver.sl), c, g, decay)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
@@ -115,7 +116,7 @@ def _series_price(solved_sl, style, K, R, y0):
     c = nb.OptionContract(style, L, U, T, K, rebate=R)
     pairs = pricing.select_pairs(basis, T, nb.NumericsConfig())
     g = pricing.fourier_coefficients(c, pairs, sl)
-    return pricing.value(pricing.rows_at(y0, pairs, sl), 0.0, c, pairs, g)
+    return pricing.value(pricing.rows_at(y0, pairs, sl), c, g, pricing.decay_factors(pairs, c, 0.0))
 
 
 @settings(max_examples=10, deadline=None)

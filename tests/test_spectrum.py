@@ -50,7 +50,7 @@ class TestCharacteristicSlope:
     def test_matches_centred_difference(self, medium, short, horizon):
         s = medium(-1.0, 2.0) if horizon == "six-month" else short(-2.0, 2.0)
         omega = np.linspace(0.3, 0.995 * s.config.omega_max, 37)
-        omega = np.concatenate([omega, [p.omega for p in s.pairs]])
+        omega = np.concatenate([omega, s.pairs.omega])
         _, slope = characteristic(omega, s.coeffs, s.sl)
         h = 1e-6
         centred = (characteristic(omega + h, s.coeffs, s.sl)[0]
@@ -78,7 +78,7 @@ class TestNewtonRefinement:
             return original(omega, *args)
 
         monkeypatch.setattr(spectrum, "characteristic", counted)
-        roots = np.array([p.omega for p in find_eigenvalues(s.coeffs, s.sl, s.config.omega_max)])
+        roots = find_eigenvalues(s.coeffs, s.sl, s.config.omega_max)
         monkeypatch.undo()
         # the scan, then at most six Newton steps
         assert len(sizes) <= 7
@@ -109,8 +109,7 @@ class TestNewtonRefinement:
         u = start - 11.0
         assert 10.0 < start < 20.0 and start - np.arctan(u) * (1.0 + u * u) < 10.0
         assert points[2][0] == 0.5 * (10.0 + start)
-        assert root.omega == pytest.approx(11.0, abs=1e-12)
-        assert root.slope == pytest.approx(1.0, abs=1e-12)
+        assert root == pytest.approx(11.0, abs=1e-12)
 
     def test_step_cap_raises(self, medium, monkeypatch):
         s = medium(-1.0, 2.0)
@@ -128,6 +127,12 @@ class TestNormIdentity:
         assert residuals.shape == (len(s.pairs),)
         assert np.max(residuals) < 1e-8
         assert s.diagnostics()["max_norm_identity_residual"] == np.max(residuals)
+
+    def test_slope_is_taken_at_the_roots(self, medium):
+        s = medium(-1.0, 2.0)
+        _, slope = characteristic(s.pairs.omega, s.coeffs, s.sl)
+        assert np.array_equal(s.pairs.slope, slope)
+        assert [p.slope for p in s.pairs] == list(slope)
 
     def test_reported_by_every_solve(self):
         # with_derivatives is an ignored keyword: every solve assembles phi'
@@ -151,9 +156,8 @@ class TestFindEigenvalues:
         # without omega_2, the top eigenfunction of N roots changes sign N
         # times, not N - 1 (Sturm's oscillation theorem)
         s = medium(-1.0, 2.0)
-        skeletons = [p for p in s.pairs if p.n != 2]
         with pytest.raises(nb.ConvergenceError, match="changes sign"):
-            assemble_pairs(skeletons, s.coeffs, s.sl)
+            assemble_pairs(np.delete(s.pairs.omega, 1), s.coeffs, s.sl)
 
     def test_coarse_scan_raises(self, medium, monkeypatch):
         # a scan of one point per two spacings steps over roots; the solve
@@ -171,9 +175,8 @@ class TestFindEigenvalues:
         s = nb.DoubleBarrierSolver(spec, 50.0, 250.0, nb.NumericsConfig(mesh_points=4001)).solve()
         assert math.pi / s.sl.l.values[-1] < 2.0 * s.config.omega_max / 100
         ref = bisection_eigenvalues(s.coeffs, s.sl, s.config.omega_max, 20000)
-        omegas = np.array([p.omega for p in s.pairs])
-        assert omegas.shape == ref.shape
-        assert np.max(np.abs(omegas - ref)) <= 5e-13
+        assert s.pairs.omega.shape == ref.shape
+        assert np.max(np.abs(s.pairs.omega - ref)) <= 5e-13
 
     def test_empty_window_rejected(self, medium):
         s = medium(-1.0, 2.0)
@@ -182,8 +185,7 @@ class TestFindEigenvalues:
 
     def test_asymptotic_spacing(self, short):
         s = short(-2.0, 2.0)
-        omegas = np.array([p.omega for p in s.pairs])
-        spacing = np.diff(omegas)
+        spacing = np.diff(s.pairs.omega)
         expected = math.pi / s.sl.l.values[-1]
         assert abs(spacing[30] - expected) / expected < 0.01
 
@@ -216,19 +218,29 @@ class TestEigenfunctions:
 
     def test_boundary_violation_raised(self, medium):
         s = medium(-1.0, 2.0)
-        bad = nb.EigenPair(n=1, omega=s.pairs[0].omega * 1.05, lam=0.0)
-        with pytest.raises(nb.BoundaryViolation):
-            assemble_pairs([bad], s.coeffs, s.sl)
+        with pytest.raises(nb.BoundaryViolation, match="phi_1"):
+            assemble_pairs(s.pairs.omega[:1] * 1.05, s.coeffs, s.sl)
+
+    def test_non_finite_alpha_row_raises(self, medium):
+        # a NaN coefficient row makes every row NaN; the boundary test is
+        # False for NaN, and the finite check refuses the basis first
+        s = medium(-1.0, 2.0)
+        alpha = s.coeffs.alpha.copy()
+        alpha[1] = np.nan
+        with pytest.raises(nb.ConvergenceError, match="not finite"):
+            assemble_pairs(s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl)
 
 
 class TestEigenfunctionDerivative:
     def test_flat_cosine(self, flat_sl, flat_solved):
         _, coeffs, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
-        p1 = assemble_pairs(pairs[:1], coeffs, flat_sl)[0]
+        p1 = assemble_pairs(pairs.omega[:1], coeffs, flat_sl)[0]
         dphi = p1.phi_prime.values
         exact = p1.omega * np.cos(p1.omega * x)
         assert np.max(np.abs(dphi - exact)) < 1e-8
+        # phi(U, omega) = sin(omega): the slope at the root omega_1 = pi is -1
+        assert p1.slope == pytest.approx(-1.0, abs=1e-10)
 
     def test_matches_finite_difference(self, medium):
         s = medium(-1.0, 2.0)
@@ -249,7 +261,7 @@ class TestEigenfunctionDerivative:
         s = short(-2.0, 0.0)
         assert s.coeffs.M_beta < s.coeffs.M_trunc
         low = replace(s.coeffs, beta=s.coeffs.beta[:4], B=s.coeffs.B[:4], M_beta=3)
-        basis = assemble_pairs(s.pairs, low, s.sl)
+        basis = assemble_pairs(s.pairs.omega, low, s.sl)
         assert np.array_equal(np.concatenate(basis.phi), np.concatenate(s.pairs.phi))
         assert np.array_equal(basis.norm_sq, s.pairs.norm_sq)
         moved = np.abs(np.concatenate(basis.dphi) - np.concatenate(s.pairs.dphi))
@@ -263,7 +275,7 @@ class TestGaugeInvariance:
         scaled = nb.scale_gauge(s.sl, kappa)
         *_, pairs = solve_from_sl(scaled, nb.NumericsConfig())
         lam_base = s.eigenvalues()[: len(pairs)]
-        lam_scaled = np.array([p.lam for p in pairs])[: len(lam_base)]
+        lam_scaled = pairs.lam[: len(lam_base)]
         assert np.max(np.abs(lam_scaled - lam_base) / lam_base) < 1e-9
 
 
@@ -277,13 +289,14 @@ class TestAgainstMaskedPerPairRoute:
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_basis_equals_per_pair_loop(self, medium, short, horizon):
         s = self.solved(medium, short, horizon)
-        ref = per_pair_basis(s.pairs, s.coeffs, s.sl)
+        ref = per_pair_basis(s.pairs.omega, s.coeffs, s.sl)
         b = s.pairs
         assert np.array_equal(np.concatenate(b.phi), ref["phi"])
         assert np.array_equal(np.concatenate(b.dphi), ref["dphi"])
         assert np.array_equal(b.lam, ref["lam"])
         assert np.array_equal(b.norm_sq, ref["norm_sq"])
         assert np.array_equal([p.norm_sq for p in b], ref["norm_sq"])
+        assert np.array_equal(b.boundary_residual, ref["boundary_residual"])
         assert np.array_equal([p.boundary_residual for p in b], ref["boundary_residual"])
 
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
