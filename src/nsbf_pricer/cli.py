@@ -1,12 +1,19 @@
 """Command-line interface: price, greeks, surface, spectrum, contrib,
-check-coefficients, oracle-compare and table subcommands over a JSON config."""
+check-coefficients, oracle-compare and table subcommands over a JSON config.
+
+The config is the defaults merged with the preset, the config file and the
+flags.  read_block reads each block into the dataclass that holds its
+defaults and checks; output, sweep and bands get shape checks.  An unknown
+key or a rejected value is a ConfigError naming the block (exit 2).
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -14,135 +21,126 @@ import numpy as np
 from .engine import DoubleBarrierSolver, NumericsConfig
 from .errors import ConfigError, NSBFError
 from .fd import FDGrid, fd_price
-from .model import DiffusionSpec, EJDCEVParams, ejdcev_spec
+from .model import EJDCEVParams, ejdcev_spec
 from .presets import DEFAULT_BANDS, default_config, preset
 from .pricing import OptionContract
 
-_FLAG_TO_NUMERIC = {
-    "mesh": "mesh_points",
-    "omega_max": "omega_max",
-    "nsbf_order": "nsbf_order",
-    "lambda_cutoff": "lambda_cutoff",
+# flag -> (block, key) it sets
+_FLAGS = {
+    "mesh": ("numerics", "mesh_points"),
+    "omega_max": ("numerics", "omega_max"),
+    "nsbf_order": ("numerics", "nsbf_order"),
+    "lambda_cutoff": ("numerics", "lambda_cutoff"),
+    "format": ("output", "format"),
+    "output": ("output", "path"),
 }
+_BLOCKS = ("model", "contract", "numerics", "fd", "output", "sweep", "bands")
+_FORMATS = ("json", "csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nsbf-pricer",
-        description="Double-barrier knock-out option pricing via a Bessel-series "
-        "Sturm-Liouville expansion",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-        ("price", "price one contract"),
-        ("greeks", "price plus Delta/Vega/Theta"),
-        ("surface", "value surface on a (t, y) grid as CSV"),
-        ("spectrum", "eigenvalues, omegas and norms"),
-        ("contrib", "eigenindex band contributions to the price"),
-        ("check-coefficients", "identity-residual curves as CSV"),
-        ("oracle-compare", "spectral vs finite-difference price"),
-        ("table", "sweep (K, beta, gamma) and print the price/Greek table"),
-    ]:
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--preset", metavar="NAME", help="named preset to start from")
-        p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
-        p.add_argument("--mesh", type=int, metavar="M", help="mesh point count")
-        p.add_argument("--omega-max", type=float, dest="omega_max", metavar="W")
-        p.add_argument("--nsbf-order", type=int, dest="nsbf_order", metavar="M")
-        p.add_argument("--lambda-cutoff", type=float, dest="lambda_cutoff", metavar="X")
-    return parser
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _require_known(where: str, block: dict, known):
+    unknown = sorted(set(block) - set(known))
+    _require(not unknown, f"{where}: unknown keys {unknown}")
+
+
+def _require_object(where: str, value):
+    _require(isinstance(value, dict), f"{where} must be an object, got {type(value).__name__}")
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_band(band) -> bool:
+    """[n1, n2] with integers 1 <= n1 <= n2, or n2 null: to the last pair."""
+    if not (isinstance(band, list) and len(band) == 2):
+        return False
+    n1, n2 = band
+    return _is_number(n1, int) and n1 >= 1 and (n2 is None or (_is_number(n2, int) and n2 >= n1))
+
+
+def read_block(name: str, block, cls, exclude=()):
+    """cls built from a config block that may set any field of cls but the excluded ones.
+
+    A block that is not an object, an unknown key or a value the constructor
+    rejects raises a ConfigError naming the block.
+    """
+    _require_object(name, block)
+    _require_known(name, block, {f.name for f in fields(cls)} - set(exclude))
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _merge(base: dict, override, where: str = "config") -> dict:
+    _require_object(where, override)
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
+        out[key] = _merge(out[key], val, key) if isinstance(out.get(key), dict) else val
     return out
 
 
+def _check_shape(cfg: dict):
+    """Top-level keys, the fd block (oracle-compare's alone) and output, sweep and bands."""
+    _require_known("config", cfg, _BLOCKS)
+    read_block("fd", cfg.get("fd", {}), FDGrid)
+    out = cfg["output"]
+    _require_known("output", out, ("format", "path"))
+    _require(out["format"] in _FORMATS,
+             f"output.format must be one of {list(_FORMATS)}, got {out['format']!r}")
+    _require(out["path"] is None or isinstance(out["path"], str),
+             f"output.path must be a string or null, got {out['path']!r}")
+    sweep = cfg.get("sweep", {})
+    _require_object("sweep", sweep)
+    _require_known("sweep", sweep, ("K", "beta", "gamma"))
+    for key, vals in sweep.items():
+        _require(isinstance(vals, list) and vals and all(map(_is_number, vals)),
+                 f"sweep.{key} must be a non-empty list of numbers, got {vals!r}")
+    bands = cfg.get("bands", DEFAULT_BANDS)
+    _require(isinstance(bands, list) and all(map(_is_band, bands)),
+             f"bands must be a list of [n1, n2], integers 1 <= n1 <= n2 or n2 null, got {bands!r}")
+
+
 def load_config(args) -> dict:
+    """The default config merged with the preset, the config file and the flags."""
     cfg = default_config()
     if args.preset:
-        try:
-            cfg = _merge(cfg, preset(args.preset))
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = _merge(cfg, preset(args.preset))
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    numerics = cfg.setdefault("numerics", {})
-    for flag, key in _FLAG_TO_NUMERIC.items():
-        val = getattr(args, flag, None)
+        cfg = _merge(cfg, loaded)
+    for flag, (block, key) in _FLAGS.items():
+        val = getattr(args, flag)
         if val is not None:
-            numerics[key] = val
-    if args.format:
-        cfg.setdefault("output", {})["format"] = args.format
-    if args.output:
-        cfg.setdefault("output", {})["path"] = args.output
+            cfg[block][key] = val
+    _check_shape(cfg)
     return cfg
 
 
-def model_from_config(block: dict) -> tuple[DiffusionSpec, float]:
-    if not isinstance(block, dict):
-        raise ConfigError("model block missing")
-    kind = block.get("type", "ejdcev")
-    if kind != "ejdcev":
-        raise ConfigError(f"unknown model.type {kind!r} (built-in: 'ejdcev')")
-    try:
-        params = EJDCEVParams(
-            beta=float(block["beta"]),
-            gamma=float(block["gamma"]),
-            b=float(block.get("b", 0.02)),
-            c=float(block.get("c", 0.5)),
-            rbar=float(block.get("rbar", 0.1)),
-            qbar=float(block.get("qbar", 0.0)),
-            sigma0=float(block.get("sigma0", 0.25)),
-            y0=float(block.get("y0", 100.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model.{exc.args[0]} missing") from exc
-    return ejdcev_spec(params), params.y0
-
-
-def contract_from_config(block: dict) -> OptionContract:
-    if not isinstance(block, dict):
-        raise ConfigError("contract block missing")
-    try:
-        L, U = float(block["L"]), float(block["U"])
-        if U <= L or L <= 0:
-            raise ConfigError("contract.U must exceed contract.L > 0")
-        return OptionContract(
-            style=block.get("style", "call"),
-            L=L,
-            U=U,
-            T=float(block["T"]),
-            K=float(block["K"]) if block.get("K") is not None else None,
-            rebate=float(block.get("rebate", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"contract.{exc.args[0]} missing") from exc
-    except ValueError as exc:
-        raise ConfigError(f"contract: {exc}") from exc
-
-
-def numerics_from_config(block: dict) -> NumericsConfig:
-    known = {f for f in NumericsConfig.__dataclass_fields__}
-    bad = set(block) - known
-    if bad:
-        raise ConfigError(f"numerics: unknown keys {sorted(bad)}")
-    return NumericsConfig(**block)
+def read_run(cfg: dict) -> tuple[EJDCEVParams, OptionContract, NumericsConfig]:
+    """The model parameters, the contract and the numerics of a loaded config."""
+    model = dict(cfg["model"])
+    kind = model.pop("type", None)
+    _require(kind == "ejdcev", f"unknown model.type {kind!r} (built-in: 'ejdcev')")
+    return (
+        read_block("model", model, EJDCEVParams),
+        read_block("contract", cfg["contract"], OptionContract, exclude=("payoff",)),
+        read_block("numerics", cfg["numerics"], NumericsConfig),
+    )
 
 
 def _emit(text: str, cfg: dict):
-    path = cfg.get("output", {}).get("path")
+    path = cfg["output"]["path"]
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -164,11 +162,9 @@ def _dump_json(payload, cfg: dict):
 
 def _solver_for(cfg: dict) -> tuple[DoubleBarrierSolver, OptionContract, float]:
     """The solved basis of the configured model, the contract and the spot."""
-    spec, y0 = model_from_config(cfg.get("model"))
-    contract = contract_from_config(cfg.get("contract"))
-    numerics = numerics_from_config(cfg.get("numerics", {}))
-    solver = DoubleBarrierSolver(spec, contract.L, contract.U, numerics).solve()
-    return solver, contract, y0
+    params, contract, numerics = read_run(cfg)
+    solver = DoubleBarrierSolver(ejdcev_spec(params), contract.L, contract.U, numerics).solve()
+    return solver, contract, params.y0
 
 
 def cmd_price(cfg: dict, greeks: bool) -> int:
@@ -195,7 +191,7 @@ def cmd_spectrum(cfg: dict) -> int:
         {"n": i + 1, "omega": float(om), "lambda": float(lam), "norm_sq": float(norm)}
         for i, (om, lam, norm) in enumerate(zip(basis.omega, basis.lam, basis.norm_sq))
     ]
-    if cfg.get("output", {}).get("format") == "csv":
+    if cfg["output"]["format"] == "csv":
         lines = ["n,omega,lambda,norm_sq"]
         lines += [f"{r['n']},{r['omega']:.12g},{r['lambda']:.12g},{r['norm_sq']:.12g}" for r in records]
         _emit("\n".join(lines) + "\n", cfg)
@@ -208,7 +204,7 @@ def cmd_contrib(cfg: dict) -> int:
     solver, contract, y0 = _solver_for(cfg)
     bands = [tuple(b) for b in cfg.get("bands", DEFAULT_BANDS)]
     result = solver.price(contract, y0, bands=bands)
-    if cfg.get("output", {}).get("format") == "csv":
+    if cfg["output"]["format"] == "csv":
         lines = ["band,contribution"]
         for n1, n2, val in result.contributions.bands:
             label = f"{n1}-{n2}" if n2 is not None else f">{n1 - 1}"
@@ -233,17 +229,12 @@ def cmd_check_coefficients(cfg: dict) -> int:
 
 
 def cmd_oracle_compare(cfg: dict) -> int:
+    grid = read_block("fd", cfg.get("fd", {}), FDGrid)
     solver, contract, y0 = _solver_for(cfg)
     nsbf = solver.price(contract, y0).price
-    grid_cfg = cfg.get("fd", {})
-    grid = FDGrid(
-        y_count=int(grid_cfg.get("y_count", 801)),
-        t_count=int(grid_cfg.get("t_count", 400)),
-        damping_steps=int(grid_cfg.get("damping_steps", 2)),
-    )
     fd = fd_price(solver.spec, contract, grid, y0)
     payload = {"nsbf_price": nsbf, "fd_price": fd, "abs_gap": abs(nsbf - fd)}
-    if cfg.get("output", {}).get("format") == "csv":
+    if cfg["output"]["format"] == "csv":
         _emit("nsbf_price,fd_price,abs_gap\n"
               f"{nsbf:.10f},{fd:.10f},{abs(nsbf - fd):.3e}\n", cfg)
     else:
@@ -257,11 +248,15 @@ def _fmt4(x: Optional[float]) -> str:
 
 def cmd_table(cfg: dict) -> int:
     sweep = cfg.get("sweep")
-    if not sweep:
-        raise ConfigError("table needs a sweep block with K/beta/gamma lists")
-    strikes = [float(k) for k in sweep.get("K", [cfg["contract"]["K"]])]
-    betas = [float(b) for b in sweep.get("beta", [cfg["model"]["beta"]])]
-    gammas = [float(g) for g in sweep.get("gamma", [cfg["model"]["gamma"]])]
+    _require(sweep, "table needs a sweep block with K/beta/gamma lists")
+    params, contract, _ = read_run(cfg)
+    try:  # every strike's call and put, made before any solve
+        legs = [(K, [replace(contract, style=style, K=K) for style in ("call", "put")])
+                for K in sweep.get("K", [contract.K])]
+    except ValueError as exc:
+        raise ConfigError(f"sweep.K: {exc}") from exc
+    betas = sweep.get("beta", [params.beta])
+    gammas = sweep.get("gamma", [params.gamma])
 
     lines = [
         "K,beta,gamma,call_price,call_delta,call_vega,call_theta,"
@@ -269,20 +264,11 @@ def cmd_table(cfg: dict) -> int:
     ]
     for beta in betas:
         for gamma in gammas:
-            model_cfg = dict(cfg["model"], beta=beta, gamma=gamma)
-            spec, y0 = model_from_config(model_cfg)
-            base_contract = contract_from_config(cfg["contract"])
-            numerics = numerics_from_config(cfg.get("numerics", {}))
-            solver = DoubleBarrierSolver(spec, base_contract.L, base_contract.U, numerics)
-            solver.solve()
-            for K in strikes:
+            solver, _, y0 = _solver_for(_merge(cfg, {"model": {"beta": beta, "gamma": gamma}}))
+            for K, contracts in legs:
                 cells = [f"{K:g},{beta:g},{gamma:g}"]
-                for style in ("call", "put"):
-                    contract = OptionContract(
-                        style=style, L=base_contract.L, U=base_contract.U,
-                        T=base_contract.T, K=K, rebate=base_contract.rebate,
-                    )
-                    r = solver.price(contract, y0, greeks=True)
+                for leg in contracts:
+                    r = solver.price(leg, y0, greeks=True)
                     cells.append(
                         f"{_fmt4(r.price)},{_fmt4(r.delta)},{_fmt4(r.vega)},{_fmt4(r.theta)}"
                     )
@@ -291,28 +277,43 @@ def cmd_table(cfg: dict) -> int:
     return 0
 
 
+# name -> (help line, command)
+COMMANDS = {
+    "price": ("price one contract", partial(cmd_price, greeks=False)),
+    "greeks": ("price plus Delta/Vega/Theta", partial(cmd_price, greeks=True)),
+    "surface": ("value surface on a (t, y) grid as CSV", cmd_surface),
+    "spectrum": ("eigenvalues, omegas and norms", cmd_spectrum),
+    "contrib": ("eigenindex band contributions to the price", cmd_contrib),
+    "check-coefficients": ("identity-residual curves as CSV", cmd_check_coefficients),
+    "oracle-compare": ("spectral vs finite-difference price", cmd_oracle_compare),
+    "table": ("sweep (K, beta, gamma) and print the price/Greek table", cmd_table),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nsbf-pricer",
+        description="Double-barrier knock-out option pricing via a Bessel-series "
+        "Sturm-Liouville expansion",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (blurb, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--config", metavar="PATH", help="JSON run configuration")
+        p.add_argument("--preset", metavar="NAME", help="named preset to start from")
+        p.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
+        p.add_argument("--format", choices=_FORMATS, help="output format")
+        p.add_argument("--mesh", type=int, metavar="M", help="mesh point count")
+        p.add_argument("--omega-max", type=float, dest="omega_max", metavar="W")
+        p.add_argument("--nsbf-order", type=int, dest="nsbf_order", metavar="M")
+        p.add_argument("--lambda-cutoff", type=float, dest="lambda_cutoff", metavar="X")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "price":
-            return cmd_price(cfg, greeks=False)
-        if args.command == "greeks":
-            return cmd_price(cfg, greeks=True)
-        if args.command == "surface":
-            return cmd_surface(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "contrib":
-            return cmd_contrib(cfg)
-        if args.command == "check-coefficients":
-            return cmd_check_coefficients(cfg)
-        if args.command == "oracle-compare":
-            return cmd_oracle_compare(cfg)
-        if args.command == "table":
-            return cmd_table(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        return COMMANDS[args.command][1](load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

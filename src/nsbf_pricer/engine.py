@@ -19,8 +19,7 @@ import numpy as np
 from . import pricing
 from .coefficients import NSBFCoefficients, build_nsbf_coefficients
 from .errors import (
-    ConfigError, NonFiniteParameter, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon,
-    VegaUndefined,
+    ConfigError, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined,
 )
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
@@ -90,8 +89,7 @@ class DoubleBarrierSolver:
         U: float,
         config: NumericsConfig = NumericsConfig(),
     ):
-        if not (np.isfinite(L) and np.isfinite(U)):
-            raise NonFiniteParameter(f"barriers must be finite, got L={L}, U={U}")
+        pricing.check_barriers(L, U)
         self.spec = spec
         self.L = float(L)
         self.U = float(U)

@@ -10,6 +10,7 @@ terminal data, and returns the full value matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,10 @@ class FDGrid:
     damping_steps: int = 2
 
     def __post_init__(self):
-        if self.y_count < 201:
-            raise ValueError("need at least 201 space nodes")
-        if self.t_count < 200:
-            raise ValueError("need at least 200 time steps")
-        if self.damping_steps < 2:
-            raise ValueError("need at least 2 damped startup steps")
+        for name, least in (("y_count", 201), ("t_count", 200), ("damping_steps", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

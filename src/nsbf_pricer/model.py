@@ -18,6 +18,7 @@ are invariant under (see scale_gauge).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -59,6 +60,9 @@ class EJDCEVParams:
     y0: float = 100.0
 
     def __post_init__(self):
+        bad = [name for name, v in vars(self).items() if not isinstance(v, numbers.Real)]
+        if bad:
+            raise TypeError(f"EJDCEV parameters must be real numbers: {', '.join(bad)}")
         bad = [f"{name}={v}" for name, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise NonFiniteParameter(f"EJDCEV parameters must be finite: {', '.join(bad)}")

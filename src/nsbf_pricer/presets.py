@@ -1,32 +1,19 @@
 """Named run configurations reproducing the reference parameter sets.
 
-Each numerics block holds only what differs from the NumericsConfig defaults.
+Each model, contract and numerics block holds only what differs from the
+defaults of the dataclass that reads it (EJDCEVParams, OptionContract,
+NumericsConfig); model.type picks that dataclass.
 """
 
 from __future__ import annotations
 
 import copy
 
-_BASE_MODEL = {
-    "type": "ejdcev",
-    "beta": -1.0,
-    "gamma": 2.0,
-    "b": 0.02,
-    "c": 0.5,
-    "rbar": 0.1,
-    "qbar": 0.0,
-    "sigma0": 0.25,
-    "y0": 100.0,
-}
+from .errors import ConfigError
 
-_BASE_CONTRACT = {
-    "style": "call",
-    "K": 100.0,
-    "L": 90.0,
-    "U": 120.0,
-    "T": 0.5,
-    "rebate": 0.0,
-}
+_BASE_MODEL = {"type": "ejdcev", "beta": -1.0, "gamma": 2.0}
+
+_BASE_CONTRACT = {"style": "call", "K": 100.0, "L": 90.0, "U": 120.0, "T": 0.5}
 
 _BASE_OUTPUT = {"format": "json", "path": None}
 
@@ -65,7 +52,7 @@ PRESETS = {
 
 def preset(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return copy.deepcopy(PRESETS[name])
 
 

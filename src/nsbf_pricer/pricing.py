@@ -29,16 +29,17 @@ series and its Greeks are taken at the same t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import NonFiniteParameter, VegaUndefined
+from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
 
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
-from .mesh import GridFunction, Mesh, inner_product, integrate, stencil  # noqa: F401
+from .mesh import GridFunction, Mesh, _same_mesh, inner_product, integrate, stencil  # noqa: F401
 from .model import DiffusionSpec, SLCoefficients
 from .spectrum import BLOCK_ROWS, EigenBasis
 
@@ -52,9 +53,17 @@ if TYPE_CHECKING:
 PROJECT_ROWS = BLOCK_ROWS // 2
 
 
+def check_barriers(L: float, U: float):
+    """Barrier levels must be finite, with 0 < L < U."""
+    if not (math.isfinite(L) and math.isfinite(U)):
+        raise NonFiniteParameter(f"barriers must be finite, got L={L}, U={U}")
+    if not 0.0 < L < U:
+        raise ParameterOutOfRange(f"barriers need 0 < L < U, got L={L}, U={U}")
+
+
 @dataclass(frozen=True)
 class OptionContract:
-    """Double-barrier knock-out contract on (L, U) with maturity T years.
+    """Double-barrier knock-out contract on (L, U), 0 < L < U, with maturity T years.
 
     style is "call", "put" or "custom" (payoff sampled on the pricing mesh);
     rebate R >= 0 is paid on knock-out at the upper barrier.
@@ -71,6 +80,11 @@ class OptionContract:
     def __post_init__(self):
         if self.style not in ("call", "put", "custom"):
             raise ValueError(f"unknown option style {self.style!r}")
+        levels = {"L": self.L, "U": self.U, "T": self.T, "K": self.K, "rebate": self.rebate}
+        bad = [k for k, v in levels.items() if v is not None and not isinstance(v, numbers.Real)]
+        if bad:
+            raise TypeError(f"contract {', '.join(bad)} must be real numbers")
+        check_barriers(self.L, self.U)
         for name in ("T", "rebate"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteParameter(f"contract {name} must be finite, got {getattr(self, name)}")
@@ -118,7 +132,7 @@ def payoff_grid(contract: OptionContract, mesh: Mesh) -> GridFunction:
     elif contract.style == "put":
         vals = np.maximum(contract.K - y, 0.0)
     else:
-        if contract.payoff.mesh.M != mesh.M:
+        if not _same_mesh(contract.payoff.mesh, mesh):
             raise ValueError("custom payoff sampled on a different mesh")
         vals = contract.payoff.values
     return GridFunction(mesh, vals)

@@ -29,7 +29,6 @@ class ParticularSolution:
     g: GridFunction
     g_prime: GridFunction
     series_order: int
-    tail_norm: float
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,13 @@ def solve_particular(
     g_sum = np.ones(mesh.M)
     odd_sum = np.zeros(mesh.M)
     tail = 0.0
-    last_term = 0.0
     order = 0
     for k in range(1, max_terms + 1):
         x_odd = cumulative_integral(mesh, x_even * q)
         x_even = cumulative_integral(mesh, x_odd / p)
         odd_sum += x_odd
         g_sum += x_even
-        last_term = float(np.max(np.abs(x_even)))
-        tail = last_term / float(np.max(np.abs(g_sum)))
+        tail = float(np.max(np.abs(x_even))) / float(np.max(np.abs(g_sum)))
         order = k
         if tail < tol:
             break
@@ -82,7 +79,6 @@ def solve_particular(
         g=GridFunction(mesh, g),
         g_prime=GridFunction(mesh, g_prime),
         series_order=order,
-        tail_norm=last_term / rho_l,
     )
 
 

@@ -4,7 +4,8 @@ from dataclasses import asdict
 import pytest
 
 from nsbf_pricer import ConfigError, NumericsConfig
-from nsbf_pricer.cli import build_parser, load_config, main, numerics_from_config
+from nsbf_pricer.cli import build_parser, load_config, main, read_block, read_run
+from nsbf_pricer.fd import FDGrid
 
 
 def run_cli(capsys, *args):
@@ -64,7 +65,7 @@ class TestPrice:
         # at T = 0.5 the decay rule keeps lambda_n <= 70 (4 pairs); the cutoff
         # 20 lies between lambda_2 ~ 14.1 and lambda_3 ~ 31.2
         args = build_parser().parse_args(["price", "--config", fast_config, "--lambda-cutoff", "20"])
-        assert numerics_from_config(load_config(args)["numerics"]).lambda_cutoff == 20.0
+        assert read_run(load_config(args))[2].lambda_cutoff == 20.0
         _, out, _ = run_cli(capsys, "price", "--config", fast_config)
         assert json.loads(out)["N_used"] == 4
         code, out, err = run_cli(capsys, "price", "--config", fast_config, "--lambda-cutoff", "20")
@@ -80,7 +81,7 @@ class TestConfigErrors:
         }))
         code, _, err = run_cli(capsys, "price", "--config", path.as_posix())
         assert code == 2
-        assert "contract.U" in err
+        assert "contract: barriers need 0 < L < U, got L=120.0, U=90.0" in err
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "price", "--preset", "nope")
@@ -120,6 +121,43 @@ class TestConfigErrors:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/does/not/exist.json")
         assert code == 2
+
+    # (subcommand, config file, what the message names): each is refused
+    # before any solve, never dropped, truncated or left to the numerics
+    MALFORMED = {
+        "model-key": ("price", {"model": {"sigma_0": 0.40}}, "model: unknown keys ['sigma_0']"),
+        "contract-key": ("price", {"contract": {"rebates": 5.0}},
+                         "contract: unknown keys ['rebates']"),
+        "top-level-key": ("price", {"numeric": {"mesh_points": 2001}},
+                          "config: unknown keys ['numeric']"),
+        "sweep-key": ("table", {"sweep": {"K": [100.0], "gama": [1.0]}},
+                      "sweep: unknown keys ['gama']"),
+        "output-format": ("price", {"output": {"format": "xml"}}, "output.format must be one of"),
+        "output-key": ("price", {"output": {"fmt": "csv"}}, "output: unknown keys ['fmt']"),
+        "fd-fraction": ("oracle-compare", {"fd": {"y_count": 801.5}},
+                        "fd: y_count must be an integer >= 201, got 801.5"),
+        "top-level-list": ("price", [1, 2], "config must be an object"),
+        "numerics-scalar": ("price", {"numerics": 5}, "numerics must be an object"),
+        "model-string": ("price", {"model": {"beta": "abc"}},
+                         "model: EJDCEV parameters must be real numbers: beta"),
+        "fd-string": ("oracle-compare", {"fd": {"y_count": "x"}}, "fd: y_count must be an integer"),
+        "fd-too-small": ("oracle-compare", {"fd": {"y_count": 100}},
+                         "fd: y_count must be an integer >= 201, got 100"),
+        "fd-on-another-command": ("price", {"fd": {"t_count": 0.5}}, "fd: t_count"),
+        "band-short": ("contrib", {"bands": [[1]]}, "bands must be a list of [n1, n2]"),
+        "sweep-string": ("table", {"sweep": {"K": ["a"]}}, "sweep.K must be a non-empty list"),
+        "sweep-strike-outside": ("table", {"sweep": {"K": [100.0, 200.0]}},
+                                 "sweep.K: strike must satisfy L < K < U"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_config_exits_2_naming_block_and_key(self, capsys, tmp_path, case):
+        command, cfg, named = self.MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", path.as_posix())
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and named in err
 
 
 class TestNumericsValidation:
@@ -214,7 +252,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_resolved_numerics_pinned(self, name):
         args = build_parser().parse_args(["price", "--preset", name])
-        numerics = numerics_from_config(load_config(args)["numerics"])
+        numerics = read_run(load_config(args))[2]
         assert asdict(numerics) == dict(
             mesh_points=10001,
             nsbf_order=None,
@@ -222,3 +260,21 @@ class TestPresets:
             lambda_cutoff=None,
             **self.EXPECTED[name],
         )
+
+    # the model, contract and FD grid each preset resolves to, written out in
+    # full: the presets list only what differs from the dataclass defaults
+    HORIZON = {"table1-medium": (-1.0, 0.5), "table3-short": (-2.0, 1.0 / 360.0)}
+
+    @pytest.mark.parametrize("name", sorted(HORIZON))
+    def test_resolved_model_contract_and_grid_pinned(self, name):
+        beta, T = self.HORIZON[name]
+        cfg = load_config(build_parser().parse_args(["price", "--preset", name]))
+        params, contract, _ = read_run(cfg)
+        assert asdict(params) == dict(
+            beta=beta, gamma=2.0, b=0.02, c=0.5, rbar=0.1, qbar=0.0, sigma0=0.25, y0=100.0
+        )
+        assert asdict(contract) == dict(
+            style="call", L=90.0, U=120.0, T=T, K=100.0, rebate=0.0, payoff=None
+        )
+        grid = read_block("fd", cfg.get("fd", {}), FDGrid)
+        assert asdict(grid) == dict(y_count=801, t_count=400, damping_steps=2)

@@ -23,6 +23,12 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             FDGrid(y_count=401, t_count=400, damping_steps=1)
 
+    @pytest.mark.parametrize("name", ["y_count", "t_count", "damping_steps"])
+    @pytest.mark.parametrize("value", [801.5, 400.0, "801", None])
+    def test_counts_are_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FDGrid(**{name: value})
+
 
 class TestSolve:
     def test_zero_payoff(self, spec):

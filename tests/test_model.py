@@ -33,6 +33,10 @@ class TestParametersOutOfRange:
         with pytest.raises(nb.ParameterOutOfRange, match=f": {name}=-0.01"):
             nb.EJDCEVParams(beta=-1.0, gamma=2.0, **{name: -0.01})
 
+    def test_non_numeric_parameter_named(self):
+        with pytest.raises(TypeError, match="real numbers: beta, sigma0"):
+            nb.EJDCEVParams(beta="abc", gamma=2.0, sigma0="0.25")
+
     def test_zero_hazard_accepted(self):
         assert nb.EJDCEVParams(beta=-1.0, gamma=2.0, b=0.0, c=0.0).delta == pytest.approx(25.0)
 
@@ -55,6 +59,13 @@ class TestNonFiniteInputs:
     def test_barrier_rejected(self, L, U):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
         with pytest.raises(nb.NonFiniteParameter, match="barriers"):
+            nb.DoubleBarrierSolver(spec, L, U)
+
+    @pytest.mark.parametrize("L, U", [(120.0, 90.0), (-1.0, 120.0), (0.0, 120.0), (90.0, 90.0)])
+    def test_barriers_out_of_order_rejected(self, L, U):
+        # the solver refuses them when it is made, not in its first solve
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        with pytest.raises(nb.ParameterOutOfRange, match=f"L={L}, U={U}"):
             nb.DoubleBarrierSolver(spec, L, U)
 
     def test_is_a_config_error(self):

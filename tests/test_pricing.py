@@ -47,6 +47,23 @@ class TestContractValidation:
         with pytest.raises(nb.NonFiniteParameter, match="rebate"):
             contract(rebate=rebate)
 
+    # reversed or non-positive barriers fail when the contract is made, for
+    # every style, naming both levels
+    @pytest.mark.parametrize("lo, hi", [(120.0, 90.0), (-1.0, 120.0), (0.0, 120.0), (90.0, 90.0)])
+    @pytest.mark.parametrize("style", ["call", "custom"])
+    def test_barriers_need_0_lt_L_lt_U(self, style, lo, hi):
+        mesh = nb.build_mesh(L, U, 201)
+        zero = nb.GridFunction(mesh, np.zeros(mesh.M))
+        with pytest.raises(nb.ParameterOutOfRange, match=f"L={lo}, U={hi}"):
+            nb.OptionContract(style, lo, hi, 0.5, 100.0, payoff=zero)
+
+    @pytest.mark.parametrize("name", ["L", "U", "T", "K", "rebate"])
+    def test_non_numeric_level_named(self, name):
+        fields = dict(style="call", L=L, U=U, T=0.5, K=100.0, rebate=0.0)
+        fields[name] = "1"
+        with pytest.raises(TypeError, match=f"contract {name} must be real numbers"):
+            nb.OptionContract(**fields)
+
 
 class TestFourierCoefficients:
     def test_zero_payoff_zero_price(self, medium):
@@ -63,6 +80,23 @@ class TestFourierCoefficients:
         g = pricing.fourier_coefficients(c, s.pairs[:4], s.sl)
         assert g[0] == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(g[1:])) < 1e-8
+
+    def test_custom_payoff_on_another_interval_rejected(self, medium):
+        # same point count, other interval: read as if sampled on [L, U] it
+        # would price a different payoff
+        s = medium(-1.0, 2.0)
+        wide = nb.build_mesh(80.0, 130.0, s.mesh.M)
+        payoff = nb.GridFunction(wide, np.maximum(wide.points - 100.0, 0.0))
+        c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=payoff)
+        with pytest.raises(ValueError, match="different mesh"):
+            s.price(c, Y0)
+
+    def test_custom_payoff_on_the_solved_mesh_prices_as_the_call(self, medium):
+        s = medium(-1.0, 2.0)
+        mesh = nb.build_mesh(L, U, s.mesh.M)
+        payoff = nb.GridFunction(mesh, np.maximum(mesh.points - 100.0, 0.0))
+        c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=payoff)
+        assert s.price(c, Y0).price == s.price(contract(), Y0).price
 
     def test_call_gibbs_overshoot_at_upper_barrier(self, short):
         # terminal reconstruction of the discontinuous payoff overshoots near U
