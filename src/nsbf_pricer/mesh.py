@@ -1,10 +1,9 @@
 """Uniform mesh on [L, U] and the shared quadrature/interpolation kit.
 
 Every function of the price variable is carried as samples on one mesh.
-Cumulative integrals use composite six-point Newton-Cotes panels (five
-subintervals each); interior nodes of a panel are filled by integrating
-the panel's quintic interpolant, so the antiderivative keeps a single
-order of accuracy at every node.  Off-mesh evaluation and numerical
+Quadrature is composite six-point Newton-Cotes: a full-interval integral
+is one sum against Mesh.weights, a cumulative one fills each panel's
+interior nodes from its quintic interpolant.  Off-mesh evaluation and
 differentiation use stencils of matching order; an interpolation stencil
 is built once per set of points and applied to any stack of functions.
 """
@@ -52,6 +51,7 @@ class Mesh:
     M: int
     points: np.ndarray
     h: float
+    weights: np.ndarray  # closed six-point rule on every panel: int_L^U f = sum(f * weights)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,9 @@ def build_mesh(L: float, U: float, M: int) -> Mesh:
     points = L + h * np.arange(M)
     points[-1] = U  # pin the endpoints exactly
     points[0] = L
-    return Mesh(L=float(L), U=float(U), M=int(M), points=points, h=h)
+    weights = np.append(np.tile(_CUM_WEIGHTS[-1, :-1], (M - 1) // PANEL), 0.0)
+    weights[PANEL::PANEL] += _CUM_WEIGHTS[-1, -1]
+    return Mesh(L=float(L), U=float(U), M=int(M), points=points, h=h, weights=h * weights)
 
 
 def _same_mesh(a: Mesh, b: Mesh) -> bool:
@@ -115,18 +117,18 @@ def cumulative_integral(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 def integrate(mesh: Mesh, values: np.ndarray):
     """Integral over the full interval [L, U]; stacked rows give one per row.
 
-    The closed panel rule of cumulative_integral, summed panel by panel in
-    the same order, without filling the interior nodes.
+    One pairwise sum against mesh.weights along the last axis, so a row
+    integrates to the same bits alone or in any stack.
     """
-    total = np.cumsum(_panel_partials(mesh, values)[..., -1], axis=-1)[..., -1]
+    total = np.sum(np.asarray(values, dtype=float) * mesh.weights, axis=-1)
     return float(total) if np.ndim(values) == 1 else total
 
 
 def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:
-    """Weighted scalar product int_L^U g1 g2 w dy with the panel rule."""
+    """int_L^U g1 g2 w dy as sum(g2 * (g1 * (w * weights))), the order of pricing's projection."""
     if not (_same_mesh(g1.mesh, g2.mesh) and _same_mesh(g1.mesh, w.mesh)):
         raise ValueError("mesh mismatch between inner-product operands")
-    return integrate(g1.mesh, g1.values * g2.values * w.values)
+    return float(np.sum(g2.values * (g1.values * (w.values * g1.mesh.weights))))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ exp(-lambda_n (T - t)) (the steady part does not depend on time), and Vega
 is Delta / sigma'(y0) by the chain rule.
 
 A quote touches the stacked basis (spectrum.EigenBasis) twice.  The
-coefficients g travel as one array: d = f - R h is built once and projected
-onto one row block of the basis at a time with the panel arithmetic of
-mesh.inner_product.  Then one interpolation stencil at y0 reads phi, phi',
-h and h' (Rows), and value, Delta, Theta and the band report all use those
-rows; a surface does the same with one stencil on its price grid.  The
-time factors exp(-lambda_n (T - t)) are formed once per quote, so the
-series and its Greeks are taken at the same t.
+coefficients g travel as one array: d = f - R h times w and the mesh's
+quadrature weights is formed once, and each row block reduces against it.
+Then one interpolation stencil at y0 reads phi, phi', h and h' (Rows), and
+value, Delta, Theta and the band report all use those rows; a surface does
+the same with one stencil on its price grid.  The time factors
+exp(-lambda_n (T - t)) are formed once per quote, so the series and its
+Greeks are taken at the same t.
 """
 
 from __future__ import annotations
@@ -39,18 +39,12 @@ from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
 
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
-from .mesh import GridFunction, Mesh, _same_mesh, inner_product, integrate, stencil  # noqa: F401
+from .mesh import GridFunction, Mesh, _same_mesh, inner_product, stencil  # noqa: F401
 from .model import DiffusionSpec, SLCoefficients
-from .spectrum import BLOCK_ROWS, EigenBasis
+from .spectrum import EigenBasis
 
 if TYPE_CHECKING:
     from .engine import NumericsConfig
-
-# Rows projected at once, through one product buffer per call: half a block.
-# A solve's block-sized temporaries set glibc's heap-trim threshold to two
-# blocks, which a whole block's projection (three blocks of temporaries)
-# exceeded, re-faulting ~1400 pages per one-day quote.
-PROJECT_ROWS = BLOCK_ROWS // 2
 
 
 def check_barriers(L: float, U: float):
@@ -143,19 +137,14 @@ def fourier_coefficients(
 ) -> np.ndarray:
     """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
 
-    The payoff part d = f - R h is built once and projected onto
-    PROJECT_ROWS rows of the basis at a time, through one product buffer
-    and with inner_product's panel arithmetic, so each g_n equals the
-    single-pair quadrature bit for bit while the temporaries stay small.
+    d = f - R h is weighted once, dw = d (w weights), and each row block of
+    the basis reduces against dw through one product buffer, so each g_n
+    equals inner_product(d, phi_n, w) bit for bit.
     """
     d = payoff_grid(contract, c.mesh).values - contract.rebate * c.steady.values
-    rows = [b[i : i + PROJECT_ROWS] for b in pairs.phi for i in range(0, len(b), PROJECT_ROWS)]
-    buf = np.empty((PROJECT_ROWS, c.mesh.M))
-    ip = []
-    for r in rows:
-        prod = np.multiply(d, r, out=buf[: len(r)])
-        prod *= c.w.values
-        ip.append(integrate(c.mesh, prod))
+    dw = d * (c.w.values * c.mesh.weights)
+    buf = np.empty_like(pairs.phi[0]) if pairs.phi else None
+    ip = [np.sum(np.multiply(b, dw, out=buf[: len(b)]), axis=-1) for b in pairs.phi]
     return (np.concatenate(ip) if ip else np.empty(0)) / pairs.norm_sq
 
 

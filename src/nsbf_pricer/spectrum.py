@@ -30,7 +30,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation, ConvergenceError
-from .mesh import GridFunction, Mesh, integrate
+from .mesh import GridFunction, Mesh
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -40,8 +40,8 @@ SCAN_PER_SPACING = 20
 # its bracket at most REFINE_TOL wide; REFINE_MAX_STEPS caps the steps.
 REFINE_TOL = 1e-12
 REFINE_MAX_STEPS = 60
-# Rows per basis array; a quote projects half a block at a time
-# (pricing.PROJECT_ROWS).  Blocks, not one (N, M) array per basis, because a
+# Rows per basis array; a quote projects a block at a time through one
+# block-sized buffer.  Blocks, not one (N, M) array per basis, because a
 # multi-megabyte array freed with an old solve leaves a hole that glibc's heap
 # rarely refills: with one array per basis, one-day sweeps that solve a model
 # per item peaked at about 5 MB more resident memory.
@@ -280,7 +280,8 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenB
                 f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
                 "the omega scan skipped a root or found a spurious one"
             )
-    norm_sq = np.concatenate([integrate(c.mesh, b * b * c.w.values) for b in phi] or [np.empty(0)])
+    ww = c.w.values * c.mesh.weights
+    norm_sq = np.concatenate([np.sum(b * (b * ww), axis=-1) for b in phi] or [np.empty(0)])
     _, slope = characteristic(omega, coeffs, c)
     return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi)
 

@@ -491,6 +491,15 @@ def test_known_defect_one_day_theta_at_off_node_strike(short, oracle):
     assert abs(r.theta - q.theta.value) <= ORACLE_BOUND["theta"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the default omega window (omega_max=15) "
+                   "cuts a one-day basis to 8 pairs, pricing 0.28236 against the oracle's 0.54677")
+def test_known_defect_default_window_truncates_one_day_quote(oracle):
+    spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+    r = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig()).price(contract(T=SHORT_T), Y0)
+    q = oracle(-1.0, 2.0, SHORT_T).quote("call", 100.0, Y0)
+    assert abs(r.price - q.price.value) <= 1e-6
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: an explicit order too low for wide "
                    "barriers prices silently wrong (-245.48 against 10.86124)")
 def test_known_defect_explicit_order_on_wide_barriers():

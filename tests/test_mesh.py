@@ -9,6 +9,7 @@ from nsbf_pricer.mesh import (
     cumulative_integral,
     derivative_values,
     inner_product,
+    integrate,
     interpolate,
 )
 
@@ -65,6 +66,38 @@ class TestAntiderivative:
         back = derivative_values(m, cumulative_integral(m, f))
         interior = slice(5, -5)
         assert np.max(np.abs(back[interior] - f[interior])) < 1e-8
+
+
+class TestFullIntegral:
+    def test_weights_sum_to_length(self):
+        for L, U, M in ((1.0, 2.0, 6), (90.0, 120.0, 10001), (60.0, 240.0, 2001)):
+            m = build_mesh(L, U, M)
+            assert abs(np.sum(m.weights) - (U - L)) <= 1e-14 * (U - L)
+
+    def test_quintic_exact_on_every_panel(self):
+        m = build_mesh(1.0, 2.0, 101)
+        y = m.points
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            c = rng.normal(size=6)
+            exact = np.polyval(np.polyint(c), 2.0) - np.polyval(np.polyint(c), 1.0)
+            assert abs(integrate(m, np.polyval(c, y)) - exact) < 1e-12
+        # a different quintic on each side of every panel edge
+        for k in range(0, m.M, 5):
+            f = np.maximum(y - y[k], 0.0) ** 5
+            assert abs(integrate(m, f) - (2.0 - y[k]) ** 6 / 6.0) < 1e-12
+
+    def test_agrees_with_cumulative_integral(self):
+        for M in (101, 10001):
+            m = build_mesh(90.0, 120.0, M)
+            v = np.exp(m.points / 30.0) * np.sin(m.points)
+            assert integrate(m, v) == pytest.approx(cumulative_integral(m, v)[-1], rel=1e-14)
+
+    def test_stacked_rows_equal_single_rows(self):
+        m = build_mesh(90.0, 120.0, 10001)
+        rows = np.random.default_rng(11).normal(size=(9, m.M))
+        for stack in (rows, rows[:1], rows[:4], rows[2:8]):
+            assert np.array_equal(integrate(m, stack), [integrate(m, r) for r in stack])
 
 
 class TestInnerProduct:

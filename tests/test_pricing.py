@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -509,6 +510,20 @@ class TestStackedBasis:
             assert (r.price, r.delta, r.theta) == (price, delta, theta)
             assert r.contributions.bands == rows and r.contributions.total == total
         assert np.array_equal(s.surface(c, t_count=5, y_count=41)[2], surface)
+
+    def test_one_day_quote_allocates_one_block_and_a_few_vectors(self, short):
+        # the projection reduces each block through one block-sized buffer
+        s = short(-2.0, 2.0)
+        c = contract(T=1 / 360, rebate=5.0)
+        quote = lambda: s.price(c, Y0, greeks=True, bands=[(1, 2), (3, 10), (11, None)])
+        quote()
+        tracemalloc.start()
+        try:
+            quote()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (spectrum.BLOCK_ROWS + 4) * s.mesh.M * 8
 
     def test_pairs_are_views_of_the_stacked_rows(self, medium, short):
         rows = spectrum.BLOCK_ROWS
