@@ -7,13 +7,7 @@ contracts (with Greeks and rebates) by the truncated eigenfunction
 expansion.  A Crank-Nicolson solver provides an independent check.
 """
 
-from .coefficients import (
-    NSBFCoefficients,
-    build_nsbf_coefficients,
-    compute_G2,
-    compute_h_tilde,
-    initial_coefficients,
-)
+from .coefficients import NSBFCoefficients, build_nsbf_coefficients
 from .engine import DoubleBarrierSolver, NumericsConfig
 from .errors import (
     BoundaryViolation,
@@ -31,13 +25,7 @@ from .errors import (
     VegaUndefined,
 )
 from .fd import FDGrid, FDSolution, fd_price, solve_pde
-from .mesh import (
-    GridFunction,
-    Mesh,
-    build_mesh,
-    inner_product,
-    interpolate,
-)
+from .mesh import GridFunction, Mesh, build_mesh, inner_product
 from .model import (
     DiffusionSpec,
     EJDCEVParams,
@@ -46,7 +34,6 @@ from .model import (
     calibrate_delta,
     drift_of,
     ejdcev_spec,
-    scale_gauge,
 )
 from .pricing import (
     ContributionReport,
@@ -80,10 +67,9 @@ __all__ = [
     "ParameterOutOfRange", "ParticularSolution", "PositivityError", "PricingResult",
     "SLCoefficients", "SpotOutsideBarriers", "TimeOutsideHorizon", "VegaUndefined",
     "assemble_pairs", "build_formal_powers", "build_mesh", "build_nsbf_coefficients",
-    "build_sl_coefficients", "calibrate_delta", "characteristic", "compute_G2", "compute_h_tilde",
-    "contribution", "decay_factors", "delta", "drift_of", "ejdcev_spec", "fd_price",
-    "find_eigenvalues", "fourier_coefficients", "initial_coefficients", "inner_product",
-    "interpolate", "rows_at", "scale_gauge", "solve_particular", "solve_pde", "spherical_jn_block",
-    "theta", "value", "value_surface", "vega",
+    "build_sl_coefficients", "calibrate_delta", "characteristic", "contribution",
+    "decay_factors", "delta", "drift_of", "ejdcev_spec", "fd_price", "find_eigenvalues",
+    "fourier_coefficients", "inner_product", "rows_at", "solve_particular", "solve_pde",
+    "spherical_jn_block", "theta", "value", "value_surface", "vega",
 ]
 __version__ = "0.1.0"

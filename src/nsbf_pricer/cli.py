@@ -21,7 +21,7 @@ import numpy as np
 from .engine import DoubleBarrierSolver, NumericsConfig
 from .errors import ConfigError, NSBFError
 from .fd import FDGrid, fd_price
-from .model import EJDCEVParams, ejdcev_spec
+from .model import EJDCEVParams, ejdcev_spec, is_number
 from .presets import DEFAULT_BANDS, default_config, preset
 from .pricing import OptionContract
 
@@ -52,16 +52,12 @@ def _require_object(where: str, value):
     _require(isinstance(value, dict), f"{where} must be an object, got {type(value).__name__}")
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _is_band(band) -> bool:
     """[n1, n2] with integers 1 <= n1 <= n2, or n2 null: to the last pair."""
     if not (isinstance(band, list) and len(band) == 2):
         return False
     n1, n2 = band
-    return _is_number(n1, int) and n1 >= 1 and (n2 is None or (_is_number(n2, int) and n2 >= n1))
+    return is_number(n1, int) and n1 >= 1 and (n2 is None or (is_number(n2, int) and n2 >= n1))
 
 
 def read_block(name: str, block, cls, exclude=()):
@@ -100,7 +96,7 @@ def _check_shape(cfg: dict):
     _require_object("sweep", sweep)
     _require_known("sweep", sweep, ("K", "beta", "gamma"))
     for key, vals in sweep.items():
-        _require(isinstance(vals, list) and vals and all(map(_is_number, vals)),
+        _require(isinstance(vals, list) and vals and all(map(is_number, vals)),
                  f"sweep.{key} must be a non-empty list of numbers, got {vals!r}")
     bands = cfg.get("bands", DEFAULT_BANDS)
     _require(isinstance(bands, list) and all(map(_is_band, bands)),

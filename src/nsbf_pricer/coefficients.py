@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
+from .mesh import GridFunction, cumulative_integral, derivative_values
 from .model import SLCoefficients
-from .spps import FormalPowerTable, ParticularSolution
+from .spps import FirstFormalPower, ParticularSolution
 
 ORDER_CAP = 60  # safety limit of the order search
 PLATEAU_PATIENCE = 3  # orders without a new best identity residual before a family stops
@@ -37,12 +37,12 @@ EDGE_FRACTION = 0.01  # Remark-style cleanup neighborhood, as a fraction of U-L
 
 @dataclass(frozen=True)
 class NSBFCoefficients:
-    """alpha/beta families (rows indexed by order) with their scaled forms.
+    """alpha/beta families, rows indexed by order.
 
-    alpha and A have rows for orders 0..M_trunc, beta and B for orders
-    0..M_beta, with M_beta <= M_trunc.  The identities are: sum alpha,
-    alternating sum alpha, sum beta, alternating sum beta.  check_residuals
-    holds their pointwise residuals, the alpha pair at M_trunc and the beta
+    alpha has rows for orders 0..M_trunc, beta for orders 0..M_beta, with
+    M_beta <= M_trunc.  The identities are: sum alpha, alternating sum
+    alpha, sum beta, alternating sum beta.  check_residuals holds their
+    pointwise residuals, the alpha pair at M_trunc and the beta
     pair at M_beta; residual_by_order[m, i] is the sup-norm residual of
     identity i with the sums truncated at order m, one row per alpha order
     built (beta columns NaN past the last beta order built).
@@ -52,11 +52,8 @@ class NSBFCoefficients:
     orders, against which M_trunc was chosen.
     """
 
-    mesh: Mesh
     alpha: np.ndarray
-    A: np.ndarray
     beta: np.ndarray
-    B: np.ndarray
     G2: GridFunction
     M_trunc: int
     M_beta: int
@@ -65,10 +62,6 @@ class NSBFCoefficients:
     suggested_order: int
     order_stop: str
     plateau_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(max(np.max(r) for r in self.check_residuals))
 
 
 def compute_G2(c: SLCoefficients) -> GridFunction:
@@ -125,7 +118,7 @@ class InitialCoefficients:
 def initial_coefficients(
     sol: ParticularSolution,
     c: SLCoefficients,
-    powers: FormalPowerTable,
+    powers: FirstFormalPower,
     G2: np.ndarray,
     h_tilde: float,
     n_edge: int,
@@ -145,14 +138,13 @@ def initial_coefficients(
 
     A0 = 0.5 * (g - 1.0 / rho)
     alpha0_prime = 0.5 * (g_p + rho_p / rho**2)
-    A1 = 1.5 * (powers.Phi[1] - l / rho)
+    A1 = 1.5 * (powers.Phi1 - l / rho)
 
     alpha1 = recover_row(A1, l, 1, n_edge)
     G1 = h_tilde + G2
     B0 = sqrt_pw * (alpha0_prime + rho_p / rho * A0) - G1 / (2.0 * rho)
-    phi1_prime = g_p * powers.Y[1] + 1.0 / (g * p)
     l_alpha1_prime = (
-        1.5 * (phi1_prime - sqrt_wp * (2.0 * alpha1 / 3.0 + 1.0 / rho))
+        1.5 * (powers.Phi1_prime - sqrt_wp * (2.0 * alpha1 / 3.0 + 1.0 / rho))
         + 1.5 * rho_p * l / rho**2
     )
     B1 = alpha1 + sqrt_pw * (l_alpha1_prime + rho_p / rho * A1) - 1.5 * l * G2 / rho
@@ -248,7 +240,7 @@ class _Family:
 def build_nsbf_coefficients(
     c: SLCoefficients,
     sol: ParticularSolution,
-    powers: FormalPowerTable,
+    powers: FirstFormalPower,
     order: Optional[int] = None,
     order_cap: int = ORDER_CAP,
 ) -> NSBFCoefficients:
@@ -272,12 +264,10 @@ def build_nsbf_coefficients(
     exactly orders 0..order of both families and skips the search (order_stop
     "fixed").
     """
-    mesh = c.mesh
     l = c.l.values
-
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
-    n_edge = int(round(EDGE_FRACTION * (mesh.M - 1))) + 1
+    n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
     init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge)
 
     targets = _identity_targets(c, h_t, G2.values)
@@ -318,11 +308,8 @@ def build_nsbf_coefficients(
     residual_by_order[: len(beta.sup), 2:] = beta.sup
 
     return NSBFCoefficients(
-        mesh=mesh,
         alpha=np.array(alpha.rows[: m_alpha + 1]),
-        A=np.array(alpha.scaled[: m_alpha + 1]),
         beta=np.array(beta.rows[: m_beta + 1]),
-        B=np.array(beta.scaled[: m_beta + 1]),
         G2=G2,
         M_trunc=m_alpha,
         M_beta=m_beta,

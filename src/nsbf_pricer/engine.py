@@ -22,7 +22,7 @@ from .errors import (
     ConfigError, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined,
 )
 from .mesh import Mesh, build_mesh
-from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients
+from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients, is_number
 from .pricing import ContributionReport, OptionContract, PricingResult
 from .spectrum import EigenBasis, assemble_pairs, find_eigenvalues, norm_identity_residuals
 from .spps import ParticularSolution, build_formal_powers, solve_particular, steady_state
@@ -44,10 +44,10 @@ class NumericsConfig:
                 raise ConfigError(f"numerics.{name} must be {rule}, got {getattr(self, name)!r}")
 
         def integer(value) -> bool:
-            return isinstance(value, numbers.Integral)
+            return is_number(value, numbers.Integral)
 
         def finite_positive(value) -> bool:
-            return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            return is_number(value) and math.isfinite(value) and value > 0
 
         m = self.mesh_points
         check(integer(m) and m >= 6 and m % 5 == 1, "mesh_points", "an integer >= 6 and 1 mod 5")
@@ -71,8 +71,8 @@ def solve_from_sl(
     rescale the coefficients directly.
     """
     particular = solve_particular(sl)
-    powers = build_formal_powers(particular, sl, K=1)
-    steady, steady_prime = steady_state(particular, powers, sl)
+    powers = build_formal_powers(particular, sl)
+    steady, steady_prime = steady_state(powers, sl.mesh)
     sl = replace(sl, steady=steady, steady_prime=steady_prime)
     coeffs = build_nsbf_coefficients(sl, particular, powers, order=config.nsbf_order)
     basis = assemble_pairs(find_eigenvalues(coeffs, sl, config.omega_max), coeffs, sl)

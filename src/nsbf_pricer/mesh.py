@@ -3,9 +3,10 @@
 Every function of the price variable is carried as samples on one mesh.
 Quadrature is composite six-point Newton-Cotes: a full-interval integral
 is one sum against Mesh.weights, a cumulative one fills each panel's
-interior nodes from its quintic interpolant.  Off-mesh evaluation and
-differentiation use stencils of matching order; an interpolation stencil
-is built once per set of points and applied to any stack of functions.
+interior nodes from its quintic interpolant.  Off-mesh points are read
+through a Stencil, local quintic interpolation built once per set of
+points and applied to any stack of functions; differentiation uses
+five-point stencils of matching order.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function values must be finite")
 
-    @classmethod
-    def from_callable(cls, mesh: Mesh, fn) -> "GridFunction":
-        return cls(mesh, np.asarray(fn(mesh.points), dtype=float))
-
 
 def build_mesh(L: float, U: float, M: int) -> Mesh:
     """Uniform mesh on [L, U] with M nodes, M = 1 mod 5 so panels tile exactly."""
@@ -112,16 +109,6 @@ def cumulative_integral(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     partial = _panel_partials(mesh, values)
     starts = np.concatenate(([0.0], np.cumsum(partial[:, -1])[:-1]))
     return np.concatenate(([0.0], (starts[:, None] + partial).ravel()))
-
-
-def integrate(mesh: Mesh, values: np.ndarray):
-    """Integral over the full interval [L, U]; stacked rows give one per row.
-
-    One pairwise sum against mesh.weights along the last axis, so a row
-    integrates to the same bits alone or in any stack.
-    """
-    total = np.sum(np.asarray(values, dtype=float) * mesh.weights, axis=-1)
-    return float(total) if np.ndim(values) == 1 else total
 
 
 def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:
@@ -170,16 +157,6 @@ def stencil(mesh: Mesh, y) -> Stencil:
     on_node = np.abs(d) < 1e-12
     d = np.where(on_node, 1.0, d)
     return Stencil(start[:, None] + np.arange(6)[None, :], d, np.sum(_BARY / d, axis=1), on_node)
-
-
-def interpolate_values(mesh: Mesh, values: np.ndarray, y) -> np.ndarray:
-    """Local quintic Lagrange interpolation at points y (scalar or array)."""
-    out = stencil(mesh, y)(values)
-    return out if np.ndim(y) else float(out[0])
-
-
-def interpolate(f: GridFunction, y) -> float:
-    return interpolate_values(f.mesh, f.values, y)
 
 
 def derivative_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:

@@ -12,14 +12,14 @@ mu = rbar - qbar + h.  The associated self-adjoint form uses
 together with the Liouville variable l(y) = sqrt(2) int_L^y ds/(s sigma)
 and rho = (p w)^(1/4).  The lower integration limit of p is fixed at L;
 any other choice rescales (p, w, q) by a constant the spectrum and prices
-are invariant under (see scale_gauge).
+are invariant under.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +46,11 @@ class DiffusionSpec:
     name: str = "custom"
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """value is a kind (a real number by default) and not a bool, which JSON true would give."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EJDCEVParams:
     """Jump-to-default CEV with volatility delta*y^beta and hazard b + c*sigma^gamma."""
@@ -60,7 +65,7 @@ class EJDCEVParams:
     y0: float = 100.0
 
     def __post_init__(self):
-        bad = [name for name, v in vars(self).items() if not isinstance(v, numbers.Real)]
+        bad = [name for name, v in vars(self).items() if not is_number(v)]
         if bad:
             raise TypeError(f"EJDCEV parameters must be real numbers: {', '.join(bad)}")
         bad = [f"{name}={v}" for name, v in vars(self).items() if not math.isfinite(v)]
@@ -174,21 +179,3 @@ def build_sl_coefficients(spec: DiffusionSpec, mesh: Mesh) -> SLCoefficients:
         rho_prime=GridFunction(mesh, rho_prime),
     )
 
-
-def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:
-    """Rescale p -> kappa p (hence w, q -> kappa w, kappa q; rho -> sqrt(kappa) rho).
-
-    The Liouville variable, eigenvalues and prices are invariant under this
-    gauge; used by the invariance tests.
-    """
-    if kappa <= 0.0:
-        raise ValueError("gauge factor must be positive")
-    root = math.sqrt(kappa)
-    return replace(
-        c,
-        p=GridFunction(c.mesh, kappa * c.p.values),
-        q=GridFunction(c.mesh, kappa * c.q.values),
-        w=GridFunction(c.mesh, kappa * c.w.values),
-        rho=GridFunction(c.mesh, root * c.rho.values),
-        rho_prime=GridFunction(c.mesh, root * c.rho_prime.values),
-    )

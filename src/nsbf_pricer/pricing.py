@@ -29,7 +29,6 @@ Greeks are taken at the same t.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -40,7 +39,7 @@ from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
 from .mesh import GridFunction, Mesh, _same_mesh, inner_product, stencil  # noqa: F401
-from .model import DiffusionSpec, SLCoefficients
+from .model import DiffusionSpec, SLCoefficients, is_number
 from .spectrum import EigenBasis
 
 if TYPE_CHECKING:
@@ -75,7 +74,7 @@ class OptionContract:
         if self.style not in ("call", "put", "custom"):
             raise ValueError(f"unknown option style {self.style!r}")
         levels = {"L": self.L, "U": self.U, "T": self.T, "K": self.K, "rebate": self.rebate}
-        bad = [k for k, v in levels.items() if v is not None and not isinstance(v, numbers.Real)]
+        bad = [k for k, v in levels.items() if v is not None and not is_number(v)]
         if bad:
             raise TypeError(f"contract {', '.join(bad)} must be real numbers")
         check_barriers(self.L, self.U)

@@ -1,12 +1,12 @@
-"""Particular solution g of (p g')' = q g and the associated formal powers.
+"""Particular solution g of (p g')' = q g and the first formal power Phi_1.
 
 g is built with the spectral parameter power series at zero spectral
 parameter: iterated integrals X0 = 1, X_odd = int X_prev q, X_even =
 int X_prev / p give g = (1/rho(L)) sum X_even with g(L) = 1/rho(L) and
 g'(L) = 0.  For q >= 0 every even iterate is non-negative, so g can
-never vanish.  The formal powers Phi_k generalize (y-L)^k and feed both
-the coefficient recurrences and the direct-formula cross-check; Phi_1,
-the lambda = 0 solution vanishing at L, also gives the steady state that
+never vanish.  Of the formal powers Phi_k, which generalize (y-L)^k, a
+solve needs only Phi_1 = g Y_1, the lambda = 0 solution vanishing at L:
+it seeds the coefficient recurrence and gives the steady state that
 carries a rebate's boundary value (Kravchenko & Porter 2010).
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .mesh import GridFunction, cumulative_integral
+from .mesh import GridFunction, Mesh, cumulative_integral
 from .model import SLCoefficients
 
 SPPS_TOL = 1e-14  # stop once the last even iterate is this small relative to the sum
@@ -32,16 +32,12 @@ class ParticularSolution:
 
 
 @dataclass(frozen=True)
-class FormalPowerTable:
-    """Phi_0..Phi_K with the auxiliary families Y (odd seed) and Ytilde (even seed).
+class FirstFormalPower:
+    """Phi_1 = g Y_1 with Y_1 = int_L^y ds / (p g^2), and Phi_1' = g' Y_1 + 1 / (p g)."""
 
-    Rows of each array are indexed by the power k; Y[0] = Ytilde[0] = 1.
-    """
-
-    Phi: np.ndarray
-    Y: np.ndarray
-    Ytilde: np.ndarray
-    K: int
+    Y1: np.ndarray
+    Phi1: np.ndarray
+    Phi1_prime: np.ndarray
 
 
 def solve_particular(
@@ -82,44 +78,14 @@ def solve_particular(
     )
 
 
-def build_formal_powers(
-    sol: ParticularSolution, c: SLCoefficients, K: int
-) -> FormalPowerTable:
-    """Formal powers Phi_k = g * Y^(k) (k odd) or g * Ytilde^(k) (k even).
-
-    The two step weights are 1/(g^2 p) and g^2 w; their product w/p makes
-    each pair of integrations gain a factor ~ l^2, so Phi_k ~ l^k / rho,
-    which the coefficient formulas rely on.
-    """
-    mesh = c.mesh
-    g = sol.g.values
-    g2w = g**2 * c.w.values
-    inv_g2p = 1.0 / (g**2 * c.p.values)
-
-    Y = np.empty((K + 1, mesh.M))
-    Yt = np.empty((K + 1, mesh.M))
-    Y[0] = 1.0
-    Yt[0] = 1.0
-    for k in range(1, K + 1):
-        if k % 2 == 1:
-            Y[k] = k * cumulative_integral(mesh, Y[k - 1] * inv_g2p)
-            Yt[k] = k * cumulative_integral(mesh, Yt[k - 1] * g2w)
-        else:
-            Y[k] = k * cumulative_integral(mesh, Y[k - 1] * g2w)
-            Yt[k] = k * cumulative_integral(mesh, Yt[k - 1] * inv_g2p)
-
-    Phi = np.where((np.arange(K + 1) % 2 == 1)[:, None], Y, Yt) * g[None, :]
-    return FormalPowerTable(Phi=Phi, Y=Y, Ytilde=Yt, K=K)
+def build_formal_powers(sol: ParticularSolution, c: SLCoefficients) -> FirstFormalPower:
+    """The first formal power Phi_1, the one a solve reads, with Y_1 and Phi_1'."""
+    g, p = sol.g.values, c.p.values
+    Y1 = cumulative_integral(c.mesh, 1.0 / (g**2 * p))
+    return FirstFormalPower(Y1=Y1, Phi1=Y1 * g, Phi1_prime=sol.g_prime.values * Y1 + 1.0 / (p * g))
 
 
-def steady_state(
-    sol: ParticularSolution, powers: FormalPowerTable, c: SLCoefficients
-) -> tuple[GridFunction, GridFunction]:
-    """h = Phi_1 / Phi_1(U), the solution of (p h')' = q h with h(L) = 0, h(U) = 1, and h'.
-
-    Phi_1 = g Y_1 with Y_1 = int_L^y ds / (p g^2), so Phi_1' = g' Y_1 + 1 / (p g).
-    """
-    scale = powers.Phi[1, -1]
-    h = powers.Phi[1] / scale
-    h_prime = (sol.g_prime.values * powers.Y[1] + 1.0 / (c.p.values * sol.g.values)) / scale
-    return GridFunction(c.mesh, h), GridFunction(c.mesh, h_prime)
+def steady_state(powers: FirstFormalPower, mesh: Mesh) -> tuple[GridFunction, GridFunction]:
+    """h = Phi_1 / Phi_1(U), the solution of (p h')' = q h with h(L) = 0, h(U) = 1, and h'."""
+    scale = powers.Phi1[-1]
+    return GridFunction(mesh, powers.Phi1 / scale), GridFunction(mesh, powers.Phi1_prime / scale)

@@ -1,14 +1,17 @@
-"""Second routes to quantities the program computes, for cross-checks only.
+"""Second routes to quantities the program computes, and the helpers only tests use.
 
-Each helper recomputes something src builds another way: alpha_n from the
-Legendre/formal-power formula, G2 with the nested derivative, the
-pointwise identities that define w and q, the integrals inside one
-recurrence step, Bessel blocks and eigenbases by the earlier masked,
-per-pair route, and eigenvalues by the earlier bisection sweeps.  Nothing in
-src calls them.
+Each route recomputes something src builds another way: alpha_n from the
+Legendre/formal-power formula over the general formal-power table
+Phi_0..Phi_K, G2 with the nested derivative, the pointwise identities that
+define w and q, the integrals inside one recurrence step, Bessel blocks
+and eigenbases by the earlier masked, per-pair route, and eigenvalues by
+the earlier bisection sweeps.  The helpers rescale the Sturm-Liouville
+gauge for the invariance tests and read one grid function at points
+through mesh.stencil.  Nothing in src calls them.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +24,41 @@ from nsbf_pricer.bessel import (
     _SERIES_CUTOFF,
     _SERIES_TERMS,
 )
-from nsbf_pricer.mesh import GridFunction, cumulative_integral, derivative_values, inner_product
+from nsbf_pricer.mesh import (
+    GridFunction,
+    cumulative_integral,
+    derivative_values,
+    inner_product,
+    stencil,
+)
 from nsbf_pricer.model import DiffusionSpec, SLCoefficients
 from nsbf_pricer.spectrum import REFINE_TOL, characteristic
-from nsbf_pricer.spps import FormalPowerTable
+from nsbf_pricer.spps import ParticularSolution
+
+
+def interpolate(f: GridFunction, y):
+    """f at the points y through the quote path's stencil; a float for scalar y."""
+    out = stencil(f.mesh, y)(f.values)
+    return out if np.ndim(y) else float(out[0])
+
+
+def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:
+    """Rescale p -> kappa p (hence w, q -> kappa w, kappa q; rho -> sqrt(kappa) rho).
+
+    The Liouville variable, eigenvalues and prices are invariant under this
+    gauge.
+    """
+    if kappa <= 0.0:
+        raise ValueError("gauge factor must be positive")
+    root = math.sqrt(kappa)
+    return replace(
+        c,
+        p=GridFunction(c.mesh, kappa * c.p.values),
+        q=GridFunction(c.mesh, kappa * c.q.values),
+        w=GridFunction(c.mesh, kappa * c.w.values),
+        rho=GridFunction(c.mesh, root * c.rho.values),
+        rho_prime=GridFunction(c.mesh, root * c.rho_prime.values),
+    )
 
 
 def legendre_coefficient_table(n_max: int) -> np.ndarray:
@@ -56,6 +90,48 @@ class LegendreTable:
     @classmethod
     def build(cls, n_max: int) -> "LegendreTable":
         return cls(l_coeffs=legendre_coefficient_table(n_max))
+
+
+@dataclass(frozen=True)
+class FormalPowerTable:
+    """Phi_0..Phi_K with the auxiliary families Y (odd seed) and Ytilde (even seed).
+
+    Rows of each array are indexed by the power k; Y[0] = Ytilde[0] = 1.
+    """
+
+    Phi: np.ndarray
+    Y: np.ndarray
+    Ytilde: np.ndarray
+    K: int
+
+
+def formal_power_table(sol: ParticularSolution, c: SLCoefficients, K: int) -> FormalPowerTable:
+    """Formal powers Phi_k = g * Y^(k) (k odd) or g * Ytilde^(k) (k even).
+
+    The two step weights are 1/(g^2 p) and g^2 w; their product w/p makes
+    each pair of integrations gain a factor ~ l^2, so Phi_k ~ l^k / rho,
+    which the coefficient formulas rely on.  A solve reads only row 1
+    (spps.build_formal_powers).
+    """
+    mesh = c.mesh
+    g = sol.g.values
+    g2w = g**2 * c.w.values
+    inv_g2p = 1.0 / (g**2 * c.p.values)
+
+    Y = np.empty((K + 1, mesh.M))
+    Yt = np.empty((K + 1, mesh.M))
+    Y[0] = 1.0
+    Yt[0] = 1.0
+    for k in range(1, K + 1):
+        if k % 2 == 1:
+            Y[k] = k * cumulative_integral(mesh, Y[k - 1] * inv_g2p)
+            Yt[k] = k * cumulative_integral(mesh, Yt[k - 1] * g2w)
+        else:
+            Y[k] = k * cumulative_integral(mesh, Y[k - 1] * g2w)
+            Yt[k] = k * cumulative_integral(mesh, Yt[k - 1] * inv_g2p)
+
+    Phi = np.where((np.arange(K + 1) % 2 == 1)[:, None], Y, Yt) * g[None, :]
+    return FormalPowerTable(Phi=Phi, Y=Y, Ytilde=Yt, K=K)
 
 
 DIRECT_ALPHA_MAX_ORDER = 8

@@ -140,6 +140,14 @@ class TestConfigErrors:
         "numerics-scalar": ("price", {"numerics": 5}, "numerics must be an object"),
         "model-string": ("price", {"model": {"beta": "abc"}},
                          "model: EJDCEV parameters must be real numbers: beta"),
+        # JSON true is a Python bool, which would otherwise read as the number 1
+        "model-bool": ("price", {"model": {"beta": True}},
+                       "model: EJDCEV parameters must be real numbers: beta"),
+        "contract-bool": ("price", {"contract": {"T": True}}, "contract: contract T must be real"),
+        "rebate-bool": ("price", {"contract": {"rebate": True}},
+                        "contract: contract rebate must be real"),
+        "numerics-bool": ("price", {"numerics": {"nsbf_order": True}},
+                          "numerics.nsbf_order must be None or a non-negative integer, got True"),
         "fd-string": ("oracle-compare", {"fd": {"y_count": "x"}}, "fd: y_count must be an integer"),
         "fd-too-small": ("oracle-compare", {"fd": {"y_count": 100}},
                          "fd: y_count must be an integer >= 201, got 100"),
@@ -164,10 +172,10 @@ class TestNumericsValidation:
     # every invalid value of a field raises ConfigError when the config is built
     BAD = {
         "mesh_points": [10000, 5, 1, 2001.0, "2001"],
-        "nsbf_order": [-1, 2.5],
-        "omega_max": [0.0, -15.0, float("nan"), float("inf")],
-        "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf")],
-        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf")],
+        "nsbf_order": [-1, 2.5, True],
+        "omega_max": [0.0, -15.0, float("nan"), float("inf"), True],
+        "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf"), True],
+        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf"), True],
     }
 
     @pytest.mark.parametrize("field", sorted(BAD))

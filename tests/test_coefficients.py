@@ -11,6 +11,7 @@ from nsbf_pricer.coefficients import (
     build_nsbf_coefficients,
     compute_G2,
     compute_h_tilde,
+    initial_coefficients,
     recover_row,
 )
 from nsbf_pricer.spps import build_formal_powers, solve_particular
@@ -19,14 +20,41 @@ from dual_routes import (
     LegendreTable,
     compute_G2_unintegrated,
     direct_alpha,
+    formal_power_table,
     recurrence_reference,
 )
 
 
-def build_coeffs(sl, order=None, K=1):
+def build_coeffs(sl, order=None):
     sol = solve_particular(sl)
-    powers = build_formal_powers(sol, sl, K=K)
+    powers = build_formal_powers(sol, sl)
     return sol, powers, build_nsbf_coefficients(sl, sol, powers, order=order)
+
+
+def seed_rows(c, sol, n_edge):
+    """Orders 0 and 1 of both families in scaled form, as the build seeds them."""
+    powers = build_formal_powers(sol, c)
+    G2, h_tilde = compute_G2(c).values, compute_h_tilde(sol, c)
+    return initial_coefficients(sol, c, powers, G2, h_tilde, n_edge)
+
+
+def scaled_rows(s, top):
+    """A_0..A_top and B_0..B_top of a solve, from the seed rows and the recurrence step.
+
+    The build keeps only the recovered rows alpha_n = A_n / l^n and
+    beta_n = B_n / l^n; this rebuilds the scaled rows it divided.  Returns
+    (A, B, n_edge).
+    """
+    c, sol = s.sl, s.particular
+    n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
+    init = seed_rows(c, sol, n_edge)
+    A, B = [init.A0, init.A1], [init.B0, init.B1]
+    recurrence = _Recurrence(c, sol)
+    for n in range(2, top + 1):
+        A_n, B_n = recurrence.step(n, A[n - 2], B[n - 2])
+        A.append(A_n)
+        B.append(B_n)
+    return A, B, n_edge
 
 
 class TestG2:
@@ -88,11 +116,7 @@ class TestInitialCoefficients:
 class TestInitialOp:
     def test_flat_all_zero(self, flat_sl):
         sol = solve_particular(flat_sl)
-        powers = build_formal_powers(sol, flat_sl, K=1)
-        init = nb.initial_coefficients(
-            sol, flat_sl, powers, compute_G2(flat_sl).values,
-            compute_h_tilde(sol, flat_sl), n_edge=51,
-        )
+        init = seed_rows(flat_sl, sol, n_edge=51)
         l = flat_sl.l.values
         alpha1, beta1 = (recover_row(row, l, 1, 51) for row in (init.A1, init.B1))
         for arr in (init.A0, init.A1, init.B0, init.B1, alpha1, beta1):
@@ -104,13 +128,8 @@ class TestInitialOp:
         s = medium(-1.0, 2.0)
         c, sol = s.sl, s.particular
         n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
-        powers = build_formal_powers(sol, c, K=1)
-        init = nb.initial_coefficients(
-            sol, c, powers, compute_G2(c).values, compute_h_tilde(sol, c), n_edge
-        )
+        init = seed_rows(c, sol, n_edge)
         l = c.l.values
-        assert np.array_equal(s.coeffs.A[0], init.A0) and np.array_equal(s.coeffs.A[1], init.A1)
-        assert np.array_equal(s.coeffs.B[0], init.B0) and np.array_equal(s.coeffs.B[1], init.B1)
         assert np.array_equal(s.coeffs.alpha[0], init.A0)
         assert np.array_equal(s.coeffs.beta[0], init.B0)
         assert np.array_equal(s.coeffs.alpha[1], recover_row(init.A1, l, 1, n_edge))
@@ -120,16 +139,16 @@ class TestInitialOp:
         # the assembled B1 and the raw beta1 display agree where l is not tiny
         s = medium(-1.0, 2.0)
         c, sol = s.sl, s.particular
-        powers = build_formal_powers(sol, c, K=1)
+        powers = build_formal_powers(sol, c)
         g2 = compute_G2(c).values
-        init = nb.initial_coefficients(sol, c, powers, g2, compute_h_tilde(sol, c), n_edge=101)
+        init = initial_coefficients(sol, c, powers, g2, compute_h_tilde(sol, c), n_edge=101)
         l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
         p, w = c.p.values, c.w.values
         g, g_p = sol.g.values, sol.g_prime.values
         sel = slice(1000, None)
-        phi1 = powers.Phi[1]
+        phi1 = powers.Phi1
         alpha1 = 1.5 * (phi1[sel] / l[sel] - 1.0 / rho[sel])
-        phi1_p = g_p * powers.Y[1] + 1.0 / (g * p)
+        phi1_p = g_p * powers.Y1 + 1.0 / (g * p)
         alpha1_p = 1.5 * (
             (phi1_p[sel] * l[sel] - phi1[sel] * np.sqrt(w / p)[sel]) / l[sel] ** 2
             + rho_p[sel] / rho[sel] ** 2
@@ -151,34 +170,37 @@ class TestRecurrence:
         assert np.max(np.abs(coeffs.beta)) < 1e-8
 
     def test_A2_vanishes_at_left(self, medium):
-        s = medium(-1.0, 2.0)
-        assert s.coeffs.A[2][0] == 0.0
+        A, _, _ = scaled_rows(medium(-1.0, 2.0), 2)
+        assert A[2][0] == 0.0
 
     def test_intermediates_vanish_at_left(self, medium):
         s = medium(-1.0, 2.0)
-        *_, theta, eta = recurrence_reference(
-            2, s.coeffs.A[0], s.coeffs.B[0], s.sl, s.particular
-        )
+        A, B, _ = scaled_rows(s, 1)
+        *_, theta, eta = recurrence_reference(2, A[0], B[0], s.sl, s.particular)
         assert theta[0] == 0.0
         assert eta[0] == 0.0
 
     def test_hoisted_factors_leave_every_order_unchanged(self, medium):
-        # the per-solve factors keep their expressions, so the built orders
-        # and the public step equal a step that forms every factor itself
+        # the per-solve factors keep their expressions, so the public step
+        # equals a step that forms every factor itself, and the rows the
+        # build kept are the recovered rows of the seed rows and that step
         s = medium(-1.0, 2.0)
+        coeffs, l = s.coeffs, s.sl.l.values
+        A, B, n_edge = scaled_rows(s, coeffs.M_trunc)
+        assert coeffs.M_beta >= 7
         for n in (2, 3, 7):
-            args = (n, s.coeffs.A[n - 2], s.coeffs.B[n - 2], s.sl, s.particular)
-            A_ref, B_ref, _, _ = recurrence_reference(*args)
-            A_n, B_n = _Recurrence(s.sl, s.particular).step(*args[:3])
-            for got in (A_n, s.coeffs.A[n]):
-                assert np.array_equal(got, A_ref)
-            for got in (B_n, s.coeffs.B[n]):
-                assert np.array_equal(got, B_ref)
+            A_ref, B_ref, _, _ = recurrence_reference(n, A[n - 2], B[n - 2], s.sl, s.particular)
+            assert np.array_equal(A[n], A_ref)
+            assert np.array_equal(B[n], B_ref)
+        for n in range(coeffs.M_trunc + 1):
+            assert np.array_equal(recover_row(A[n], l, n, n_edge), coeffs.alpha[n])
+        for n in range(coeffs.M_beta + 1):
+            assert np.array_equal(recover_row(B[n], l, n, n_edge), coeffs.beta[n])
 
     def test_residual_improves_with_order(self, medium):
         s = medium(-1.0, 2.0)
         sol = solve_particular(s.sl)
-        powers = build_formal_powers(sol, s.sl, K=1)
+        powers = build_formal_powers(sol, s.sl)
         coeffs = build_nsbf_coefficients(s.sl, sol, powers, order=30)
         worst = np.nanmax(coeffs.residual_by_order, axis=1)
         assert worst[2] < worst[0]
@@ -206,7 +228,7 @@ class TestRecovery:
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=1.0, gamma=1.0))
         sl = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 10001))
         sol = solve_particular(sl)
-        powers = build_formal_powers(sol, sl, K=1)
+        powers = build_formal_powers(sol, sl)
         coeffs = build_nsbf_coefficients(sl, sol, powers, order=20)
         assert np.all(np.isfinite(coeffs.alpha[20]))
         assert np.all(np.isfinite(coeffs.beta[20]))
@@ -221,9 +243,9 @@ class TestIdentities:
     def test_ejdcev_below_tolerance_at_order_30(self, medium):
         s = medium(-1.0, 2.0)
         sol = solve_particular(s.sl)
-        powers = build_formal_powers(sol, s.sl, K=1)
+        powers = build_formal_powers(sol, s.sl)
         coeffs = build_nsbf_coefficients(s.sl, sol, powers, order=30)
-        assert coeffs.max_residual < 1e-6
+        assert max(np.max(r) for r in coeffs.check_residuals) < 1e-6
 
     def test_truncating_early_is_worse(self, medium):
         s = medium(-1.0, 2.0)
@@ -235,12 +257,13 @@ class TestIdentities:
         s = short(-2.0, 0.0)
         coeffs = s.coeffs
         assert coeffs.M_beta < coeffs.M_trunc
-        assert coeffs.alpha.shape[0] == coeffs.A.shape[0] == coeffs.M_trunc + 1
-        assert coeffs.beta.shape[0] == coeffs.B.shape[0] == coeffs.M_beta + 1
+        assert coeffs.alpha.shape[0] == coeffs.M_trunc + 1
+        assert coeffs.beta.shape[0] == coeffs.M_beta + 1
         sup = [float(np.max(r)) for r in coeffs.check_residuals]
         assert sup[:2] == list(coeffs.residual_by_order[coeffs.M_trunc, :2])
         assert sup[2:] == list(coeffs.residual_by_order[coeffs.M_beta, 2:])
-        assert coeffs.max_residual == max(sup)
+        families = ("alpha_sum", "alpha_alt", "beta_sum", "beta_alt")
+        assert [s.diagnostics()[f"identity_residual_{f}"] for f in families] == sup
 
 
 class TestLegendreTable:
@@ -266,7 +289,7 @@ class TestLegendreTable:
 class TestDirectAlpha:
     def test_order_limits(self, flat_sl):
         sol = solve_particular(flat_sl)
-        powers = build_formal_powers(sol, flat_sl, K=9)
+        powers = formal_power_table(sol, flat_sl, K=9)
         table = LegendreTable.build(9)
         with pytest.raises(ValueError):
             direct_alpha(9, table, powers, flat_sl)
@@ -274,7 +297,7 @@ class TestDirectAlpha:
     def test_low_orders_match_initials(self, medium):
         s = medium(-1.0, 2.0)
         sol = solve_particular(s.sl)
-        powers = build_formal_powers(sol, s.sl, K=2)
+        powers = formal_power_table(sol, s.sl, K=2)
         table = LegendreTable.build(2)
         a0 = direct_alpha(0, table, powers, s.sl).values
         assert np.max(np.abs(a0 - s.coeffs.alpha[0])) < 1e-13
@@ -285,7 +308,7 @@ class TestDirectAlpha:
     def test_recurrence_cross_check_n4(self, medium):
         s = medium(-1.0, 2.0)
         sol = solve_particular(s.sl)
-        powers = build_formal_powers(sol, s.sl, K=4)
+        powers = formal_power_table(sol, s.sl, K=4)
         table = LegendreTable.build(4)
         a4 = direct_alpha(4, table, powers, s.sl).values
         sel = s.sl.mesh.points >= 90 + 30.0 / 4
@@ -312,7 +335,7 @@ class TestOrderSearch:
         mismatches = []
         for horizon, beta, gamma in PRESET_MODELS:
             s = solvers[horizon](beta, gamma)
-            powers = build_formal_powers(s.particular, s.sl, K=1)
+            powers = build_formal_powers(s.particular, s.sl)
             early = s.coeffs
             full = build_nsbf_coefficients(s.sl, s.particular, powers, order=60)
             assert early.order_stop == "plateau"
@@ -339,7 +362,7 @@ class TestOrderSearch:
 
     def test_cap_before_plateau_warns(self, medium):
         s = medium(-1.0, 2.0)
-        powers = build_formal_powers(s.particular, s.sl, K=1)
+        powers = build_formal_powers(s.particular, s.sl)
         with pytest.warns(UserWarning, match="cap 5"):
             coeffs = build_nsbf_coefficients(s.sl, s.particular, powers, order_cap=5)
         assert coeffs.order_stop == "cap"

@@ -9,8 +9,7 @@ from nsbf_pricer.mesh import (
     cumulative_integral,
     derivative_values,
     inner_product,
-    integrate,
-    interpolate,
+    stencil,
 )
 
 
@@ -81,31 +80,32 @@ class TestFullIntegral:
         for _ in range(5):
             c = rng.normal(size=6)
             exact = np.polyval(np.polyint(c), 2.0) - np.polyval(np.polyint(c), 1.0)
-            assert abs(integrate(m, np.polyval(c, y)) - exact) < 1e-12
+            assert abs(np.sum(np.polyval(c, y) * m.weights) - exact) < 1e-12
         # a different quintic on each side of every panel edge
         for k in range(0, m.M, 5):
             f = np.maximum(y - y[k], 0.0) ** 5
-            assert abs(integrate(m, f) - (2.0 - y[k]) ** 6 / 6.0) < 1e-12
+            assert abs(np.sum(f * m.weights) - (2.0 - y[k]) ** 6 / 6.0) < 1e-12
 
     def test_agrees_with_cumulative_integral(self):
         for M in (101, 10001):
             m = build_mesh(90.0, 120.0, M)
             v = np.exp(m.points / 30.0) * np.sin(m.points)
-            assert integrate(m, v) == pytest.approx(cumulative_integral(m, v)[-1], rel=1e-14)
+            assert np.sum(v * m.weights) == pytest.approx(cumulative_integral(m, v)[-1], rel=1e-14)
 
     def test_stacked_rows_equal_single_rows(self):
         m = build_mesh(90.0, 120.0, 10001)
         rows = np.random.default_rng(11).normal(size=(9, m.M))
         for stack in (rows, rows[:1], rows[:4], rows[2:8]):
-            assert np.array_equal(integrate(m, stack), [integrate(m, r) for r in stack])
+            by_row = [np.sum(r * m.weights) for r in stack]
+            assert np.array_equal(np.sum(stack * m.weights, axis=-1), by_row)
 
 
 class TestInnerProduct:
     def test_orthogonality(self):
         m = build_mesh(1, 2, 10001)
         w = GridFunction(m, np.ones(m.M))
-        s1 = GridFunction.from_callable(m, lambda y: np.sin(np.pi * (y - 1)))
-        s2 = GridFunction.from_callable(m, lambda y: np.sin(2 * np.pi * (y - 1)))
+        s1 = GridFunction(m, np.sin(np.pi * (m.points - 1)))
+        s2 = GridFunction(m, np.sin(2 * np.pi * (m.points - 1)))
         assert abs(inner_product(s1, s2, w)) < 1e-10
         assert inner_product(s1, s1, w) == pytest.approx(0.5, abs=1e-10)
 
@@ -116,8 +116,8 @@ class TestInnerProduct:
 
     def test_positive_definite(self):
         m = build_mesh(1, 2, 501)
-        w = GridFunction.from_callable(m, lambda y: 1.0 + 0.5 * np.sin(y))
-        f = GridFunction.from_callable(m, lambda y: (y - 1.3) ** 2)
+        w = GridFunction(m, 1.0 + 0.5 * np.sin(m.points))
+        f = GridFunction(m, (m.points - 1.3) ** 2)
         assert inner_product(f, f, w) > 0
 
     def test_mesh_mismatch(self):
@@ -131,39 +131,35 @@ class TestInnerProduct:
 class TestInterpolate:
     def test_linear_exact(self):
         m = build_mesh(90, 120, 10001)
-        f = GridFunction(m, m.points.copy())
-        assert interpolate(f, 100.0015) == pytest.approx(100.0015, abs=1e-12)
+        assert stencil(m, 100.0015)(m.points)[0] == pytest.approx(100.0015, abs=1e-12)
 
     def test_quadratic_exact(self):
         m = build_mesh(90, 120, 10001)
-        f = GridFunction(m, m.points**2)
         y = 90.0 + 7.5 * m.h  # mid-panel
-        assert interpolate(f, y) == pytest.approx(y * y, abs=1e-9 * y * y)
+        assert stencil(m, y)(m.points**2)[0] == pytest.approx(y * y, abs=1e-9 * y * y)
 
     def test_exponential(self):
         m = build_mesh(90, 120, 10001)
-        f = GridFunction(m, np.exp(m.points / 30.0))
         y = 105.0 + 0.4 * m.h
-        assert interpolate(f, y) == pytest.approx(math.exp(y / 30.0), rel=1e-9)
+        got = stencil(m, y)(np.exp(m.points / 30.0))[0]
+        assert got == pytest.approx(math.exp(y / 30.0), rel=1e-9)
 
     def test_node_hit(self):
         m = build_mesh(90, 120, 101)
-        f = GridFunction(m, np.sin(m.points))
-        assert interpolate(f, m.points[37]) == f.values[37]
+        f = np.sin(m.points)
+        assert stencil(m, m.points[37])(f)[0] == f[37]
 
     def test_out_of_range(self):
         m = build_mesh(90, 120, 101)
-        f = GridFunction(m, np.ones(m.M))
         with pytest.raises(ValueError, match="outside"):
-            interpolate(f, 89.0)
+            stencil(m, 89.0)
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [100.0, math.nan]])
     def test_non_finite_point_rejected(self, y):
         # a NaN point fails loudly, not as nan with a numpy cast warning
         m = build_mesh(90, 120, 101)
-        f = GridFunction(m, np.ones(m.M))
         with pytest.raises(ValueError, match="not finite"):
-            interpolate(f, y)
+            stencil(m, y)
 
 
 class TestDerivative:

@@ -5,7 +5,7 @@ import pytest
 
 import nsbf_pricer as nb
 
-from dual_routes import ConsistencyReport, identity_p_w_q_consistency
+from dual_routes import ConsistencyReport, identity_p_w_q_consistency, interpolate, scale_gauge
 
 
 def test_calibrate_delta():
@@ -36,6 +36,9 @@ class TestParametersOutOfRange:
     def test_non_numeric_parameter_named(self):
         with pytest.raises(TypeError, match="real numbers: beta, sigma0"):
             nb.EJDCEVParams(beta="abc", gamma=2.0, sigma0="0.25")
+        # a JSON true is a bool: refused, not read as 1
+        with pytest.raises(TypeError, match="real numbers: beta, b$"):
+            nb.EJDCEVParams(beta=True, gamma=2.0, b=False)
 
     def test_zero_hazard_accepted(self):
         assert nb.EJDCEVParams(beta=-1.0, gamma=2.0, b=0.0, c=0.0).delta == pytest.approx(25.0)
@@ -132,15 +135,13 @@ class TestSLCoefficients:
         assert np.all(c.q.values >= 0)
 
     def test_mesh_insensitivity(self):
-        from nsbf_pricer.mesh import interpolate_values
-
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
         coarse = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 3001))
         fine = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 10001))
         ys = np.linspace(90, 120, 301)
         for gf_coarse, gf_fine in ((coarse.l, fine.l), (coarse.rho, fine.rho)):
-            a = interpolate_values(coarse.mesh, gf_coarse.values, ys)
-            b = interpolate_values(fine.mesh, gf_fine.values, ys)
+            a = interpolate(gf_coarse, ys)
+            b = interpolate(gf_fine, ys)
             assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)) < 1e-6
 
     def test_sigma_positive_required(self):
@@ -177,12 +178,12 @@ class TestConsistencyCheck:
 def test_scale_gauge_relations():
     spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=1.0))
     c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
-    scaled = nb.scale_gauge(c, 10.0)
+    scaled = scale_gauge(c, 10.0)
     assert np.allclose(scaled.p.values, 10.0 * c.p.values)
     assert np.allclose(scaled.rho.values, math.sqrt(10.0) * c.rho.values)
     assert np.allclose(scaled.l.values, c.l.values)
     with pytest.raises(ValueError):
-        nb.scale_gauge(c, -1.0)
+        scale_gauge(c, -1.0)
 
 
 def test_rho_prime_numeric_fallback():

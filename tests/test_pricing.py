@@ -7,9 +7,10 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer import engine, pricing, spectrum
 from nsbf_pricer.fd import FDGrid, fd_price
-from nsbf_pricer.mesh import derivative_values, inner_product, interpolate_values
+from nsbf_pricer.mesh import derivative_values, inner_product
 
 from conftest import make_solver
+from dual_routes import interpolate
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -60,10 +61,12 @@ class TestContractValidation:
 
     @pytest.mark.parametrize("name", ["L", "U", "T", "K", "rebate"])
     def test_non_numeric_level_named(self, name):
-        fields = dict(style="call", L=L, U=U, T=0.5, K=100.0, rebate=0.0)
-        fields[name] = "1"
-        with pytest.raises(TypeError, match=f"contract {name} must be real numbers"):
-            nb.OptionContract(**fields)
+        # a JSON true is a bool: refused, not read as 1
+        for bad in ("1", True):
+            fields = dict(style="call", L=L, U=U, T=0.5, K=100.0, rebate=0.0)
+            fields[name] = bad
+            with pytest.raises(TypeError, match=f"contract {name} must be real numbers"):
+                nb.OptionContract(**fields)
 
 
 class TestFourierCoefficients:
@@ -380,7 +383,7 @@ class TestContribution:
                   for beta, gamma in ((-2.0, 0.0), (-1.0, 2.0))]
         for s, T, R, bands in cases:
             r = s.price(contract(T=T, rebate=R), Y0, bands=bands)
-            assert r.contributions.steady == R * nb.interpolate(s.sl.steady, Y0)
+            assert r.contributions.steady == R * interpolate(s.sl.steady, Y0)
             assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
 
     def test_band_out_of_range(self, short):
@@ -405,11 +408,11 @@ class TestRebate:
         fn = pricing.fourier_coefficients(plain, pairs, s.sl)
         lam = np.array([p.lam for p in pairs])
         ys = np.linspace(91.0, 119.0, 7)
-        phis = np.array([nb.interpolate(p.phi, ys) for p in pairs])
+        phis = np.array([interpolate(p.phi, ys) for p in pairs])
         for t in (0.0, 0.3):
             series = np.tensordot(fn * np.exp(-lam * (plain.T - t)), phis, axes=(0, 0))
             assert np.array_equal(value_at(s, plain, pairs, ys, t), series)
-        dphis = np.array([nb.interpolate(p.phi_prime, Y0) for p in pairs])
+        dphis = np.array([interpolate(p.phi_prime, Y0) for p in pairs])
         modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
         decay = pricing.decay_factors(pairs, plain, 0.0)
         assert pricing.delta(pricing.rows_at(Y0, pairs, s.sl), plain, fn, decay) == modes
@@ -464,7 +467,7 @@ class TestStackedBasis:
     """The stacked projection and the shared stencil against a per-pair reference.
 
     The reference takes each coefficient from mesh.inner_product and each
-    point value from mesh.interpolate_values, one pair at a time, and sums
+    point value from its own mesh.stencil, one pair at a time, and sums
     the series in the same order; the solver's quote must equal it bit for bit.
     """
 
@@ -474,10 +477,10 @@ class TestStackedBasis:
         d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh).values - c.rebate * s.sl.steady.values)
         g = np.array([inner_product(d, p.phi, s.sl.w) / p.norm_sq for p in pairs])
         lam = np.array([p.lam for p in pairs])
-        phi = np.array([interpolate_values(s.mesh, p.phi.values, [y0]) for p in pairs])
-        dphi = np.array([interpolate_values(s.mesh, p.phi_prime.values, y0) for p in pairs])
-        h = interpolate_values(s.mesh, s.sl.steady.values, y0)
-        dh = interpolate_values(s.mesh, s.sl.steady_prime.values, y0)
+        phi = np.array([interpolate(p.phi, [y0]) for p in pairs])
+        dphi = np.array([interpolate(p.phi_prime, y0) for p in pairs])
+        h = interpolate(s.sl.steady, y0)
+        dh = interpolate(s.sl.steady_prime, y0)
         price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
         delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
         theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
@@ -488,9 +491,9 @@ class TestStackedBasis:
             rows.append((n1, n2, val))
             total += val
         y_grid = np.linspace(L, U, 41)
-        phis = np.array([interpolate_values(s.mesh, p.phi.values, y_grid) for p in pairs])
+        phis = np.array([interpolate(p.phi, y_grid) for p in pairs])
         tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
-        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * interpolate_values(s.mesh, s.sl.steady.values, y_grid)
+        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * interpolate(s.sl.steady, y_grid)
         return g, float(price[0]), delta, theta, tuple(rows), total, surface
 
     @pytest.mark.parametrize("style", ["call", "put", "custom"])

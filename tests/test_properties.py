@@ -18,6 +18,8 @@ import nsbf_pricer as nb
 from nsbf_pricer import pricing
 from nsbf_pricer.engine import solve_from_sl
 
+from dual_routes import interpolate, scale_gauge
+
 L, U = 90.0, 120.0
 HORIZONS = {"six-month": (0.5, -1.0, 2.0), "one-day": (1.0 / 360.0, -2.0, 3.0)}
 # slack for truncation and quadrature error.  On 3001 spots and 60 calls and
@@ -73,7 +75,7 @@ def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
     f = pricing.payoff_grid(c, solver.mesh)
     expected = sum(
         nb.inner_product(f, p.phi, solver.sl.w) / p.norm_sq
-        * nb.interpolate(p.phi, y0) * np.exp(-p.lam * (T - t))
+        * interpolate(p.phi, y0) * np.exp(-p.lam * (T - t))
         for p in pricing.select_pairs(solver.pairs, T, solver.config)
     )
     pairs = solver.retained_pairs(c)
@@ -122,7 +124,7 @@ def _series_price(solved_sl, style, K, R, y0):
 @settings(max_examples=10, deadline=None)
 @given(log_kappa=st.floats(-3.0, 3.0), style=styles, K=strikes, y0=spots, R=rebates)
 def test_price_unchanged_by_gauge(six_month_basis, log_kappa, style, K, y0, R):
-    sl = nb.scale_gauge(six_month_basis[0], 10.0**log_kappa)
+    sl = scale_gauge(six_month_basis[0], 10.0**log_kappa)
     scaled = solve_from_sl(sl, nb.NumericsConfig())
     expected = _series_price(six_month_basis, style, K, R, y0)
     assert _series_price(scaled, style, K, R, y0) == pytest.approx(expected, abs=GAUGE_TOL)
