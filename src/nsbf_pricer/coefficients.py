@@ -105,16 +105,6 @@ def recover_row(A_row: np.ndarray, l: np.ndarray, n: int, n_edge: int) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
-class InitialCoefficients:
-    """Orders 0 and 1 of both families in scaled form (A0 = alpha0, B0 = beta0)."""
-
-    A0: np.ndarray
-    A1: np.ndarray
-    B0: np.ndarray
-    B1: np.ndarray
-
-
 def initial_coefficients(
     sol: ParticularSolution,
     c: SLCoefficients,
@@ -122,8 +112,8 @@ def initial_coefficients(
     G2: np.ndarray,
     h_tilde: float,
     n_edge: int,
-) -> InitialCoefficients:
-    """Seed values for the recurrence.
+) -> tuple:
+    """Seed histories of the recurrence, ((A0, A1), (B0, B1)), scaled (A0 = alpha0, B0 = beta0).
 
     alpha0 = (g - 1/rho)/2 and A1 = (3/2)(Phi1 - l/rho) need no division;
     B1 needs alpha1, which comes from the machine-safe recovery.  B1 is
@@ -149,7 +139,7 @@ def initial_coefficients(
     )
     B1 = alpha1 + sqrt_pw * (l_alpha1_prime + rho_p / rho * A1) - 1.5 * l * G2 / rho
 
-    return InitialCoefficients(A0=A0, A1=A1, B0=B0, B1=B1)
+    return (A0, A1), (B0, B1)
 
 
 class _Recurrence:
@@ -208,25 +198,22 @@ def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tupl
 class _Family:
     """One coefficient family fed one order at a time, with its plateau search.
 
-    Each order's scaled and recovered rows are kept, and the recovered row
-    is added to the running sum and alternating sum whose targets are the
-    family's two identities; sup[n] holds their sup-norm residuals at order n.
+    Each order's recovered row is kept and added to the running sum and
+    alternating sum whose targets are the family's two identities; sup[n]
+    holds their sup-norm residuals at order n, residuals_at their pointwise ones.
     """
 
     def __init__(self, targets: tuple):
         self.targets = targets
         self.sums = [np.zeros_like(t) for t in targets]
-        self.scaled, self.rows, self.pointwise, self.sup = [], [], [], []
+        self.rows, self.sup = [], []
         self.best, self.best_at = np.inf, 0
 
-    def add(self, n: int, scaled: np.ndarray, row: np.ndarray) -> bool:
+    def add(self, n: int, row: np.ndarray) -> bool:
         """Record order n; True once PLATEAU_PATIENCE orders passed without a new best."""
-        self.scaled.append(scaled)
         self.rows.append(row)
-        self.sums[0] += row
-        self.sums[1] += -row if n % 2 else row
-        self.pointwise.append([np.abs(s - t) for s, t in zip(self.sums, self.targets)])
-        self.sup.append([float(np.max(r)) for r in self.pointwise[n]])
+        _accumulate(self.sums, n, row)
+        self.sup.append([float(np.max(np.abs(s - t))) for s, t in zip(self.sums, self.targets)])
         if max(self.sup[n]) < self.best:
             self.best, self.best_at = max(self.sup[n]), n
             return False
@@ -235,6 +222,19 @@ class _Family:
     def suggested_order(self) -> int:
         """Earliest order whose worst residual is within a factor two of the best."""
         return int(np.argmax(np.max(self.sup, axis=1) <= 2.0 * self.best))
+
+    def residuals_at(self, m: int) -> list:
+        """Both pointwise residuals at order m, the partial sums replayed in build order."""
+        sums = [np.zeros_like(t) for t in self.targets]
+        for n, row in enumerate(self.rows[: m + 1]):
+            _accumulate(sums, n, row)
+        return [np.abs(s - t) for s, t in zip(sums, self.targets)]
+
+
+def _accumulate(sums: list, n: int, row: np.ndarray):
+    """Add order n's row to the running sum and alternating sum, in place."""
+    sums[0] += row
+    sums[1] += -row if n % 2 else row
 
 
 def build_nsbf_coefficients(
@@ -262,13 +262,14 @@ def build_nsbf_coefficients(
     depend on beta's.  A search whose alpha plateau residual exceeds
     PLATEAU_RESIDUAL_MAX raises ConvergenceError.  An explicit order builds
     exactly orders 0..order of both families and skips the search (order_stop
-    "fixed").
+    "fixed").  The loop carries the scaled rows of orders n-2 and n-1 only, and
+    each family keeps one recovered row and one sup pair per order built.
     """
     l = c.l.values
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
     n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
-    init = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge)
+    A_hist, B_hist = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge)
 
     targets = _identity_targets(c, h_t, G2.values)
     alpha, beta = _Family(targets[:2]), _Family(targets[2:])
@@ -278,13 +279,13 @@ def build_nsbf_coefficients(
     beta_open = True
     for n in range((order_cap if search else order) + 1):
         if n < 2:
-            A_n, B_n = (init.A0, init.B0) if n == 0 else (init.A1, init.B1)
+            A_n, B_n = A_hist[n], B_hist[n]
         else:
-            B_prev = beta.scaled[n - 2] if beta_open else None
-            A_n, B_n = recurrence.step(n, alpha.scaled[n - 2], B_prev)
+            A_n, B_n = recurrence.step(n, A_hist[0], B_hist[0] if beta_open else None)
+            A_hist, B_hist = (A_hist[1], A_n), (B_hist[1], B_n)
         if beta_open:
-            beta_open = not (beta.add(n, B_n, recover_row(B_n, l, n, n_edge)) and search)
-        if alpha.add(n, A_n, recover_row(A_n, l, n, n_edge)) and search:
+            beta_open = not (beta.add(n, recover_row(B_n, l, n, n_edge)) and search)
+        if alpha.add(n, recover_row(A_n, l, n, n_edge)) and search:
             stop = "plateau"
             break
 
@@ -313,7 +314,7 @@ def build_nsbf_coefficients(
         G2=G2,
         M_trunc=m_alpha,
         M_beta=m_beta,
-        check_residuals=(*alpha.pointwise[m_alpha], *beta.pointwise[m_beta]),
+        check_residuals=(*alpha.residuals_at(m_alpha), *beta.residuals_at(m_beta)),
         residual_by_order=residual_by_order,
         suggested_order=suggested,
         order_stop=stop,

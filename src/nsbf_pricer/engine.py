@@ -30,7 +30,10 @@ from .spps import ParticularSolution, build_formal_powers, solve_particular, ste
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Discretization and truncation knobs; defaults match the reference tables."""
+    """Discretization and truncation knobs; defaults match the reference tables.
+
+    No root above omega_max is found, so lambda_cutoff may not exceed omega_max**2.
+    """
 
     mesh_points: int = 10001
     nsbf_order: Optional[int] = None  # None: choose by identity-residual plateau
@@ -58,6 +61,9 @@ class NumericsConfig:
         check(finite_positive(self.lambda_decay_cap), "lambda_decay_cap", "finite and positive")
         check(self.lambda_cutoff is None or finite_positive(self.lambda_cutoff), "lambda_cutoff",
               "None or finite and positive")
+        top = self.omega_max**2
+        check(self.lambda_cutoff is None or self.lambda_cutoff <= top, "lambda_cutoff",
+              f"at most omega_max**2 = {top:g}, the top of the omega window")
 
 
 def solve_from_sl(
@@ -140,10 +146,12 @@ class DoubleBarrierSolver:
     ) -> PricingResult:
         """Price (and optionally Greeks / band contributions) at (y0, t).
 
-        y0 must be finite and in [L, U], and t in [0, T]; each violation
-        raises its own InvalidQuoteInput subclass before any work is done.
+        y0 must be finite and in [L, U], and t in [0, T]; each violation raises its
+        own InvalidQuoteInput subclass, and a bool TypeError, before any work is done.
         """
         self._check_contract(contract)
+        if not (is_number(y0) and is_number(t)):
+            raise TypeError(f"spot y0 and time t must be real numbers, got y0={y0!r}, t={t!r}")
         if not np.isfinite(y0):
             raise NonFiniteSpot(f"spot y0 = {y0} is not finite")
         if not self.L <= y0 <= self.U:

@@ -4,9 +4,9 @@ Every function of the price variable is carried as samples on one mesh.
 Quadrature is composite six-point Newton-Cotes: a full-interval integral
 is one sum against Mesh.weights, a cumulative one fills each panel's
 interior nodes from its quintic interpolant.  Off-mesh points are read
-through a Stencil, local quintic interpolation built once per set of
-points and applied to any stack of functions; differentiation uses
-five-point stencils of matching order.
+through a Stencil, six quintic Lagrange weights per point formed once and
+applied to any stack of functions as one weighted sum; differentiation
+uses five-point stencils of matching order.
 """
 
 from __future__ import annotations
@@ -122,24 +122,18 @@ def inner_product(g1: GridFunction, g2: GridFunction, w: GridFunction) -> float:
 class Stencil:
     """Local quintic Lagrange interpolation at fixed points, six nodes per point.
 
-    Built once by stencil() and applied to any stack of functions on the
-    mesh (leading axes); the points run along the last axis of the result.
+    stencil() forms the weights once; a call is one weighted sum over the gathered
+    nodes of any stack of functions on the mesh (leading axes), points along the last axis.
     """
 
     nodes: np.ndarray  # (P, 6) mesh indices
-    d: np.ndarray  # (P, 6) offsets from the nodes in units of h, 1 at a hit node
-    den: np.ndarray  # (P,) barycentric denominators
-    on_node: np.ndarray  # (P, 6) the point sits on this node
+    weights: np.ndarray  # (P, 6) Lagrange weights, one-hot where the point sits on a node
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        fv = np.asarray(values)[..., self.nodes]
         # C order: the reduction may hand back stacked rows in F order, and a
         # matmul over them would then take another BLAS path
-        out = np.ascontiguousarray(np.sum(_BARY * fv / self.d, axis=-1) / self.den)
-        hit = self.on_node.any(axis=1)
-        if np.any(hit):
-            out[..., hit] = fv[..., hit, :][..., self.on_node[hit]]
-        return out
+        fv = np.asarray(values)[..., self.nodes]
+        return np.ascontiguousarray(np.sum(fv * self.weights, axis=-1))
 
 
 def stencil(mesh: Mesh, y) -> Stencil:
@@ -154,9 +148,10 @@ def stencil(mesh: Mesh, y) -> Stencil:
     pos = (y_arr - mesh.L) / mesh.h
     start = np.clip(np.floor(pos).astype(int) - 2, 0, mesh.M - 6)
     d = (pos - start)[:, None] - np.arange(6)[None, :]  # t in [0, 5] relative to the stencil
-    on_node = np.abs(d) < 1e-12
-    d = np.where(on_node, 1.0, d)
-    return Stencil(start[:, None] + np.arange(6)[None, :], d, np.sum(_BARY / d, axis=1), on_node)
+    on_node = np.abs(d) < 1e-12  # such a point reads its node exactly: one-hot weights
+    bary = _BARY / np.where(on_node, 1.0, d)
+    weights = np.where(on_node.any(1, keepdims=True), on_node, bary / bary.sum(1, keepdims=True))
+    return Stencil(start[:, None] + np.arange(6)[None, :], weights)
 
 
 def derivative_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:

@@ -47,7 +47,9 @@ if TYPE_CHECKING:
 
 
 def check_barriers(L: float, U: float):
-    """Barrier levels must be finite, with 0 < L < U."""
+    """Barrier levels must be finite real numbers (not bools), with 0 < L < U."""
+    if not (is_number(L) and is_number(U)):
+        raise TypeError(f"barriers must be real numbers, got L={L!r}, U={U!r}")
     if not (math.isfinite(L) and math.isfinite(U)):
         raise NonFiniteParameter(f"barriers must be finite, got L={L}, U={U}")
     if not 0.0 < L < U:
@@ -182,7 +184,7 @@ def rows_at(y, pairs: EigenBasis, c: SLCoefficients) -> Rows:
     at = stencil(c.mesh, y)
 
     def stacked(blocks):
-        return np.concatenate([at(b) for b in blocks]) if blocks else np.empty((0, len(at.den)))
+        return np.concatenate([at(b) for b in blocks]) if blocks else np.empty((0, len(at.nodes)))
 
     return Rows(
         y, stacked(pairs.phi), stacked(pairs.dphi), at(c.steady.values), at(c.steady_prime.values)

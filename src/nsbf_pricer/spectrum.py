@@ -125,15 +125,6 @@ def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
     return signs.reshape((-1,) + (1,) * (odd.ndim - 1)) * odd
 
 
-def _odd_bessel_sum(signed: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """2 sum_m (-1)^m c_{2m+1} j_{2m+1}(x) from the rows of _signed_odd."""
-    if signed.ndim == 1:
-        # coefficients fixed at one point (the upper barrier), x varies
-        return 2.0 * np.tensordot(signed, block, axes=(0, 0))
-    # coefficient rows sampled on the mesh, x = omega * l on the same mesh
-    return 2.0 * np.sum(signed * block, axis=0)
-
-
 def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     """Eigenfunction value at the upper barrier and its omega-slope, (value, d value / d omega).
 
@@ -153,8 +144,8 @@ def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     even = block[0::2]
     n = np.arange(1, 2 * n_odd, 2, dtype=float).reshape((-1,) + (1,) * np.ndim(x))
     dj = (n * even[:-1] - (n + 1.0) * even[1:]) / (2.0 * n + 1.0)
-    val = trig[0] / rho_u + _odd_bessel_sum(signed, block[1::2])
-    slope = l_u * (trig[1] / rho_u + _odd_bessel_sum(signed, dj))
+    val = trig[0] / rho_u + 2.0 * np.tensordot(signed, block[1::2], axes=(0, 0))
+    slope = l_u * (trig[1] / rho_u + 2.0 * np.tensordot(signed, dj, axes=(0, 0)))
     return (val, slope) if np.ndim(omega) else (float(val), float(slope))
 
 
@@ -257,9 +248,10 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenB
         trig = np.sin(x), np.cos(x)
         # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
         block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
-        np.add(trig[0] / rho, _odd_bessel_sum(alpha, block), out=row)
+        # the series 2 sum_m (-1)^m c_{2m+1} j_{2m+1}, coefficients and x on the mesh
+        np.add(trig[0] / rho, 2.0 * np.sum(alpha * block, axis=0), out=row)
         inner = (coeffs.G2.values * trig[0] + om * trig[1]) / rho
-        inner += _odd_bessel_sum(beta, block[: len(beta)])
+        inner += 2.0 * np.sum(beta * block[: len(beta)], axis=0)
         np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
     if not all(np.isfinite(b).all() for b in phi + dphi):
         raise ConvergenceError("an assembled eigenfunction or derivative is not finite")

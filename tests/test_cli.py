@@ -148,6 +148,9 @@ class TestConfigErrors:
                         "contract: contract rebate must be real"),
         "numerics-bool": ("price", {"numerics": {"nsbf_order": True}},
                           "numerics.nsbf_order must be None or a non-negative integer, got True"),
+        # above omega_max**2 the window, not the cutoff, would end the series
+        "cutoff-above-window": ("price", {"numerics": {"lambda_cutoff": 100000}},
+                                "numerics.lambda_cutoff must be at most omega_max**2 = 225"),
         "fd-string": ("oracle-compare", {"fd": {"y_count": "x"}}, "fd: y_count must be an integer"),
         "fd-too-small": ("oracle-compare", {"fd": {"y_count": 100}},
                          "fd: y_count must be an integer >= 201, got 100"),
@@ -175,7 +178,8 @@ class TestNumericsValidation:
         "nsbf_order": [-1, 2.5, True],
         "omega_max": [0.0, -15.0, float("nan"), float("inf"), True],
         "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf"), True],
-        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf"), True],
+        # the default window omega < 15 holds no eigenvalue above 225
+        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf"), True, 1e5],
     }
 
     @pytest.mark.parametrize("field", sorted(BAD))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def build_coeffs(sl, order=None):
 
 
 def seed_rows(c, sol, n_edge):
-    """Orders 0 and 1 of both families in scaled form, as the build seeds them."""
+    """((A0, A1), (B0, B1)), both families' scaled orders 0 and 1, as the build seeds them."""
     powers = build_formal_powers(sol, c)
     G2, h_tilde = compute_G2(c).values, compute_h_tilde(sol, c)
     return initial_coefficients(sol, c, powers, G2, h_tilde, n_edge)
@@ -47,8 +48,7 @@ def scaled_rows(s, top):
     """
     c, sol = s.sl, s.particular
     n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
-    init = seed_rows(c, sol, n_edge)
-    A, B = [init.A0, init.A1], [init.B0, init.B1]
+    A, B = map(list, seed_rows(c, sol, n_edge))
     recurrence = _Recurrence(c, sol)
     for n in range(2, top + 1):
         A_n, B_n = recurrence.step(n, A[n - 2], B[n - 2])
@@ -116,10 +116,10 @@ class TestInitialCoefficients:
 class TestInitialOp:
     def test_flat_all_zero(self, flat_sl):
         sol = solve_particular(flat_sl)
-        init = seed_rows(flat_sl, sol, n_edge=51)
+        (A0, A1), (B0, B1) = seed_rows(flat_sl, sol, n_edge=51)
         l = flat_sl.l.values
-        alpha1, beta1 = (recover_row(row, l, 1, 51) for row in (init.A1, init.B1))
-        for arr in (init.A0, init.A1, init.B0, init.B1, alpha1, beta1):
+        alpha1, beta1 = (recover_row(row, l, 1, 51) for row in (A1, B1))
+        for arr in (A0, A1, B0, B1, alpha1, beta1):
             assert np.max(np.abs(arr)) < 1e-11
 
     def test_build_recovers_orders_one_from_the_seed_rows(self, medium):
@@ -128,12 +128,12 @@ class TestInitialOp:
         s = medium(-1.0, 2.0)
         c, sol = s.sl, s.particular
         n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
-        init = seed_rows(c, sol, n_edge)
+        (A0, A1), (B0, B1) = seed_rows(c, sol, n_edge)
         l = c.l.values
-        assert np.array_equal(s.coeffs.alpha[0], init.A0)
-        assert np.array_equal(s.coeffs.beta[0], init.B0)
-        assert np.array_equal(s.coeffs.alpha[1], recover_row(init.A1, l, 1, n_edge))
-        assert np.array_equal(s.coeffs.beta[1], recover_row(init.B1, l, 1, n_edge))
+        assert np.array_equal(s.coeffs.alpha[0], A0)
+        assert np.array_equal(s.coeffs.beta[0], B0)
+        assert np.array_equal(s.coeffs.alpha[1], recover_row(A1, l, 1, n_edge))
+        assert np.array_equal(s.coeffs.beta[1], recover_row(B1, l, 1, n_edge))
 
     def test_b1_matches_direct_display_away_from_left(self, medium):
         # the assembled B1 and the raw beta1 display agree where l is not tiny
@@ -141,7 +141,7 @@ class TestInitialOp:
         c, sol = s.sl, s.particular
         powers = build_formal_powers(sol, c)
         g2 = compute_G2(c).values
-        init = initial_coefficients(sol, c, powers, g2, compute_h_tilde(sol, c), n_edge=101)
+        _, (_, B1) = initial_coefficients(sol, c, powers, g2, compute_h_tilde(sol, c), n_edge=101)
         l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
         p, w = c.p.values, c.w.values
         g, g_p = sol.g.values, sol.g_prime.values
@@ -158,7 +158,7 @@ class TestInitialOp:
             + np.sqrt(p / w)[sel] * (alpha1_p + rho_p[sel] / rho[sel] * alpha1)
             - 1.5 * g2[sel] / rho[sel]
         )
-        assert np.max(np.abs(init.B1[sel] / l[sel] - beta1)) < 1e-9
+        assert np.max(np.abs(B1[sel] / l[sel] - beta1)) < 1e-9
 
 
 class TestRecurrence:
@@ -389,6 +389,23 @@ class TestOrderSearch:
         res = s.coeffs.check_residuals
         assert diag["identity_residual_beta_sum"] == float(np.max(res[2]))
         assert diag["identity_residual_beta_alt"] == float(np.max(res[3]))
+
+    def test_search_keeps_one_row_per_order_and_family(self, short):
+        # the recurrence reads only the scaled rows of orders n-2 and n-1, and
+        # each family keeps one recovered row per order; a build that kept the
+        # scaled rows and two pointwise residual rows as well peaked near 10
+        # rows per order on this model (21 orders)
+        s = short(-2.0, 0.0)
+        powers = build_formal_powers(s.particular, s.sl)
+        tracemalloc.start()
+        try:
+            coeffs = build_nsbf_coefficients(s.sl, s.particular, powers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        orders = coeffs.residual_by_order.shape[0]
+        assert orders >= 15
+        assert peak <= 6 * orders * s.mesh.M * 8
 
     def test_nonconvergent_plateau_raises(self):
         # (beta, gamma) = (-2, 0) on [40, 250]: alpha's residual curve is

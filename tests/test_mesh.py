@@ -138,6 +138,26 @@ class TestInterpolate:
         y = 90.0 + 7.5 * m.h  # mid-panel
         assert stencil(m, y)(m.points**2)[0] == pytest.approx(y * y, abs=1e-9 * y * y)
 
+    @staticmethod
+    def quintic(y):
+        t = (y - 105.0) / 15.0
+        return 0.3 - 1.1 * t + 0.7 * t**2 + 2.0 * t**3 - 1.3 * t**4 + 0.9 * t**5
+
+    def test_quintic_exact_mid_panel(self):
+        m = build_mesh(90, 120, 101)
+        y = 90.0 + 42.5 * m.h
+        got = stencil(m, y)(self.quintic(m.points))[0]
+        assert got == pytest.approx(self.quintic(y), abs=1e-13)
+
+    def test_quintic_exact_on_one_sided_stencils(self):
+        # within two nodes of a barrier the six nodes all lie on one side
+        m = build_mesh(90, 120, 101)
+        offsets = np.array([0.3, 1.0 + 1e-3, 1.5, 1.9])
+        y = np.concatenate([m.L + offsets * m.h, m.U - offsets * m.h])
+        at = stencil(m, y)
+        assert np.all(at.nodes[:4, 0] == 0) and np.all(at.nodes[4:, -1] == m.M - 1)
+        assert np.max(np.abs(at(self.quintic(m.points)) - self.quintic(y))) < 1e-13
+
     def test_exponential(self):
         m = build_mesh(90, 120, 10001)
         y = 105.0 + 0.4 * m.h

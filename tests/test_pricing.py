@@ -159,6 +159,19 @@ class TestQuoteInputValidation:
         with pytest.raises(nb.TimeOutsideHorizon):
             medium(-1.0, 2.0).price(contract(), Y0, t=t)
 
+    # JSON true is a Python bool, which would otherwise read as the number 1
+    @pytest.mark.parametrize("case", ["L", "U", "y0", "t"])
+    def test_bool_inputs_refused(self, medium, case):
+        s = medium(-1.0, 2.0)
+        calls = {
+            "L": lambda: nb.DoubleBarrierSolver(s.spec, True, U),
+            "U": lambda: nb.DoubleBarrierSolver(s.spec, L, True),
+            "y0": lambda: s.price(contract(), True),
+            "t": lambda: s.price(contract(T=2.0), Y0, t=True),
+        }
+        with pytest.raises(TypeError, match="must be real numbers"):
+            calls[case]()
+
     def test_errors_are_value_errors(self, medium):
         with pytest.raises(ValueError):
             medium(-1.0, 2.0).price(contract(), math.nan)
