@@ -129,7 +129,12 @@ class DoubleBarrierSolver:
         return self.pairs.lam.copy()
 
     def retained_pairs(self, contract: OptionContract) -> EigenBasis:
-        """The leading slice of the basis that the truncation rule keeps for the contract."""
+        """The leading slice of the basis that the truncation rule keeps for the contract.
+
+        Solves first; a contract on other barriers raises ValueError.
+        """
+        self._check_contract(contract)
+        self._ensure_solved()
         return pricing.select_pairs(self.pairs, contract.T, self.config)
 
     def _check_contract(self, contract: OptionContract):
@@ -149,7 +154,6 @@ class DoubleBarrierSolver:
         y0 must be finite and in [L, U], and t in [0, T]; each violation raises its
         own InvalidQuoteInput subclass, and a bool TypeError, before any work is done.
         """
-        self._check_contract(contract)
         if not (is_number(y0) and is_number(t)):
             raise TypeError(f"spot y0 and time t must be real numbers, got y0={y0!r}, t={t!r}")
         if not np.isfinite(y0):
@@ -158,7 +162,6 @@ class DoubleBarrierSolver:
             raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{self.L}, {self.U}]")
         if not 0.0 <= t <= contract.T:
             raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
-        self._ensure_solved()
         pairs = self.retained_pairs(contract)
         g = pricing.fourier_coefficients(contract, pairs, self.sl)
         at = pricing.rows_at(y0, pairs, self.sl)
@@ -176,6 +179,10 @@ class DoubleBarrierSolver:
         report: Optional[ContributionReport] = None
         if bands is not None:
             report = pricing.contribution_report(bands, at, contract, g, decay)
+        diagnostics = self.diagnostics()
+        diagnostics["truncation"] = pricing.truncation(
+            len(pairs), len(self.pairs), contract.T, self.config
+        )
 
         return PricingResult(
             price=px,
@@ -185,18 +192,17 @@ class DoubleBarrierSolver:
             N_used=len(pairs),
             M_used=self.coeffs.M_trunc,
             contributions=report,
-            diagnostics=self.diagnostics(),
+            diagnostics=diagnostics,
         )
 
     def surface(self, contract: OptionContract, t_count: int = 101, y_count: int = 101):
-        self._check_contract(contract)
-        self._ensure_solved()
         pairs = self.retained_pairs(contract)
         g = pricing.fourier_coefficients(contract, pairs, self.sl)
         return pricing.value_surface(contract, pairs, g, self.sl, t_count, y_count)
 
     def diagnostics(self) -> dict:
-        """Facts about the current solve; computed once per solve, copied per call."""
+        """Facts about the solve (solving first); computed once per solve, copied per call."""
+        self._ensure_solved()
         return dict(self._diagnostics)
 
     def _solve_report(self) -> dict:

@@ -78,7 +78,8 @@ class EJDCEVParams:
 
     @property
     def delta(self) -> float:
-        return calibrate_delta(self.sigma0, self.y0, self.beta)
+        """Scale with delta * y0^beta = sigma0 (spot volatility pinned)."""
+        return self.sigma0 * self.y0 ** (-self.beta)
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,6 @@ class SLCoefficients:
     rho_prime: GridFunction
     steady: Optional[GridFunction] = None
     steady_prime: Optional[GridFunction] = None
-
-
-def calibrate_delta(sigma0: float, y0: float, beta: float) -> float:
-    """Scale delta with delta * y0^beta = sigma0 (spot volatility pinned)."""
-    if sigma0 <= 0 or y0 <= 0:
-        raise ParameterOutOfRange(f"sigma0 and y0 must be positive, got sigma0={sigma0}, y0={y0}")
-    return sigma0 * y0 ** (-beta)
 
 
 def ejdcev_spec(params: EJDCEVParams) -> DiffusionSpec:

@@ -164,6 +164,19 @@ def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> Eigen
     return pairs[: max(kept, 1)]
 
 
+def truncation(kept: int, found: int, T: float, config: "NumericsConfig") -> str:
+    """What cut the series off for a contract of maturity T: "lambda_cutoff" when set,
+    "window" when every found pair is kept and omega_max**2 T < lambda_decay_cap (roots
+    above the omega window, which the decay rule would keep, were never searched for),
+    "lambda_decay_cap" otherwise.
+    """
+    if config.lambda_cutoff is not None:
+        return "lambda_cutoff"
+    if kept == found and config.omega_max**2 * T < config.lambda_decay_cap:
+        return "window"
+    return "lambda_decay_cap"
+
+
 @dataclass(frozen=True)
 class Rows:
     """phi_n, phi_n', h and h' at points y, from one interpolation stencil.

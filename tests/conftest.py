@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
+from nsbf_pricer.mesh import build_mesh
+from nsbf_pricer.model import SLCoefficients
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -44,10 +46,10 @@ def short():
 @pytest.fixture(scope="session")
 def flat_sl():
     """Synthetic constant-coefficient problem p = w = 1, q = 0 on [1, 2]."""
-    mesh = nb.build_mesh(1.0, 2.0, 5001)
+    mesh = build_mesh(1.0, 2.0, 5001)
     ones = np.ones(mesh.M)
     x = mesh.points - 1.0
-    return nb.SLCoefficients(
+    return SLCoefficients(
         mesh=mesh,
         p=nb.GridFunction(mesh, ones),
         q=nb.GridFunction(mesh, 0.0 * ones),
@@ -61,10 +63,10 @@ def flat_sl():
 @pytest.fixture(scope="session")
 def cosh_sl():
     """Synthetic p = w = q = 1 on [1, 2]; the particular solution is cosh(y-1)."""
-    mesh = nb.build_mesh(1.0, 2.0, 5001)
+    mesh = build_mesh(1.0, 2.0, 5001)
     ones = np.ones(mesh.M)
     x = mesh.points - 1.0
-    return nb.SLCoefficients(
+    return SLCoefficients(
         mesh=mesh,
         p=nb.GridFunction(mesh, ones),
         q=nb.GridFunction(mesh, ones),

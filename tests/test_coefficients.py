@@ -15,6 +15,8 @@ from nsbf_pricer.coefficients import (
     initial_coefficients,
     recover_row,
 )
+from nsbf_pricer.mesh import build_mesh
+from nsbf_pricer.model import build_sl_coefficients
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
 from dual_routes import (
@@ -81,7 +83,7 @@ class TestHTilde:
     def test_zero_q_reduces_to_rho_slope(self, medium):
         # with q = 0 the particular solution is constant and only rho' contributes
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=0.0, b=0.0, c=0.0, rbar=0.0))
-        sl = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
+        sl = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         sol = solve_particular(sl)
         expected = math.sqrt(sl.p.values[0] / sl.w.values[0]) * (
             sl.rho_prime.values[0] / sl.rho.values[0]
@@ -226,7 +228,7 @@ class TestRecovery:
 
     def test_high_order_finite_beta_positive_elasticity(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=1.0, gamma=1.0))
-        sl = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 10001))
+        sl = build_sl_coefficients(spec, build_mesh(90, 120, 10001))
         sol = solve_particular(sl)
         powers = build_formal_powers(sol, sl)
         coeffs = build_nsbf_coefficients(sl, sol, powers, order=20)
@@ -416,6 +418,6 @@ class TestOrderSearch:
         with pytest.raises(nb.ConvergenceError, match="plateaued"):
             s.solve()
         # an explicit order skips the search and its bound
-        sl = nb.build_sl_coefficients(spec, nb.build_mesh(40.0, 250.0, 10001))
+        sl = build_sl_coefficients(spec, build_mesh(40.0, 250.0, 10001))
         _, _, coeffs = build_coeffs(sl, order=2)
         assert coeffs.plateau_residual > PLATEAU_RESIDUAL_MAX

@@ -3,6 +3,7 @@ import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer.fd import FDGrid, FDSolution, fd_price, solve_pde
+from nsbf_pricer.mesh import build_mesh
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ class TestGridValidation:
 
 class TestSolve:
     def test_zero_payoff(self, spec):
-        mesh = nb.build_mesh(90, 120, 201)
+        mesh = build_mesh(90, 120, 201)
         zero = nb.GridFunction(mesh, np.zeros(mesh.M))
         c = nb.OptionContract(style="custom", L=90.0, U=120.0, T=0.5, payoff=zero)
         sol = solve_pde(spec, c, FDGrid(401, 200))
@@ -54,7 +55,7 @@ class TestSolve:
 
     def test_second_order_convergence(self, spec):
         # smooth compatible payoff so the observed order is clean
-        mesh = nb.build_mesh(90, 120, 501)
+        mesh = build_mesh(90, 120, 501)
         bump = np.sin(np.pi * (mesh.points - 90.0) / 30.0) ** 2 * 10.0
         c = nb.OptionContract(
             style="custom", L=90.0, U=120.0, T=0.5,

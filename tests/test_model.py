@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
+from nsbf_pricer.mesh import build_mesh
+from nsbf_pricer.model import SLCoefficients, build_sl_coefficients, drift_of
 
 from dual_routes import ConsistencyReport, identity_p_w_q_consistency, interpolate, scale_gauge
 
 
-def test_calibrate_delta():
-    assert nb.calibrate_delta(0.25, 100, -1.0) == pytest.approx(25.0)
-    assert nb.calibrate_delta(0.25, 100, 0.0) == pytest.approx(0.25)
-    assert nb.calibrate_delta(0.25, 100, 0.5) == pytest.approx(0.025)
-    with pytest.raises(ValueError):
-        nb.calibrate_delta(-0.1, 100, 0.0)
-    with pytest.raises(nb.ParameterOutOfRange):
-        nb.calibrate_delta(0.25, 0.0, 0.0)
+def test_delta_pins_spot_volatility():
+    # delta * y0^beta = sigma0; a non-positive sigma0 or y0 is refused when
+    # the parameters are made (TestParametersOutOfRange)
+    assert nb.EJDCEVParams(beta=-1.0, gamma=2.0).delta == pytest.approx(25.0)
+    assert nb.EJDCEVParams(beta=0.0, gamma=2.0).delta == pytest.approx(0.25)
+    assert nb.EJDCEVParams(beta=0.5, gamma=2.0).delta == pytest.approx(0.025)
 
 
 class TestParametersOutOfRange:
@@ -79,7 +79,7 @@ class TestNonFiniteInputs:
 class TestDrift:
     def test_gamma_zero_constant_hazard(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=0.0))
-        mu = nb.drift_of(spec)(np.array([95.0, 100.0, 110.0]))
+        mu = drift_of(spec)(np.array([95.0, 100.0, 110.0]))
         assert np.allclose(mu, 0.62)  # 0.1 + 0.02 + 0.5
 
     def test_zero_drift(self):
@@ -89,11 +89,11 @@ class TestDrift:
             qbar=lambda y: np.full_like(np.asarray(y, float), 0.03),
             hazard=lambda y: np.zeros_like(np.asarray(y, float)),
         )
-        assert nb.drift_of(spec)(np.array([100.0]))[0] == pytest.approx(0.0)
+        assert drift_of(spec)(np.array([100.0]))[0] == pytest.approx(0.0)
 
     def test_ejdcev_plugin(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
-        mu = nb.drift_of(spec)(np.array([100.0]))[0]
+        mu = drift_of(spec)(np.array([100.0]))[0]
         # 0.1 - 0 + 0.02 + 0.5 * 0.25^2
         assert mu == pytest.approx(0.15125, abs=1e-12)
 
@@ -101,34 +101,34 @@ class TestDrift:
 class TestSLCoefficients:
     def test_p_starts_at_one(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=1.0))
-        c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
+        c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         assert c.p.values[0] == 1.0
 
     def test_liouville_closed_form_beta0(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.0, gamma=1.0))
-        mesh = nb.build_mesh(90, 120, 2001)
-        c = nb.build_sl_coefficients(spec, mesh)
+        mesh = build_mesh(90, 120, 2001)
+        c = build_sl_coefficients(spec, mesh)
         exact = math.sqrt(2.0) / 0.25 * np.log(mesh.points / 90.0)
         assert np.max(np.abs(c.l.values - exact)) < 1e-8
 
     def test_liouville_linear_beta_minus1(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
-        mesh = nb.build_mesh(90, 120, 2001)
-        c = nb.build_sl_coefficients(spec, mesh)
+        mesh = build_mesh(90, 120, 2001)
+        c = build_sl_coefficients(spec, mesh)
         exact = math.sqrt(2.0) * (mesh.points - 90.0) / 25.0
         assert np.max(np.abs(c.l.values - exact)) < 1e-8
 
     def test_p_closed_form_beta0(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.0, gamma=0.0))
-        mesh = nb.build_mesh(90, 120, 2001)
-        c = nb.build_sl_coefficients(spec, mesh)
+        mesh = build_mesh(90, 120, 2001)
+        c = build_sl_coefficients(spec, mesh)
         mu = 0.62
         exact = (mesh.points / 90.0) ** (2.0 * mu / 0.25**2)
         assert np.max(np.abs(c.p.values - exact) / exact) < 1e-8
 
     def test_l_increasing_rho_positive(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-2.0, gamma=1.0))
-        c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
+        c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         assert c.l.values[0] == 0.0
         assert np.all(np.diff(c.l.values) > 0)
         assert np.all(c.rho.values > 0)
@@ -136,8 +136,8 @@ class TestSLCoefficients:
 
     def test_mesh_insensitivity(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
-        coarse = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 3001))
-        fine = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 10001))
+        coarse = build_sl_coefficients(spec, build_mesh(90, 120, 3001))
+        fine = build_sl_coefficients(spec, build_mesh(90, 120, 10001))
         ys = np.linspace(90, 120, 301)
         for gf_coarse, gf_fine in ((coarse.l, fine.l), (coarse.rho, fine.rho)):
             a = interpolate(gf_coarse, ys)
@@ -152,13 +152,13 @@ class TestSLCoefficients:
             hazard=lambda y: np.zeros_like(np.asarray(y, float)),
         )
         with pytest.raises(nb.PositivityError):
-            nb.build_sl_coefficients(bad, nb.build_mesh(90, 120, 101))
+            build_sl_coefficients(bad, build_mesh(90, 120, 101))
 
 
 class TestConsistencyCheck:
     def test_clean_build(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
-        c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
+        c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         report = identity_p_w_q_consistency(c, spec)
         assert isinstance(report, ConsistencyReport)
         assert report.w_residual < 1e-12
@@ -166,8 +166,8 @@ class TestConsistencyCheck:
 
     def test_tampered_w_flagged(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
-        c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
-        bad = nb.SLCoefficients(
+        c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
+        bad = SLCoefficients(
             mesh=c.mesh, p=c.p, q=c.q,
             w=nb.GridFunction(c.mesh, c.w.values * 1.001),
             l=c.l, rho=c.rho, rho_prime=c.rho_prime,
@@ -177,7 +177,7 @@ class TestConsistencyCheck:
 
 def test_scale_gauge_relations():
     spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=1.0))
-    c = nb.build_sl_coefficients(spec, nb.build_mesh(90, 120, 1001))
+    c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
     scaled = scale_gauge(c, 10.0)
     assert np.allclose(scaled.p.values, 10.0 * c.p.values)
     assert np.allclose(scaled.rho.values, math.sqrt(10.0) * c.rho.values)
@@ -193,7 +193,7 @@ def test_rho_prime_numeric_fallback():
         sigma=with_analytic.sigma, rbar=with_analytic.rbar,
         qbar=with_analytic.qbar, hazard=with_analytic.hazard,
     )
-    mesh = nb.build_mesh(90, 120, 2001)
-    a = nb.build_sl_coefficients(with_analytic, mesh)
-    b = nb.build_sl_coefficients(without, mesh)
+    mesh = build_mesh(90, 120, 2001)
+    a = build_sl_coefficients(with_analytic, mesh)
+    b = build_sl_coefficients(without, mesh)
     assert np.max(np.abs(a.rho_prime.values - b.rho_prime.values)) < 1e-8

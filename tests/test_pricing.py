@@ -7,7 +7,7 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer import engine, pricing, spectrum
 from nsbf_pricer.fd import FDGrid, fd_price
-from nsbf_pricer.mesh import derivative_values, inner_product
+from nsbf_pricer.mesh import build_mesh, derivative_values, inner_product
 
 from conftest import make_solver
 from dual_routes import interpolate
@@ -54,7 +54,7 @@ class TestContractValidation:
     @pytest.mark.parametrize("lo, hi", [(120.0, 90.0), (-1.0, 120.0), (0.0, 120.0), (90.0, 90.0)])
     @pytest.mark.parametrize("style", ["call", "custom"])
     def test_barriers_need_0_lt_L_lt_U(self, style, lo, hi):
-        mesh = nb.build_mesh(L, U, 201)
+        mesh = build_mesh(L, U, 201)
         zero = nb.GridFunction(mesh, np.zeros(mesh.M))
         with pytest.raises(nb.ParameterOutOfRange, match=f"L={lo}, U={hi}"):
             nb.OptionContract(style, lo, hi, 0.5, 100.0, payoff=zero)
@@ -89,7 +89,7 @@ class TestFourierCoefficients:
         # same point count, other interval: read as if sampled on [L, U] it
         # would price a different payoff
         s = medium(-1.0, 2.0)
-        wide = nb.build_mesh(80.0, 130.0, s.mesh.M)
+        wide = build_mesh(80.0, 130.0, s.mesh.M)
         payoff = nb.GridFunction(wide, np.maximum(wide.points - 100.0, 0.0))
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=payoff)
         with pytest.raises(ValueError, match="different mesh"):
@@ -97,7 +97,7 @@ class TestFourierCoefficients:
 
     def test_custom_payoff_on_the_solved_mesh_prices_as_the_call(self, medium):
         s = medium(-1.0, 2.0)
-        mesh = nb.build_mesh(L, U, s.mesh.M)
+        mesh = build_mesh(L, U, s.mesh.M)
         payoff = nb.GridFunction(mesh, np.maximum(mesh.points - 100.0, 0.0))
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=payoff)
         assert s.price(c, Y0).price == s.price(contract(), Y0).price
@@ -185,7 +185,7 @@ class TestQuoteInputValidation:
     def test_rows_at_non_finite_point(self, medium):
         s = medium(-1.0, 2.0)
         with pytest.raises(ValueError, match="not finite"):
-            nb.rows_at(math.nan, s.pairs, s.sl)
+            pricing.rows_at(math.nan, s.pairs, s.sl)
 
 
 class TestOneSolvePath:
@@ -214,6 +214,20 @@ class TestOneSolvePath:
         r = s.price(contract(), Y0, greeks=True)
         assert len(solves) == 1
         assert r.delta is not None and r.theta is not None
+
+    def test_retained_pairs_solves_first(self):
+        s = make_solver(-1.0, 2.0, mesh_points=2001)
+        assert len(s.retained_pairs(contract())) == s.price(contract(), Y0).N_used
+
+    def test_diagnostics_solves_first(self):
+        s = make_solver(-1.0, 2.0, mesh_points=2001)
+        assert s.diagnostics()["eigenvalues_found"] == len(s.pairs)
+
+    def test_contract_on_other_barriers_refused(self, medium):
+        s, other = medium(-1.0, 2.0), nb.OptionContract("call", 80.0, U, 0.5, 100.0)
+        for read in (s.retained_pairs, s.surface, lambda c: s.price(c, Y0)):
+            with pytest.raises(ValueError, match="barriers differ"):
+                read(other)
 
 
 class TestValueSurface:
@@ -374,7 +388,25 @@ class TestTruncation:
             for T in (1 / 360, 0.5, 5.0):
                 pairs = s.retained_pairs(contract(T=T))
                 assert np.array_equal(pairs.lam, lam[:kept])
-                assert s.price(contract(T=T), Y0).N_used == kept
+                r = s.price(contract(T=T), Y0)
+                assert r.N_used == kept
+                assert r.diagnostics["truncation"] == "lambda_cutoff"
+
+    # omega_max**2 T against the cap of 35: 112.5 (table1-medium), 27.8
+    # (table3-short) and 0.625 (the default window at one day, pinned by
+    # test_known_defect_default_window_truncates_one_day_quote); below the
+    # cap, roots the decay rule would keep may lie above the window
+    @pytest.mark.parametrize("beta, T, window, cut", [
+        (-1.0, 0.5, "default", "lambda_decay_cap"),
+        (-2.0, 1 / 360, "short", "window"),
+        (-1.0, 1 / 360, "default", "window"),
+    ])
+    def test_diagnostics_name_what_cut_the_series(self, medium, short, beta, T, window, cut):
+        s = (short if window == "short" else medium)(beta, 2.0)
+        r = s.price(contract(T=T), Y0)
+        assert r.diagnostics["truncation"] == cut
+        assert (r.N_used == len(s.pairs)) == (cut == "window")
+        assert set(r.diagnostics) == set(s.diagnostics()) | {"truncation"}
 
 
 class TestContribution:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import nsbf_pricer as nb
 from nsbf_pricer import pricing
 from nsbf_pricer.engine import solve_from_sl
+from nsbf_pricer.mesh import inner_product
 
 from dual_routes import interpolate, scale_gauge
 
@@ -74,7 +75,7 @@ def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
     t = t_share * T
     f = pricing.payoff_grid(c, solver.mesh)
     expected = sum(
-        nb.inner_product(f, p.phi, solver.sl.w) / p.norm_sq
+        inner_product(f, p.phi, solver.sl.w) / p.norm_sq
         * interpolate(p.phi, y0) * np.exp(-p.lam * (T - t))
         for p in pricing.select_pairs(solver.pairs, T, solver.config)
     )

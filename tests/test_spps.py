@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
-from nsbf_pricer.mesh import derivative_values
+from nsbf_pricer.mesh import build_mesh, derivative_values
+from nsbf_pricer.model import SLCoefficients
 from nsbf_pricer.spps import build_formal_powers, solve_particular
 
 from dual_routes import formal_power_table
@@ -33,9 +34,9 @@ class TestParticularSolution:
         assert np.max(np.abs(residual[interior])) / scale < 1e-8
 
     def test_positivity_guard(self):
-        mesh = nb.build_mesh(1.0, 2.0, 501)
+        mesh = build_mesh(1.0, 2.0, 501)
         ones = np.ones(mesh.M)
-        sign_changing = nb.SLCoefficients(
+        sign_changing = SLCoefficients(
             mesh=mesh,
             p=nb.GridFunction(mesh, ones),
             q=nb.GridFunction(mesh, -40.0 * ones),  # strongly oscillatory regime
