@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,21 +68,20 @@ class NumericsConfig:
 
 def solve_from_sl(
     sl: SLCoefficients, config: NumericsConfig
-) -> tuple[SLCoefficients, ParticularSolution, NSBFCoefficients, EigenBasis]:
+) -> tuple[ParticularSolution, NSBFCoefficients, EigenBasis]:
     """Coefficient and spectral stages for pre-built Sturm-Liouville data.
 
-    Returns sl with its steady state attached (pricing needs it), the
-    particular solution, the coefficients and the stacked eigenbasis.  Entry point
-    for synthetic problems and gauge-invariance checks that construct or
-    rescale the coefficients directly.
+    Returns the particular solution, the coefficients and the stacked
+    eigenbasis, which carries the steady state that pricing needs.  Entry
+    point for synthetic problems and gauge-invariance checks that construct
+    or rescale the coefficients directly.
     """
     particular = solve_particular(sl)
     powers = build_formal_powers(particular, sl)
-    steady, steady_prime = steady_state(powers, sl.mesh)
-    sl = replace(sl, steady=steady, steady_prime=steady_prime)
+    h, dh = steady_state(powers)
     coeffs = build_nsbf_coefficients(sl, particular, powers, order=config.nsbf_order)
-    basis = assemble_pairs(find_eigenvalues(coeffs, sl, config.omega_max), coeffs, sl)
-    return sl, particular, coeffs, basis
+    omega = find_eigenvalues(coeffs, sl, config.omega_max)
+    return particular, coeffs, assemble_pairs(omega, coeffs, sl, h, dh)
 
 
 class DoubleBarrierSolver:
@@ -115,8 +114,8 @@ class DoubleBarrierSolver:
         harness does).
         """
         self.mesh = build_mesh(self.L, self.U, self.config.mesh_points)
-        sl = build_sl_coefficients(self.spec, self.mesh)
-        self.sl, self.particular, self.coeffs, self.pairs = solve_from_sl(sl, self.config)
+        self.sl = build_sl_coefficients(self.spec, self.mesh)
+        self.particular, self.coeffs, self.pairs = solve_from_sl(self.sl, self.config)
         self._diagnostics = self._solve_report()
         return self
 
@@ -153,6 +152,7 @@ class DoubleBarrierSolver:
 
         y0 must be finite and in [L, U], and t in [0, T]; each violation raises its
         own InvalidQuoteInput subclass, and a bool TypeError, before any work is done.
+        So does a band that pricing.is_band refuses, with a ValueError naming it.
         """
         if not (is_number(y0) and is_number(t)):
             raise TypeError(f"spot y0 and time t must be real numbers, got y0={y0!r}, t={t!r}")
@@ -162,9 +162,12 @@ class DoubleBarrierSolver:
             raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{self.L}, {self.U}]")
         if not 0.0 <= t <= contract.T:
             raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
+        bad = [band for band in bands or () if not pricing.is_band(band)]
+        if bad:
+            raise ValueError(f"band {bad[0]!r} must be (n1, n2), integers 1 <= n1 <= n2 or n2 None")
         pairs = self.retained_pairs(contract)
-        g = pricing.fourier_coefficients(contract, pairs, self.sl)
-        at = pricing.rows_at(y0, pairs, self.sl)
+        g = pricing.fourier_coefficients(contract, pairs)
+        at = pricing.rows_at(y0, pairs)
         decay = pricing.decay_factors(pairs, contract, t)
         px = pricing.value(at, contract, g, decay)
 
@@ -196,9 +199,13 @@ class DoubleBarrierSolver:
         )
 
     def surface(self, contract: OptionContract, t_count: int = 101, y_count: int = 101):
+        """Value on a t_count x y_count grid; each count must be an integer >= 1, not a bool."""
+        for name, count in (("t_count", t_count), ("y_count", y_count)):
+            if not (is_number(count, numbers.Integral) and count >= 1):
+                raise ValueError(f"surface {name} must be an integer >= 1, got {count!r}")
         pairs = self.retained_pairs(contract)
-        g = pricing.fourier_coefficients(contract, pairs, self.sl)
-        return pricing.value_surface(contract, pairs, g, self.sl, t_count, y_count)
+        g = pricing.fourier_coefficients(contract, pairs)
+        return pricing.value_surface(contract, pairs, g, t_count, y_count)
 
     def diagnostics(self) -> dict:
         """Facts about the solve (solving first); computed once per solve, copied per call."""

@@ -86,9 +86,9 @@ class EJDCEVParams:
 class SLCoefficients:
     """Sturm-Liouville data p, q, w plus the Liouville transform l, rho on a mesh.
 
-    steady is the lambda = 0 solution h of (p h')' = q h with h(L) = 0 and
-    h(U) = 1, and steady_prime its derivative; the solve attaches both
-    (engine.solve_from_sl) and every price uses them.
+    Built once from a diffusion (build_sl_coefficients) and never changed;
+    what a solve derives from it, the steady state included, lives on the
+    eigenbasis (spectrum.EigenBasis).
     """
 
     mesh: Mesh
@@ -98,8 +98,6 @@ class SLCoefficients:
     l: GridFunction
     rho: GridFunction
     rho_prime: GridFunction
-    steady: Optional[GridFunction] = None
-    steady_prime: Optional[GridFunction] = None
 
 
 def ejdcev_spec(params: EJDCEVParams) -> DiffusionSpec:

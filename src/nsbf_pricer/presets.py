@@ -15,8 +15,6 @@ _BASE_MODEL = {"type": "ejdcev", "beta": -1.0, "gamma": 2.0}
 
 _BASE_CONTRACT = {"style": "call", "K": 100.0, "L": 90.0, "U": 120.0, "T": 0.5}
 
-_BASE_OUTPUT = {"format": "json", "path": None}
-
 # eigenindex bands of the contribution report (contrib); None: to the last term
 DEFAULT_BANDS = [[1, 5], [6, 10], [11, 15], [16, 20], [21, 25],
                  [26, 30], [31, 35], [36, 40], [41, 45], [46, None]]
@@ -27,7 +25,6 @@ PRESETS = {
         "model": dict(_BASE_MODEL),
         "contract": dict(_BASE_CONTRACT),
         "numerics": {},  # NumericsConfig defaults
-        "output": dict(_BASE_OUTPUT),
         "sweep": {
             "K": [95.0, 100.0, 105.0],
             "beta": [0.5, 0.0, -1.0, -2.0],
@@ -39,7 +36,6 @@ PRESETS = {
         "model": dict(_BASE_MODEL, beta=-2.0),
         "contract": dict(_BASE_CONTRACT, T=1.0 / 360.0),
         "numerics": {"omega_max": 100.0},
-        "output": dict(_BASE_OUTPUT),
         "sweep": {
             "K": [100.0],
             "beta": [-2.0, 1.0],
@@ -57,6 +53,8 @@ def preset(name: str) -> dict:
 
 
 def default_config() -> dict:
+    """table1-medium without its sweep; output.format None lets each command pick its own."""
     cfg = preset("table1-medium")
     cfg.pop("sweep", None)
+    cfg["output"] = {"format": None, "path": None}
     return cfg

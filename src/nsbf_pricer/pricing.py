@@ -8,7 +8,7 @@ knock-out at the upper barrier (R = 0 for a plain contract),
 
 where f is the payoff and h the steady state: the lambda = 0 solution of
 the Sturm-Liouville equation with h(L) = 0 and h(U) = 1, which the solve
-keeps on its Sturm-Liouville data (spps.steady_state).  R h carries the
+builds (spps.steady_state) and keeps on its eigenbasis.  R h carries the
 boundary values, so every modal weight decays like exp(-lambda_n (T - t))
 and the same truncation rule serves every contract.  Greeks reuse the
 eigendata and the same time factors: Delta sums g_n phi_n'(y0)
@@ -16,14 +16,15 @@ exp(-lambda_n (T - t)) and adds R h'(y0), Theta sums g_n lambda_n phi_n(y0)
 exp(-lambda_n (T - t)) (the steady part does not depend on time), and Vega
 is Delta / sigma'(y0) by the chain rule.
 
-A quote touches the stacked basis (spectrum.EigenBasis) twice.  The
-coefficients g travel as one array: d = f - R h times w and the mesh's
-quadrature weights is formed once, and each row block reduces against it.
-Then one interpolation stencil at y0 reads phi, phi', h and h' (Rows), and
-value, Delta, Theta and the band report all use those rows; a surface does
-the same with one stencil on its price grid.  The time factors
-exp(-lambda_n (T - t)) are formed once per quote, so the series and its
-Greeks are taken at the same t.
+A quote reads one solved basis (spectrum.EigenBasis), and reads it twice;
+how the basis stores its rows is the basis's own business.  The
+coefficients g travel as one array: d = f - R h times the basis's
+quadrature vector w weights is formed once, and the basis reduces its phi
+rows against it.  Then one interpolation stencil at y0 reads phi, phi', h
+and h' (Rows), and value, Delta, Theta and the band report all use those
+rows; a surface does the same with one stencil on its price grid.  The
+time factors exp(-lambda_n (T - t)) are formed once per quote, so the
+series and its Greeks are taken at the same t.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
 from .mesh import GridFunction, Mesh, _same_mesh, inner_product, stencil  # noqa: F401
-from .model import DiffusionSpec, SLCoefficients, is_number
+from .model import DiffusionSpec, is_number
 from .spectrum import EigenBasis
 
 if TYPE_CHECKING:
@@ -120,33 +121,37 @@ class PricingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def payoff_grid(contract: OptionContract, mesh: Mesh) -> GridFunction:
+def payoff_grid(contract: OptionContract, mesh: Mesh) -> np.ndarray:
+    """The payoff sampled on the mesh; a custom payoff was checked when it was sampled."""
     y = mesh.points
     if contract.style == "call":
-        vals = np.maximum(y - contract.K, 0.0)
-    elif contract.style == "put":
-        vals = np.maximum(contract.K - y, 0.0)
-    else:
-        if not _same_mesh(contract.payoff.mesh, mesh):
-            raise ValueError("custom payoff sampled on a different mesh")
-        vals = contract.payoff.values
-    return GridFunction(mesh, vals)
+        return np.maximum(y - contract.K, 0.0)
+    if contract.style == "put":
+        return np.maximum(contract.K - y, 0.0)
+    if not _same_mesh(contract.payoff.mesh, mesh):
+        raise ValueError("custom payoff sampled on a different mesh")
+    return contract.payoff.values
 
 
-def fourier_coefficients(
-    contract: OptionContract, pairs: EigenBasis, c: SLCoefficients
-) -> np.ndarray:
+def fourier_coefficients(contract: OptionContract, pairs: EigenBasis) -> np.ndarray:
     """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
 
-    d = f - R h is weighted once, dw = d (w weights), and each row block of
-    the basis reduces against dw through one product buffer, so each g_n
-    equals inner_product(d, phi_n, w) bit for bit.
+    d = f - R h is weighted once, dw = d (w weights), and the basis reduces
+    every phi row against dw, so each g_n equals inner_product(d, phi_n, w)
+    bit for bit.
     """
-    d = payoff_grid(contract, c.mesh).values - contract.rebate * c.steady.values
-    dw = d * (c.w.values * c.mesh.weights)
-    buf = np.empty_like(pairs.phi[0]) if pairs.phi else None
-    ip = [np.sum(np.multiply(b, dw, out=buf[: len(b)]), axis=-1) for b in pairs.phi]
-    return (np.concatenate(ip) if ip else np.empty(0)) / pairs.norm_sq
+    d = payoff_grid(contract, pairs.mesh) - contract.rebate * pairs.h
+    return pairs.phi_sums(d * pairs.ww) / pairs.norm_sq
+
+
+def is_band(band) -> bool:
+    """(n1, n2) with Python ints 1 <= n1 <= n2, or n2 None: to the last pair; bools refused."""
+    if not (isinstance(band, (tuple, list)) and len(band) == 2):
+        return False
+    n1, n2 = band
+    if not (is_number(n1, int) and n1 >= 1):
+        return False
+    return n2 is None or (is_number(n2, int) and n2 >= n1)
 
 
 def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> EigenBasis:
@@ -192,16 +197,10 @@ class Rows:
     dh: np.ndarray
 
 
-def rows_at(y, pairs: EigenBasis, c: SLCoefficients) -> Rows:
+def rows_at(y, pairs: EigenBasis) -> Rows:
     """The basis and the steady state at price(s) y inside [L, U]."""
-    at = stencil(c.mesh, y)
-
-    def stacked(blocks):
-        return np.concatenate([at(b) for b in blocks]) if blocks else np.empty((0, len(at.nodes)))
-
-    return Rows(
-        y, stacked(pairs.phi), stacked(pairs.dphi), at(c.steady.values), at(c.steady_prime.values)
-    )
+    at = stencil(pairs.mesh, y)
+    return Rows(y, *pairs.rows_at(at), at(pairs.h), at(pairs.dh))
 
 
 def decay_factors(pairs: EigenBasis, contract: OptionContract, t: float) -> np.ndarray:
@@ -225,14 +224,13 @@ def value_surface(
     contract: OptionContract,
     pairs: EigenBasis,
     g: np.ndarray,
-    c: SLCoefficients,
     t_count: int = 101,
     y_count: int = 101,
 ):
     """Value on a (t, y) grid; rows are times from 0 to T, columns prices."""
     t_grid = np.linspace(0.0, contract.T, t_count)
     y_grid = np.linspace(contract.L, contract.U, y_count)
-    at = rows_at(y_grid, pairs, c)
+    at = rows_at(y_grid, pairs)
     tau = (contract.T - t_grid)[:, None]
     surface = (g * np.exp(-pairs.lam * tau)) @ at.phi + contract.rebate * at.h
     return t_grid, y_grid, surface
@@ -279,10 +277,7 @@ def contribution_report(
     total = steady
     for n1, n2 in bands:
         hi = len(g) if n2 is None else min(n2, len(g))
-        if n1 > len(g):
-            rows.append((n1, n2, 0.0))
-            continue
-        val = contribution(n1, hi, at, g, decay)
+        val = contribution(n1, hi, at, g, decay) if n1 <= len(g) else 0.0
         rows.append((n1, n2, val))
         total += val
     return ContributionReport(bands=tuple(rows), total=total, steady=steady)

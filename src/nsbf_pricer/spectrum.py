@@ -10,9 +10,10 @@ from one Bessel block).  Each eigenfunction and its derivative are then
 assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
 and one shared block of the odd Bessel orders, the only ones the series
 uses; the derivative's beta series, truncated no higher than alpha's,
-reads the block's leading rows.  The assembled basis (EigenBasis) holds
-each fact once, as arrays: phi_n and phi_n' are rows of (BLOCK_ROWS, M)
-arrays, and an EigenPair is a view of one row, built when asked.  Sturm's
+reads the block's leading rows.  The assembled basis (EigenBasis) is all a
+quote reads, each fact held once, as arrays: phi_n and phi_n' are rows of
+(BLOCK_ROWS, M) arrays that only this module reads, beside the steady state,
+and an EigenPair is a view of one row, built when asked.  Sturm's
 oscillation theorem checks that the scan skipped no root (phi_N has N - 1
 interior zeros), and the slope at each root checks each norm through the
 Sturm-Liouville identity (norm_identity_residuals).
@@ -30,7 +31,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation, ConvergenceError
-from .mesh import GridFunction, Mesh
+from .mesh import Mesh, Stencil
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -55,14 +56,14 @@ class EigenPair:
     lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
     norm_sq carries the normalization, boundary_residual is
     |phi(U)| / sup |phi|, and slope is d phi(U, omega) / d omega at the root.
-    phi and phi_prime are GridFunction views of the basis's rows.
+    phi and phi_prime are views of the basis's rows on its mesh.
     """
 
     n: int
     omega: float
     lam: float
-    phi: GridFunction
-    phi_prime: GridFunction
+    phi: np.ndarray
+    phi_prime: np.ndarray
     norm_sq: float
     boundary_residual: float
     slope: float
@@ -70,12 +71,14 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """The eigenpairs of one solve, held once as arrays.
+    """The eigenpairs of one solve and the steady state, held once as arrays.
 
     omega, lam, slope, norm_sq and boundary_residual hold one entry per
     pair.  phi (dphi) is a tuple of 2-D arrays whose rows, block after
     block, are phi_1, phi_2, ... (phi_1', ...) on the mesh; every block but
-    the last has BLOCK_ROWS rows.  Indexing or iterating builds the
+    the last has BLOCK_ROWS rows.  h and dh are the steady state and its
+    derivative on the mesh, and ww is w times the mesh's quadrature weights,
+    so <f, g>_w = sum(f * (g * ww)).  Indexing or iterating builds the
     EigenPair view of a row when asked; a leading slice gives the basis of
     the first pairs, again as views.
     """
@@ -88,6 +91,9 @@ class EigenBasis:
     boundary_residual: np.ndarray
     phi: tuple
     dphi: tuple
+    h: np.ndarray
+    dh: np.ndarray
+    ww: np.ndarray
 
     def __len__(self) -> int:
         return len(self.omega)
@@ -106,16 +112,28 @@ class EigenBasis:
             phi, dphi = (tuple(b[: stop - k * BLOCK_ROWS] for k, b in enumerate(blocks[:kept]))
                          for blocks in (self.phi, self.dphi))
             return EigenBasis(self.mesh, self.omega[:stop], self.lam[:stop], self.slope[:stop],
-                              self.norm_sq[:stop], self.boundary_residual[:stop], phi, dphi)
+                              self.norm_sq[:stop], self.boundary_residual[:stop], phi, dphi,
+                              self.h, self.dh, self.ww)
         i = range(len(self))[index]
         block, row = divmod(i, BLOCK_ROWS)
         return EigenPair(
             n=i + 1, omega=float(self.omega[i]), lam=float(self.lam[i]),
-            phi=GridFunction(self.mesh, self.phi[block][row]),
-            phi_prime=GridFunction(self.mesh, self.dphi[block][row]),
+            phi=self.phi[block][row], phi_prime=self.dphi[block][row],
             norm_sq=float(self.norm_sq[i]), boundary_residual=float(self.boundary_residual[i]),
             slope=float(self.slope[i]),
         )
+
+    def phi_sums(self, v: np.ndarray) -> np.ndarray:
+        """np.sum(phi_n * v) for every pair, as one array, each block through one buffer."""
+        buf = np.empty_like(self.phi[0]) if self.phi else None
+        sums = [np.sum(np.multiply(b, v, out=buf[: len(b)]), axis=-1) for b in self.phi]
+        return np.concatenate(sums) if sums else np.empty(0)
+
+    def rows_at(self, at: Stencil) -> tuple[np.ndarray, np.ndarray]:
+        """phi_n and phi_n' of every pair at the stencil's points, (pairs, points) each."""
+        empty = np.empty((0, len(at.nodes)))
+        return tuple(np.concatenate([at(b) for b in blocks]) if blocks else empty
+                     for blocks in (self.phi, self.dphi))
 
 
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
@@ -216,7 +234,7 @@ def find_eigenvalues(
     return np.sort(roots)
 
 
-def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenBasis:
+def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) -> EigenBasis:
     """The basis of the roots omega: eigenfunctions and their derivatives, stacked.
 
     phi_n and phi_n' are written straight into row n-1 of the basis's row
@@ -226,7 +244,7 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenB
     at an order no higher than alpha's, so its odd rows read the block's
     leading rows.  The checks, the norms and the boundary residuals are
     taken over the row blocks after the loop, and one characteristic call
-    at the roots gives their slopes.
+    at the roots gives their slopes.  The basis keeps the steady state h, h'.
 
     A non-finite value in any row raises ConvergenceError, and an
     eigenfunction whose |phi(U)| exceeds BOUNDARY_TOL * sup |phi| raises
@@ -237,6 +255,7 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenB
     """
     omega = np.asarray(omega, dtype=float)
     n, l, rho = omega.size, c.l.values, c.rho.values
+    ww = c.w.values * c.mesh.weights
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
     dphi = tuple(np.empty_like(b) for b in phi)
     rows, drows = [r for b in phi for r in b], [r for b in dphi for r in b]
@@ -272,10 +291,9 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients) -> EigenB
                 f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
                 "the omega scan skipped a root or found a spurious one"
             )
-    ww = c.w.values * c.mesh.weights
     norm_sq = np.concatenate([np.sum(b * (b * ww), axis=-1) for b in phi] or [np.empty(0)])
     _, slope = characteristic(omega, coeffs, c)
-    return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi)
+    return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi, h, dh, ww)
 
 
 def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:

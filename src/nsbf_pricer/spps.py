@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .mesh import GridFunction, Mesh, cumulative_integral
+from .mesh import GridFunction, cumulative_integral
 from .model import SLCoefficients
 
 SPPS_TOL = 1e-14  # stop once the last even iterate is this small relative to the sum
@@ -85,7 +85,7 @@ def build_formal_powers(sol: ParticularSolution, c: SLCoefficients) -> FirstForm
     return FirstFormalPower(Y1=Y1, Phi1=Y1 * g, Phi1_prime=sol.g_prime.values * Y1 + 1.0 / (p * g))
 
 
-def steady_state(powers: FirstFormalPower, mesh: Mesh) -> tuple[GridFunction, GridFunction]:
+def steady_state(powers: FirstFormalPower) -> tuple[np.ndarray, np.ndarray]:
     """h = Phi_1 / Phi_1(U), the solution of (p h')' = q h with h(L) = 0, h(U) = 1, and h'."""
     scale = powers.Phi1[-1]
-    return GridFunction(mesh, powers.Phi1 / scale), GridFunction(mesh, powers.Phi1_prime / scale)
+    return powers.Phi1 / scale, powers.Phi1_prime / scale

@@ -36,9 +36,9 @@ from nsbf_pricer.spectrum import REFINE_TOL, characteristic
 from nsbf_pricer.spps import ParticularSolution
 
 
-def interpolate(f: GridFunction, y):
-    """f at the points y through the quote path's stencil; a float for scalar y."""
-    out = stencil(f.mesh, y)(f.values)
+def interpolate(mesh, values: np.ndarray, y):
+    """values on the mesh at the points y through the quote path's stencil; a float for scalar y."""
+    out = stencil(mesh, y)(values)
     return out if np.ndim(y) else float(out[0])
 
 

@@ -294,7 +294,7 @@ def test_criterion_6_spectral_properties(medium, short):
     # boundary residuals, every computed pair of a medium and a short model
     for solver in (medium(-1.0, 2.0), short(-2.0, 2.0)):
         for p in solver.pairs:
-            rel = abs(p.phi.values[-1]) / np.max(np.abs(p.phi.values))
+            rel = abs(p.phi[-1]) / np.max(np.abs(p.phi))
             if rel > 1e-6:
                 problems.append(f"boundary residual {rel:.1e} at n={p.n}")
     # pairwise orthogonality up to n, m = 20
@@ -302,7 +302,8 @@ def test_criterion_6_spectral_properties(medium, short):
     pairs = s.pairs[:20]
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            ip = inner_product(pairs[i].phi, pairs[j].phi, s.sl.w)
+            phi_i, phi_j = (nb.GridFunction(s.mesh, pairs[k].phi) for k in (i, j))
+            ip = inner_product(phi_i, phi_j, s.sl.w)
             rel = abs(ip) / math.sqrt(pairs[i].norm_sq * pairs[j].norm_sq)
             if rel > 1e-6:
                 problems.append(f"orthogonality {rel:.1e} at ({i + 1},{j + 1})")
@@ -314,8 +315,8 @@ def test_criterion_6_spectral_properties(medium, short):
         scaled = scale_gauge(base.sl, kappa)
         *_, pairs_k = solve_from_sl(scaled, nb.NumericsConfig())
         kept = pricing.select_pairs(pairs_k, c.T, nb.NumericsConfig())
-        g = pricing.fourier_coefficients(c, kept, scaled)
-        price_k = pricing.value(pricing.rows_at(Y0, kept, scaled), c, g,
+        g = pricing.fourier_coefficients(c, kept)
+        price_k = pricing.value(pricing.rows_at(Y0, kept), c, g,
                                 pricing.decay_factors(kept, c, 0.0))
         rel = abs(price_k - base_price) / base_price
         if rel > 1e-9:
@@ -334,13 +335,13 @@ def test_criterion_7_greeks_vs_finite_differences(medium):
             solver = medium(beta, gamma)
             c = contract()
             pairs = solver.retained_pairs(c)
-            g = pricing.fourier_coefficients(c, pairs, solver.sl)
+            g = pricing.fourier_coefficients(c, pairs)
 
             def value(y, t):
                 decay = pricing.decay_factors(pairs, c, t)
-                return pricing.value(pricing.rows_at(y, pairs, solver.sl), c, g, decay)
+                return pricing.value(pricing.rows_at(y, pairs), c, g, decay)
 
-            at = pricing.rows_at(Y0, pairs, solver.sl)
+            at = pricing.rows_at(Y0, pairs)
             decay = pricing.decay_factors(pairs, c, 0.0)
             d = pricing.delta(at, c, g, decay)
             fd_d = (value(Y0 + h, 0.0) - value(Y0 - h, 0.0)) / (2 * h)
@@ -396,14 +397,15 @@ def test_criterion_9_rebate(medium, short):
     # no steady term, bit for bit
     plain = contract()
     pairs = solver.retained_pairs(plain)
-    f = pricing.payoff_grid(plain, solver.mesh)
-    fn = np.array([inner_product(f, p.phi, solver.sl.w) / p.norm_sq for p in pairs])
+    f = nb.GridFunction(solver.mesh, pricing.payoff_grid(plain, solver.mesh))
+    fn = np.array([inner_product(f, nb.GridFunction(solver.mesh, p.phi), solver.sl.w) / p.norm_sq
+                   for p in pairs])
     lam = np.array([p.lam for p in pairs])
     ys = np.linspace(L + 0.5, U - 0.5, 11)
-    phis = np.array([interpolate(p.phi, ys) for p in pairs])
+    phis = np.array([interpolate(solver.mesh, p.phi, ys) for p in pairs])
     series = np.tensordot(fn * np.exp(-lam * (MEDIUM_T - 0.1)), phis, axes=(0, 0))
-    g = pricing.fourier_coefficients(plain, pairs, solver.sl)
-    got = pricing.value(pricing.rows_at(ys, pairs, solver.sl), plain, g,
+    g = pricing.fourier_coefficients(plain, pairs)
+    got = pricing.value(pricing.rows_at(ys, pairs), plain, g,
                         pricing.decay_factors(pairs, plain, 0.1))
     if not (np.array_equal(fn, g) and np.array_equal(got, series)):
         problems.append("R=0 path is not bit-identical to the plain series")
@@ -412,9 +414,9 @@ def test_criterion_9_rebate(medium, short):
     s = short(-1.0, 2.0)
     kept = s.pairs[:27]
     rebate = contract(rebate=U - 100.0)
-    recon0 = pricing.fourier_coefficients(plain, kept, s.sl) @ np.vstack(kept.phi)
-    recon_r = pricing.fourier_coefficients(rebate, kept, s.sl) @ np.vstack(kept.phi)
-    recon_r = recon_r + rebate.rebate * s.sl.steady.values
+    recon0 = pricing.fourier_coefficients(plain, kept) @ np.vstack(kept.phi)
+    recon_r = pricing.fourier_coefficients(rebate, kept) @ np.vstack(kept.phi)
+    recon_r = recon_r + rebate.rebate * kept.h
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)
     ratio = math.sqrt(

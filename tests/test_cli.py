@@ -161,6 +161,16 @@ class TestConfigErrors:
                                  "sweep.K: strike must satisfy L < K < U"),
     }
 
+    # a command writes only its own formats; any other is refused, not ignored
+    @pytest.mark.parametrize("command, fmt", [
+        ("price", "csv"), ("greeks", "csv"), ("surface", "json"),
+        ("check-coefficients", "json"), ("table", "json"),
+    ])
+    def test_format_the_command_does_not_write_exits_2(self, capsys, command, fmt):
+        code, out, err = run_cli(capsys, command, "--preset", "table1-medium", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: output.format") and f"for {command}" in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_config_exits_2_naming_block_and_key(self, capsys, tmp_path, case):
         command, cfg, named = self.MALFORMED[case]

@@ -140,8 +140,8 @@ class TestSLCoefficients:
         fine = build_sl_coefficients(spec, build_mesh(90, 120, 10001))
         ys = np.linspace(90, 120, 301)
         for gf_coarse, gf_fine in ((coarse.l, fine.l), (coarse.rho, fine.rho)):
-            a = interpolate(gf_coarse, ys)
-            b = interpolate(gf_fine, ys)
+            a = interpolate(gf_coarse.mesh, gf_coarse.values, ys)
+            b = interpolate(gf_fine.mesh, gf_fine.values, ys)
             assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)) < 1e-6
 
     def test_sigma_positive_required(self):

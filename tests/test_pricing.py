@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,8 @@ def contract(style="call", K=100.0, T=0.5, rebate=0.0):
 
 def value_at(s, c, pairs, y, t=0.0):
     """Series value of contract c on the given pairs of solver s at (y, t)."""
-    g = pricing.fourier_coefficients(c, pairs, s.sl)
-    return pricing.value(pricing.rows_at(y, pairs, s.sl), c, g, pricing.decay_factors(pairs, c, t))
+    g = pricing.fourier_coefficients(c, pairs)
+    return pricing.value(pricing.rows_at(y, pairs), c, g, pricing.decay_factors(pairs, c, t))
 
 
 class TestContractValidation:
@@ -75,13 +76,14 @@ class TestFourierCoefficients:
         zero = nb.GridFunction(s.mesh, np.zeros(s.mesh.M))
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=zero)
         pairs = s.retained_pairs(c)
-        assert np.all(pricing.fourier_coefficients(c, pairs, s.sl) == 0.0)
+        assert np.all(pricing.fourier_coefficients(c, pairs) == 0.0)
         assert value_at(s, c, pairs, Y0) == 0.0
 
     def test_eigenfunction_payoff_is_delta(self, medium):
         s = medium(-1.0, 2.0)
-        c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=s.pairs[0].phi)
-        g = pricing.fourier_coefficients(c, s.pairs[:4], s.sl)
+        phi_1 = nb.GridFunction(s.mesh, s.pairs[0].phi)
+        c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=phi_1)
+        g = pricing.fourier_coefficients(c, s.pairs[:4])
         assert g[0] == pytest.approx(1.0, abs=1e-8)
         assert np.max(np.abs(g[1:])) < 1e-8
 
@@ -106,7 +108,7 @@ class TestFourierCoefficients:
         # terminal reconstruction of the discontinuous payoff overshoots near U
         s = short(-2.0, 2.0)
         c = contract()
-        recon = pricing.fourier_coefficients(c, s.pairs[:27], s.sl) @ np.vstack(s.pairs[:27].phi)
+        recon = pricing.fourier_coefficients(c, s.pairs[:27]) @ np.vstack(s.pairs[:27].phi)
         near_u = s.mesh.points > 115.0
         assert np.max(recon[near_u]) > (U - c.K) * 1.02
 
@@ -182,10 +184,27 @@ class TestQuoteInputValidation:
         assert abs(s.price(contract(), L).price) < 1e-8
         assert abs(s.price(contract(), U, t=0.5).price) < 1e-8
 
+    # the CLI's band shapes are the API's: a bool, a fraction or a reversed
+    # band is refused, naming the band, before the solve
+    @pytest.mark.parametrize("band", [(True, 3), (5, 3), (3, 2), (1, 2.5), (0, 2), (1,), "1-2"])
+    def test_bad_band_refused_before_any_work(self, band):
+        s = make_solver(-1.0, 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"band {band!r} must be (n1, n2)")):
+            s.price(contract(), Y0, bands=[(1, 2), band])
+        assert s.pairs is None
+
+    @pytest.mark.parametrize("count", [True, 0, -1, 2.5, "5"])
+    @pytest.mark.parametrize("name", ["t_count", "y_count"])
+    def test_bad_surface_count_refused_before_any_work(self, name, count):
+        s = make_solver(-1.0, 2.0)
+        with pytest.raises(ValueError, match=f"surface {name} must be an integer >= 1"):
+            s.surface(contract(), **{name: count})
+        assert s.pairs is None
+
     def test_rows_at_non_finite_point(self, medium):
         s = medium(-1.0, 2.0)
         with pytest.raises(ValueError, match="not finite"):
-            pricing.rows_at(math.nan, s.pairs, s.sl)
+            pricing.rows_at(math.nan, s.pairs)
 
 
 class TestOneSolvePath:
@@ -235,8 +254,8 @@ class TestValueSurface:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, s.sl, t_count=11, y_count=21)
+        g = pricing.fourier_coefficients(c, pairs)
+        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, t_count=11, y_count=21)
         direct = value_at(s, c, pairs, y_grid[7], t_grid[0])
         assert surf[0, 7] == pytest.approx(direct, abs=1e-12)
 
@@ -246,8 +265,8 @@ class TestValueSurface:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, s.sl, t_count=101, y_count=101)
+        g = pricing.fourier_coefficients(c, pairs)
+        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, t_count=101, y_count=101)
         body = surf[t_grid <= 0.9 * c.T]
         assert np.min(body) > -1e-8
         assert np.max(body) < (U - c.K) + 1e-6
@@ -258,8 +277,8 @@ class TestValueSurface:
         f = pricing.payoff_grid(c, s.mesh)
         errs = []
         for n in (5, 10, 20, 27):
-            recon = pricing.fourier_coefficients(c, s.pairs[:n], s.sl) @ np.vstack(s.pairs[:n].phi)
-            diff = nb.GridFunction(s.mesh, recon - f.values)
+            recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ np.vstack(s.pairs[:n].phi)
+            diff = nb.GridFunction(s.mesh, recon - f)
             errs.append(math.sqrt(inner_product(diff, diff, s.sl.w)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
@@ -269,9 +288,9 @@ class TestGreeks:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs)
         decay = pricing.decay_factors(pairs, c, 0.0)
-        d = pricing.delta(pricing.rows_at(Y0, pairs, s.sl), c, g, decay)
+        d = pricing.delta(pricing.rows_at(Y0, pairs), c, g, decay)
         h = (U - L) / 2000.0
         fd = (value_at(s, c, pairs, Y0 + h) - value_at(s, c, pairs, Y0 - h)) / (2 * h)
         assert abs(d - fd) / abs(fd) < 1e-3
@@ -280,9 +299,9 @@ class TestGreeks:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs)
         decay = pricing.decay_factors(pairs, c, 0.0)
-        th = pricing.theta(pricing.rows_at(Y0, pairs, s.sl), pairs, g, decay)
+        th = pricing.theta(pricing.rows_at(Y0, pairs), pairs, g, decay)
         dt = c.T / 2000.0
         v = [value_at(s, c, pairs, Y0, k * dt) for k in range(3)]
         fd = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
@@ -414,8 +433,8 @@ class TestContribution:
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360)
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
-        at = pricing.rows_at(Y0, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs)
+        at = pricing.rows_at(Y0, pairs)
         total = pricing.contribution(1, len(pairs), at, g, pricing.decay_factors(pairs, c, 0.0))
         assert total == pytest.approx(value_at(s, c, pairs, Y0), abs=1e-12)
 
@@ -428,15 +447,15 @@ class TestContribution:
                   for beta, gamma in ((-2.0, 0.0), (-1.0, 2.0))]
         for s, T, R, bands in cases:
             r = s.price(contract(T=T, rebate=R), Y0, bands=bands)
-            assert r.contributions.steady == R * interpolate(s.sl.steady, Y0)
+            assert r.contributions.steady == R * interpolate(s.mesh, s.pairs.h, Y0)
             assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
 
     def test_band_out_of_range(self, short):
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360)
         pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs, s.sl)
-        at = pricing.rows_at(Y0, pairs, s.sl)
+        g = pricing.fourier_coefficients(c, pairs)
+        at = pricing.rows_at(Y0, pairs)
         decay = pricing.decay_factors(pairs, c, 0.0)
         with pytest.raises(ValueError, match="band"):
             pricing.contribution(0, 5, at, g, decay)
@@ -450,22 +469,22 @@ class TestRebate:
         s = medium(-1.0, 2.0)
         plain = contract()
         pairs = s.retained_pairs(plain)
-        fn = pricing.fourier_coefficients(plain, pairs, s.sl)
+        fn = pricing.fourier_coefficients(plain, pairs)
         lam = np.array([p.lam for p in pairs])
         ys = np.linspace(91.0, 119.0, 7)
-        phis = np.array([interpolate(p.phi, ys) for p in pairs])
+        phis = np.array([interpolate(s.mesh, p.phi, ys) for p in pairs])
         for t in (0.0, 0.3):
             series = np.tensordot(fn * np.exp(-lam * (plain.T - t)), phis, axes=(0, 0))
             assert np.array_equal(value_at(s, plain, pairs, ys, t), series)
-        dphis = np.array([interpolate(p.phi_prime, Y0) for p in pairs])
+        dphis = np.array([interpolate(s.mesh, p.phi_prime, Y0) for p in pairs])
         modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
         decay = pricing.decay_factors(pairs, plain, 0.0)
-        assert pricing.delta(pricing.rows_at(Y0, pairs, s.sl), plain, fn, decay) == modes
+        assert pricing.delta(pricing.rows_at(Y0, pairs), plain, fn, decay) == modes
 
     def test_steady_state_solves_the_boundary_problem(self, medium):
         # h(L) = 0, h(U) = 1, h' matches differencing, and (p h')' = q h
         s = medium(-2.0, 0.0)
-        h, dh = s.sl.steady.values, s.sl.steady_prime.values
+        h, dh = s.pairs.h, s.pairs.dh
         assert h[0] == 0.0 and h[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(derivative_values(s.mesh, h) - dh)) < 1e-10 * np.max(np.abs(dh))
         flux = derivative_values(s.mesh, s.sl.p.values * dh)[5:-5]
@@ -481,10 +500,11 @@ class TestRebate:
         n_keep = 27
         pairs = s.pairs[:n_keep]
         f = pricing.payoff_grid(c0, s.mesh)
-        recon0 = pricing.fourier_coefficients(c0, pairs, s.sl) @ np.vstack(pairs.phi)
-        err0 = nb.GridFunction(s.mesh, recon0 - f.values)
-        recon_r = pricing.fourier_coefficients(cr, pairs, s.sl) @ np.vstack(pairs.phi) + cr.rebate * s.sl.steady.values
-        err_r = nb.GridFunction(s.mesh, recon_r - f.values)
+        recon0 = pricing.fourier_coefficients(c0, pairs) @ np.vstack(pairs.phi)
+        err0 = nb.GridFunction(s.mesh, recon0 - f)
+        recon_r = pricing.fourier_coefficients(cr, pairs) @ np.vstack(pairs.phi)
+        recon_r = recon_r + cr.rebate * pairs.h
+        err_r = nb.GridFunction(s.mesh, recon_r - f)
         e0 = math.sqrt(inner_product(err0, err0, s.sl.w))
         er = math.sqrt(inner_product(err_r, err_r, s.sl.w))
         assert e0 / er >= 5.0
@@ -519,13 +539,14 @@ class TestStackedBasis:
     @staticmethod
     def reference(s, c, y0, t, bands):
         pairs = s.retained_pairs(c)
-        d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh).values - c.rebate * s.sl.steady.values)
-        g = np.array([inner_product(d, p.phi, s.sl.w) / p.norm_sq for p in pairs])
+        d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * s.pairs.h)
+        g = np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), s.sl.w) / p.norm_sq
+                      for p in pairs])
         lam = np.array([p.lam for p in pairs])
-        phi = np.array([interpolate(p.phi, [y0]) for p in pairs])
-        dphi = np.array([interpolate(p.phi_prime, y0) for p in pairs])
-        h = interpolate(s.sl.steady, y0)
-        dh = interpolate(s.sl.steady_prime, y0)
+        phi = np.array([interpolate(s.mesh, p.phi, [y0]) for p in pairs])
+        dphi = np.array([interpolate(s.mesh, p.phi_prime, y0) for p in pairs])
+        h = interpolate(s.mesh, s.pairs.h, y0)
+        dh = interpolate(s.mesh, s.pairs.dh, y0)
         price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
         delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
         theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
@@ -536,9 +557,10 @@ class TestStackedBasis:
             rows.append((n1, n2, val))
             total += val
         y_grid = np.linspace(L, U, 41)
-        phis = np.array([interpolate(p.phi, y_grid) for p in pairs])
+        phis = np.array([interpolate(s.mesh, p.phi, y_grid) for p in pairs])
         tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
-        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * interpolate(s.sl.steady, y_grid)
+        h_grid = interpolate(s.mesh, s.pairs.h, y_grid)
+        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * h_grid
         return g, float(price[0]), delta, theta, tuple(rows), total, surface
 
     @pytest.mark.parametrize("style", ["call", "put", "custom"])
@@ -553,7 +575,7 @@ class TestStackedBasis:
         pairs = s.retained_pairs(c)
         for y0, t in ((float(s.mesh.points[3337]), 0.0), (101.2345678, 0.3 * T), (L, 0.0), (U, 0.0)):
             g, price, delta, theta, rows, total, surface = self.reference(s, c, y0, t, bands)
-            assert np.array_equal(pricing.fourier_coefficients(c, pairs, s.sl), g)
+            assert np.array_equal(pricing.fourier_coefficients(c, pairs), g)
             r = s.price(c, y0, greeks=True, bands=bands, t=t)
             assert (r.price, r.delta, r.theta) == (price, delta, theta)
             assert r.contributions.bands == rows and r.contributions.total == total
@@ -582,8 +604,8 @@ class TestStackedBasis:
             assert [b.shape for b in basis.dphi] == [b.shape for b in basis.phi]
             for i, p in enumerate(basis):
                 assert p.n == i + 1
-                assert np.shares_memory(p.phi.values, basis.phi[i // rows][i % rows])
-                assert np.shares_memory(p.phi_prime.values, basis.dphi[i // rows][i % rows])
+                assert np.shares_memory(p.phi, basis.phi[i // rows][i % rows])
+                assert np.shares_memory(p.phi_prime, basis.dphi[i // rows][i % rows])
                 assert (p.omega, p.lam, p.norm_sq, p.boundary_residual, p.slope) == (
                     basis.omega[i], basis.lam[i], basis.norm_sq[i], basis.boundary_residual[i],
                     basis.slope[i])
@@ -596,7 +618,7 @@ class TestStackedBasis:
                 assert len(part) == min(stop, n) and np.array_equal(part.lam, basis.lam[:stop])
                 last = part[-1]
                 assert (last.n, last.omega) == (len(part), basis.omega[len(part) - 1])
-                assert np.array_equal(last.phi.values, basis[len(part) - 1].phi.values)
+                assert np.array_equal(last.phi, basis[len(part) - 1].phi)
             for bad in (slice(3, 9), slice(None, None, 2)):
                 with pytest.raises(ValueError, match="leading"):
                     basis[bad]

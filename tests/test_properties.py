@@ -73,16 +73,16 @@ def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
     solver, T = solved
     c = nb.OptionContract(style, L, U, T, K)
     t = t_share * T
-    f = pricing.payoff_grid(c, solver.mesh)
+    f = nb.GridFunction(solver.mesh, pricing.payoff_grid(c, solver.mesh))
     expected = sum(
-        inner_product(f, p.phi, solver.sl.w) / p.norm_sq
-        * interpolate(p.phi, y0) * np.exp(-p.lam * (T - t))
+        inner_product(f, nb.GridFunction(solver.mesh, p.phi), solver.sl.w) / p.norm_sq
+        * interpolate(solver.mesh, p.phi, y0) * np.exp(-p.lam * (T - t))
         for p in pricing.select_pairs(solver.pairs, T, solver.config)
     )
     pairs = solver.retained_pairs(c)
-    g = pricing.fourier_coefficients(c, pairs, solver.sl)
+    g = pricing.fourier_coefficients(c, pairs)
     decay = pricing.decay_factors(pairs, c, t)
-    got = pricing.value(pricing.rows_at(y0, pairs, solver.sl), c, g, decay)
+    got = pricing.value(pricing.rows_at(y0, pairs), c, g, decay)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
@@ -109,23 +109,24 @@ def test_prices_monotone_in_strike(solved, K1, K2, y0, R):
 
 @pytest.fixture(scope="module")
 def six_month_basis(medium):
+    """The six-month Sturm-Liouville data and the basis solved from it."""
     T, beta, gamma = HORIZONS["six-month"]
-    return solve_from_sl(medium(beta, gamma).sl, nb.NumericsConfig())
+    sl = medium(beta, gamma).sl
+    return sl, solve_from_sl(sl, nb.NumericsConfig())[-1]
 
 
-def _series_price(solved_sl, style, K, R, y0):
-    sl, _, _, basis = solved_sl
+def _series_price(basis, style, K, R, y0):
     T = HORIZONS["six-month"][0]
     c = nb.OptionContract(style, L, U, T, K, rebate=R)
     pairs = pricing.select_pairs(basis, T, nb.NumericsConfig())
-    g = pricing.fourier_coefficients(c, pairs, sl)
-    return pricing.value(pricing.rows_at(y0, pairs, sl), c, g, pricing.decay_factors(pairs, c, 0.0))
+    g = pricing.fourier_coefficients(c, pairs)
+    return pricing.value(pricing.rows_at(y0, pairs), c, g, pricing.decay_factors(pairs, c, 0.0))
 
 
 @settings(max_examples=10, deadline=None)
 @given(log_kappa=st.floats(-3.0, 3.0), style=styles, K=strikes, y0=spots, R=rebates)
 def test_price_unchanged_by_gauge(six_month_basis, log_kappa, style, K, y0, R):
-    sl = scale_gauge(six_month_basis[0], 10.0**log_kappa)
-    scaled = solve_from_sl(sl, nb.NumericsConfig())
-    expected = _series_price(six_month_basis, style, K, R, y0)
+    sl, basis = six_month_basis
+    *_, scaled = solve_from_sl(scale_gauge(sl, 10.0**log_kappa), nb.NumericsConfig())
+    expected = _series_price(basis, style, K, R, y0)
     assert _series_price(scaled, style, K, R, y0) == pytest.approx(expected, abs=GAUGE_TOL)

@@ -7,7 +7,7 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer import spectrum
 from nsbf_pricer.engine import solve_from_sl
-from nsbf_pricer.mesh import derivative_values, inner_product
+from nsbf_pricer.mesh import GridFunction, derivative_values, inner_product
 from nsbf_pricer.spectrum import (
     assemble_pairs, characteristic, find_eigenvalues, norm_identity_residuals,
 )
@@ -21,8 +21,8 @@ GRID = [(b, g) for b in (-2.0, -0.5, 1.0) for g in (0.0, 1.0, 2.0, 3.0)]
 
 @pytest.fixture(scope="module")
 def flat_solved(flat_sl):
-    # (particular, coefficients, pairs); the returned Sturm-Liouville data is not needed
-    return solve_from_sl(flat_sl, nb.NumericsConfig(omega_max=40.0))[1:]
+    # (particular, coefficients, pairs)
+    return solve_from_sl(flat_sl, nb.NumericsConfig(omega_max=40.0))
 
 
 class TestCharacteristic:
@@ -157,7 +157,7 @@ class TestFindEigenvalues:
         # times, not N - 1 (Sturm's oscillation theorem)
         s = medium(-1.0, 2.0)
         with pytest.raises(nb.ConvergenceError, match="changes sign"):
-            assemble_pairs(np.delete(s.pairs.omega, 1), s.coeffs, s.sl)
+            assemble_pairs(np.delete(s.pairs.omega, 1), s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
 
     def test_coarse_scan_raises(self, medium, monkeypatch):
         # a scan of one point per two spacings steps over roots; the solve
@@ -194,32 +194,33 @@ class TestEigenfunctions:
     def test_zero_at_left_barrier(self, medium):
         s = medium(-1.0, 2.0)
         for p in s.pairs[:3]:
-            assert p.phi.values[0] == 0.0
+            assert p.phi[0] == 0.0
 
     def test_boundary_residual_small(self, medium):
         s = medium(-1.0, 2.0)
         for p in s.pairs:
-            assert abs(p.phi.values[-1]) <= 1e-6 * np.max(np.abs(p.phi.values))
+            assert abs(p.phi[-1]) <= 1e-6 * np.max(np.abs(p.phi))
 
     def test_flat_sine_shape_and_norm(self, flat_sl, flat_solved):
         _, _, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
         p1 = pairs[0]
-        assert np.max(np.abs(p1.phi.values - np.sin(math.pi * x))) < 1e-8
+        assert np.max(np.abs(p1.phi - np.sin(math.pi * x))) < 1e-8
         assert p1.norm_sq == pytest.approx(0.5, abs=1e-10)
 
     def test_orthogonality(self, medium):
         s = medium(-1.0, 2.0)
         for i in range(3):
             for j in range(i + 1, 4):
-                ip = inner_product(s.pairs[i].phi, s.pairs[j].phi, s.sl.w)
+                phi_i, phi_j = (nb.GridFunction(s.mesh, s.pairs[k].phi) for k in (i, j))
+                ip = inner_product(phi_i, phi_j, s.sl.w)
                 norm = math.sqrt(s.pairs[i].norm_sq * s.pairs[j].norm_sq)
                 assert abs(ip) / norm < 1e-6
 
     def test_boundary_violation_raised(self, medium):
         s = medium(-1.0, 2.0)
         with pytest.raises(nb.BoundaryViolation, match="phi_1"):
-            assemble_pairs(s.pairs.omega[:1] * 1.05, s.coeffs, s.sl)
+            assemble_pairs(s.pairs.omega[:1] * 1.05, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
 
     def test_non_finite_alpha_row_raises(self, medium):
         # a NaN coefficient row makes every row NaN; the boundary test is
@@ -228,15 +229,34 @@ class TestEigenfunctions:
         alpha = s.coeffs.alpha.copy()
         alpha[1] = np.nan
         with pytest.raises(nb.ConvergenceError, match="not finite"):
-            assemble_pairs(s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl)
+            assemble_pairs(
+                s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl, s.pairs.h, s.pairs.dh
+            )
+
+
+class TestPairViews:
+    def test_iterating_and_indexing_build_no_grid_function(self, short, monkeypatch):
+        # every row was checked finite once, at assembly; a pair holds plain
+        # views of its basis's rows and checks nothing again
+        s = short(-2.0, 3.0)
+        kept = s.retained_pairs(nb.OptionContract("call", 90.0, 120.0, 1 / 360, 100.0))
+        assert len(kept) == 56
+        calls = []
+        checked = GridFunction.__post_init__
+        monkeypatch.setattr(GridFunction, "__post_init__", lambda gf: calls.append(checked(gf)))
+        pairs = list(kept) + [kept[i] for i in range(len(kept))] + [kept[-1]]
+        assert calls == []
+        assert all(type(p.phi) is type(p.phi_prime) is np.ndarray for p in pairs)
+        nb.GridFunction(s.mesh, pairs[0].phi)  # the count sees a construction
+        assert len(calls) == 1
 
 
 class TestEigenfunctionDerivative:
     def test_flat_cosine(self, flat_sl, flat_solved):
         _, coeffs, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
-        p1 = assemble_pairs(pairs.omega[:1], coeffs, flat_sl)[0]
-        dphi = p1.phi_prime.values
+        p1 = assemble_pairs(pairs.omega[:1], coeffs, flat_sl, pairs.h, pairs.dh)[0]
+        dphi = p1.phi_prime
         exact = p1.omega * np.cos(p1.omega * x)
         assert np.max(np.abs(dphi - exact)) < 1e-8
         # phi(U, omega) = sin(omega): the slope at the root omega_1 = pi is -1
@@ -245,15 +265,15 @@ class TestEigenfunctionDerivative:
     def test_matches_finite_difference(self, medium):
         s = medium(-1.0, 2.0)
         p1 = s.pairs[0]
-        fd = derivative_values(s.sl.mesh, p1.phi.values)
+        fd = derivative_values(s.sl.mesh, p1.phi)
         interior = slice(200, -200)
-        scale = np.max(np.abs(p1.phi_prime.values[interior]))
-        err = np.abs(p1.phi_prime.values[interior] - fd[interior])
+        scale = np.max(np.abs(p1.phi_prime[interior]))
+        err = np.abs(p1.phi_prime[interior] - fd[interior])
         assert np.max(err) / scale < 1e-4
 
     def test_rises_from_left_barrier(self, medium):
         s = medium(-1.0, 2.0)
-        assert s.pairs[0].phi_prime.values[0] > 0
+        assert s.pairs[0].phi_prime[0] > 0
 
     def test_beta_order_moves_only_the_derivatives(self, short):
         # beta reads the leading rows of alpha's Bessel block: a lower beta
@@ -261,7 +281,7 @@ class TestEigenfunctionDerivative:
         s = short(-2.0, 0.0)
         assert s.coeffs.M_beta < s.coeffs.M_trunc
         low = replace(s.coeffs, beta=s.coeffs.beta[:4], M_beta=3)
-        basis = assemble_pairs(s.pairs.omega, low, s.sl)
+        basis = assemble_pairs(s.pairs.omega, low, s.sl, s.pairs.h, s.pairs.dh)
         assert np.array_equal(np.concatenate(basis.phi), np.concatenate(s.pairs.phi))
         assert np.array_equal(basis.norm_sq, s.pairs.norm_sq)
         moved = np.abs(np.concatenate(basis.dphi) - np.concatenate(s.pairs.dphi))
