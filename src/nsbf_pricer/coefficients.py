@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .mesh import GridFunction, cumulative_integral, derivative_values
+from .mesh import cumulative_integral, derivative_values
 from .model import SLCoefficients
 from .spps import FirstFormalPower, ParticularSolution
 
@@ -40,10 +40,10 @@ class NSBFCoefficients:
     """alpha/beta families, rows indexed by order.
 
     alpha has rows for orders 0..M_trunc, beta for orders 0..M_beta, with
-    M_beta <= M_trunc.  The identities are: sum alpha, alternating sum
-    alpha, sum beta, alternating sum beta.  check_residuals holds their
-    pointwise residuals, the alpha pair at M_trunc and the beta
-    pair at M_beta; residual_by_order[m, i] is the sup-norm residual of
+    M_beta <= M_trunc; G2 is compute_G2's array on the mesh.  The identities
+    are: sum alpha, alternating sum alpha, sum beta, alternating sum beta.
+    check_residuals holds their pointwise residuals, the alpha pair at
+    M_trunc and the beta pair at M_beta; residual_by_order[m, i] is the sup-norm residual of
     identity i with the sums truncated at order m, one row per alpha order
     built (beta columns NaN past the last beta order built).
     suggested_order is alpha's order by the plateau rule, order_stop says
@@ -54,7 +54,7 @@ class NSBFCoefficients:
 
     alpha: np.ndarray
     beta: np.ndarray
-    G2: GridFunction
+    G2: np.ndarray
     M_trunc: int
     M_beta: int
     check_residuals: tuple
@@ -64,12 +64,12 @@ class NSBFCoefficients:
     plateau_residual: float
 
 
-def compute_G2(c: SLCoefficients) -> GridFunction:
+def compute_G2(c: SLCoefficients) -> np.ndarray:
     """G2 in the integrated-by-parts form (no second derivative of rho)."""
-    rho, rho_p, w, q = c.rho.values, c.rho_prime.values, c.w.values, c.q.values
+    rho, rho_p, w, q = c.rho, c.rho_prime, c.w, c.q
     boundary = rho * rho_p / (2.0 * w)
     tail = 0.5 * cumulative_integral(c.mesh, q / rho**2 + rho_p**2 / w)
-    return GridFunction(c.mesh, boundary - boundary[0] + tail)
+    return boundary - boundary[0] + tail
 
 
 def compute_h_tilde(sol: ParticularSolution, c: SLCoefficients) -> float:
@@ -79,10 +79,9 @@ def compute_h_tilde(sol: ParticularSolution, c: SLCoefficients) -> float:
     rho*g in the Liouville variable; the alternating coefficient-sum
     identity pins it unambiguously.
     """
-    p0, w0 = c.p.values[0], c.w.values[0]
-    rho0 = c.rho.values[0]
-    g0, gp0 = sol.g.values[0], sol.g_prime.values[0]
-    return float(np.sqrt(p0 / w0) * (gp0 / g0 + c.rho_prime.values[0] / rho0))
+    p0, w0, rho0 = c.p[0], c.w[0], c.rho[0]
+    g0, gp0 = sol.g[0], sol.g_prime[0]
+    return float(np.sqrt(p0 / w0) * (gp0 / g0 + c.rho_prime[0] / rho0))
 
 
 def recover_row(A_row: np.ndarray, l: np.ndarray, n: int, n_edge: int) -> np.ndarray:
@@ -120,10 +119,9 @@ def initial_coefficients(
     assembled in a form with the near-L cancellations done symbolically
     (the raw beta1 display divides 0/0 quantities at the left endpoint).
     """
-    l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
-    p, w = c.p.values, c.w.values
-    g, g_p = sol.g.values, sol.g_prime.values
-    sqrt_pw = np.sqrt(p / w)
+    l, rho, rho_p = c.l, c.rho, c.rho_prime
+    g, g_p = sol.g, sol.g_prime
+    sqrt_pw = np.sqrt(c.p / c.w)
     sqrt_wp = 1.0 / sqrt_pw
 
     A0 = 0.5 * (g - 1.0 / rho)
@@ -147,9 +145,9 @@ class _Recurrence:
 
     def __init__(self, c: SLCoefficients, sol: ParticularSolution):
         self.mesh = c.mesh
-        l, rho, g = self.l, self.rho, self.g = c.l.values, c.rho.values, sol.g.values
-        self.sqrt_wp = np.sqrt(c.w.values / c.p.values)
-        gp_rho = sol.g_prime.values * rho + g * c.rho_prime.values
+        l, rho, g = self.l, self.rho, self.g = c.l, c.rho, sol.g
+        self.sqrt_wp = np.sqrt(c.w / c.p)
+        gp_rho = sol.g_prime * rho + g * c.rho_prime
         self.l_gp_rho, self.sqrt_pw_gp_rho = l * gp_rho, 1.0 / self.sqrt_wp * gp_rho
         self.rho2_g2, self.rho2_g, self.l2 = rho**2 * g**2, rho**2 * g, l**2
 
@@ -174,14 +172,7 @@ class _Recurrence:
 
 def _identity_targets(c: SLCoefficients, h_tilde: float, G2: np.ndarray) -> tuple:
     """Right-hand sides of the four sum identities, in residual_by_order column order."""
-    l, rho, w, q, p = (
-        c.l.values,
-        c.rho.values,
-        c.w.values,
-        c.q.values,
-        c.p.values,
-    )
-    rho_p = c.rho_prime.values
+    l, rho, w, q, p, rho_p = c.l, c.rho, c.w, c.q, c.p, c.rho_prime
     bracket = derivative_values(c.mesh, p * (-rho_p / rho**2))
 
     rhs_a_sum = (2.0 * G2 + h_tilde) * l / (2.0 * rho)
@@ -265,13 +256,13 @@ def build_nsbf_coefficients(
     "fixed").  The loop carries the scaled rows of orders n-2 and n-1 only, and
     each family keeps one recovered row and one sup pair per order built.
     """
-    l = c.l.values
+    l = c.l
     G2 = compute_G2(c)
     h_t = compute_h_tilde(sol, c)
     n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
-    A_hist, B_hist = initial_coefficients(sol, c, powers, G2.values, h_t, n_edge)
+    A_hist, B_hist = initial_coefficients(sol, c, powers, G2, h_t, n_edge)
 
-    targets = _identity_targets(c, h_t, G2.values)
+    targets = _identity_targets(c, h_t, G2)
     alpha, beta = _Family(targets[:2]), _Family(targets[2:])
     recurrence = _Recurrence(c, sol)
     search = order is None

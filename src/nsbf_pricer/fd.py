@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import InstabilityError
-from .model import DiffusionSpec, drift_of
+from .model import DiffusionSpec, sample
 from .pricing import OptionContract
 
 
@@ -55,9 +55,10 @@ class FDSolution:
 def _operator_bands(spec: DiffusionSpec, y: np.ndarray, dy: float):
     """Tridiagonal bands of the pricing operator on the interior nodes."""
     yi = y[1:-1]
-    sig = np.asarray(spec.sigma(yi), dtype=float)
-    mu = drift_of(spec)(yi)
-    kill = np.asarray(spec.rbar(yi), dtype=float) + np.asarray(spec.hazard(yi), dtype=float)
+    sig = sample(spec, "sigma", yi)
+    rbar, haz = sample(spec, "rbar", yi), sample(spec, "hazard", yi)
+    mu = rbar - sample(spec, "qbar", yi) + haz  # martingale drift
+    kill = rbar + haz
     a = 0.5 * sig**2 * yi**2 / dy**2
     b = mu * yi / (2.0 * dy)
     lower = a - b

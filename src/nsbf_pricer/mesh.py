@@ -57,7 +57,7 @@ class Mesh:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real-valued function sampled on a mesh."""
+    """Real-valued function sampled on a mesh and checked finite, such as a custom payoff."""
 
     mesh: Mesh
     values: np.ndarray

@@ -25,17 +25,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteParameter, ParameterOutOfRange, PositivityError
-from .mesh import GridFunction, Mesh, cumulative_integral, derivative_values
+from .mesh import Mesh, cumulative_integral, derivative_values
 
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Callables defining a time-homogeneous diffusion on [L, U].
 
-    All callables must accept numpy arrays.  sigma must be positive and C^1
-    on the barrier interval; hazard must be non-negative.  sigma_prime is
-    optional; when absent, rho' falls back to numerical differentiation and
-    vega to a numerical sigma'(y0).
+    Each callable takes a float array of prices and returns values of its
+    shape, or a scalar, which is broadcast to it.  The solve, the oracle and
+    Vega read them only through sample(), which refuses a non-finite value,
+    a sigma that is not positive and a negative hazard.  sigma should be C^1
+    on the barrier interval.  sigma_prime is optional; when absent, rho'
+    falls back to numerical differentiation and vega to a numerical sigma'(y0).
     """
 
     sigma: Callable[[np.ndarray], np.ndarray]
@@ -44,6 +46,33 @@ class DiffusionSpec:
     hazard: Callable[[np.ndarray], np.ndarray]
     sigma_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "custom"
+
+
+# the lower bound each callable with one must exceed (sigma) or reach (hazard) on [L, U]
+_FLOORS = {"sigma": (np.greater, "positive"), "hazard": (np.greater_equal, "non-negative")}
+
+
+def sample(spec: DiffusionSpec, name: str, y: np.ndarray) -> np.ndarray:
+    """The callable spec.<name> at the float array y, as floats of y's shape.
+
+    A scalar return is broadcast.  A NaN or infinite value raises
+    NonFiniteParameter naming the callable and the first bad y; a sigma that
+    is not positive or a negative hazard raises PositivityError the same way.
+    """
+    values = np.asarray(getattr(spec, name)(y), dtype=float)
+    if values.shape != y.shape:
+        values = np.broadcast_to(values, y.shape)
+    ok, error, rule = np.isfinite(values), NonFiniteParameter, "finite"
+    if ok.all():
+        if name not in _FLOORS:
+            return values
+        above, rule = _FLOORS[name]
+        ok, error = above(values, 0.0), PositivityError
+        if ok.all():
+            return values
+    i = np.flatnonzero(~ok)[0]
+    raise error(f"{name}(y) = {values.flat[i]} at y = {y.flat[i]} in model {spec.name!r}: "
+                f"{name} must be {rule} on [L, U]")
 
 
 def is_number(value, kind=numbers.Real) -> bool:
@@ -86,18 +115,19 @@ class EJDCEVParams:
 class SLCoefficients:
     """Sturm-Liouville data p, q, w plus the Liouville transform l, rho on a mesh.
 
-    Built once from a diffusion (build_sl_coefficients) and never changed;
-    what a solve derives from it, the steady state included, lives on the
-    eigenbasis (spectrum.EigenBasis).
+    Each field is a float array of the mesh's values, finite on every node
+    when build_sl_coefficients made it.  Built once from a diffusion and
+    never changed; what a solve derives from it, the steady state included,
+    lives on the eigenbasis (spectrum.EigenBasis).
     """
 
     mesh: Mesh
-    p: GridFunction
-    q: GridFunction
-    w: GridFunction
-    l: GridFunction
-    rho: GridFunction
-    rho_prime: GridFunction
+    p: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+    l: np.ndarray
+    rho: np.ndarray
+    rho_prime: np.ndarray
 
 
 def ejdcev_spec(params: EJDCEVParams) -> DiffusionSpec:
@@ -125,49 +155,39 @@ def ejdcev_spec(params: EJDCEVParams) -> DiffusionSpec:
     )
 
 
-def drift_of(spec: DiffusionSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Martingale drift mu = rbar - qbar + hazard."""
-
-    def mu(y):
-        y = np.asarray(y, dtype=float)
-        return spec.rbar(y) - spec.qbar(y) + spec.hazard(y)
-
-    return mu
-
-
 def build_sl_coefficients(spec: DiffusionSpec, mesh: Mesh) -> SLCoefficients:
-    """Sample p, q, w, l, rho, rho' for a diffusion on a mesh."""
-    y = mesh.points
-    sig = np.asarray(spec.sigma(y), dtype=float)
-    if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
-        raise PositivityError("sigma must be positive and finite on [L, U]")
-    haz = np.asarray(spec.hazard(y), dtype=float)
-    if np.any(haz < 0.0):
-        raise PositivityError("hazard rate must be non-negative on [L, U]")
-    mu = np.asarray(spec.rbar(y), dtype=float) - np.asarray(spec.qbar(y), dtype=float) + haz
+    """Sample p, q, w, l, rho, rho' for a diffusion on a mesh.
 
-    log_p_slope = 2.0 * mu / (y * sig**2)
-    p = np.exp(cumulative_integral(mesh, log_p_slope))
-    w = 2.0 * p / (sig**2 * y**2)
+    The model is read through sample().  A derived array that is not finite
+    (p overflows when the drift is large against sigma^2) or a weight w that
+    is not positive raises PositivityError naming the array.
+    """
+    y = mesh.points
+    sig = sample(spec, "sigma", y)
+    haz = sample(spec, "hazard", y)
+    rbar = sample(spec, "rbar", y)
+    mu = rbar - sample(spec, "qbar", y) + haz
+
+    # an overflow is caught by the finiteness check below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p_slope = 2.0 * mu / (y * sig**2)
+        p = np.exp(cumulative_integral(mesh, log_p_slope))
+        w = 2.0 * p / (sig**2 * y**2)
+        q = (rbar + haz) * w
+        l = math.sqrt(2.0) * cumulative_integral(mesh, 1.0 / (y * sig))
+        rho = (p * w) ** 0.25
+        if spec.sigma_prime is not None:
+            sig_p = sample(spec, "sigma_prime", y)
+            # rho'/rho = (log rho)' = (1/2)(p'/p - sigma'/sigma - 1/y)
+            rho_prime = rho * 0.5 * (log_p_slope - sig_p / sig - 1.0 / y)
+        else:
+            rho_prime = derivative_values(mesh, rho)
+    derived = {"p": p, "q": q, "w": w, "l": l, "rho": rho, "rho'": rho_prime}
+    for name, values in derived.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise PositivityError(f"{name} is not finite from y = {y[bad][0]} on: the model "
+                                  "overflows on [L, U]")
     if np.any(w <= 0.0):
         raise PositivityError("weight w must be positive on [L, U]")
-    q = (np.asarray(spec.rbar(y), dtype=float) + haz) * w
-    l = math.sqrt(2.0) * cumulative_integral(mesh, 1.0 / (y * sig))
-    rho = (p * w) ** 0.25
-    if spec.sigma_prime is not None:
-        sig_p = np.asarray(spec.sigma_prime(y), dtype=float)
-        # rho'/rho = (log rho)' = (1/2)(p'/p - sigma'/sigma - 1/y)
-        rho_prime = rho * 0.5 * (log_p_slope - sig_p / sig - 1.0 / y)
-    else:
-        rho_prime = derivative_values(mesh, rho)
-
-    return SLCoefficients(
-        mesh=mesh,
-        p=GridFunction(mesh, p),
-        q=GridFunction(mesh, q),
-        w=GridFunction(mesh, w),
-        l=GridFunction(mesh, l),
-        rho=GridFunction(mesh, rho),
-        rho_prime=GridFunction(mesh, rho_prime),
-    )
-
+    return SLCoefficients(mesh, p, q, w, l, rho, rho_prime)

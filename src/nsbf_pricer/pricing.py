@@ -40,7 +40,7 @@ from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
 from .mesh import GridFunction, Mesh, _same_mesh, inner_product, stencil  # noqa: F401
-from .model import DiffusionSpec, is_number
+from .model import DiffusionSpec, is_number, sample
 from .spectrum import EigenBasis
 
 if TYPE_CHECKING:
@@ -61,8 +61,8 @@ def check_barriers(L: float, U: float):
 class OptionContract:
     """Double-barrier knock-out contract on (L, U), 0 < L < U, with maturity T years.
 
-    style is "call", "put" or "custom" (payoff sampled on the pricing mesh);
-    rebate R >= 0 is paid on knock-out at the upper barrier.
+    style is "call" or "put" (strike K, no payoff) or "custom" (payoff sampled on
+    the pricing mesh, no K); rebate R >= 0 is paid on knock-out at the upper barrier.
     """
 
     style: str
@@ -91,7 +91,11 @@ class OptionContract:
         if self.style == "custom":
             if self.payoff is None:
                 raise ValueError("custom style needs a sampled payoff")
+            if self.K is not None:
+                raise ValueError("a custom contract takes no strike K; its payoff is sampled")
         else:
+            if self.payoff is not None:
+                raise ValueError(f"a {self.style} takes no payoff; a sampled payoff is custom")
             if self.K is None or not (self.L < self.K < self.U):
                 raise ValueError("strike must satisfy L < K < U")
 
@@ -244,12 +248,13 @@ def delta(at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray) 
 
 def vega(y0: float, delta_value: float, spec: DiffusionSpec) -> float:
     """Vega by the chain rule, Delta / sigma'(y0); undefined for flat sigma."""
+    y = np.array([y0])
     if spec.sigma_prime is not None:
-        sp = float(spec.sigma_prime(np.array([y0]))[0])
+        sp = float(sample(spec, "sigma_prime", y)[0])
     else:
         h = 1e-4 * y0
-        sp = float((spec.sigma(np.array([y0 + h])) - spec.sigma(np.array([y0 - h])))[0] / (2 * h))
-    scale = float(spec.sigma(np.array([y0]))[0]) / y0
+        sp = float((sample(spec, "sigma", y + h) - sample(spec, "sigma", y - h))[0] / (2 * h))
+    scale = float(sample(spec, "sigma", y)[0]) / y0
     if abs(sp) < 1e-12 * scale:
         raise VegaUndefined("sigma'(y0) = 0; vega via the chain rule does not exist")
     return delta_value / sp
@@ -271,13 +276,19 @@ def contribution(n1: int, n2: int, at: Rows, g: np.ndarray, decay: np.ndarray) -
 def contribution_report(
     bands: list[tuple], at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray
 ) -> ContributionReport:
-    """Contributions for explicit (n1, n2) bands; n2 = None runs to the last pair."""
+    """Contributions for explicit (n1, n2) bands; n2 = None runs to the last pair.
+
+    Each band is reported over the retained pairs it summed: an n2 past the
+    last pair reads as that pair, and a band that starts past it is left out.
+    """
     steady = contract.rebate * float(at.h[0])
     rows = []
     total = steady
     for n1, n2 in bands:
+        if n1 > len(g):
+            continue
         hi = len(g) if n2 is None else min(n2, len(g))
-        val = contribution(n1, hi, at, g, decay) if n1 <= len(g) else 0.0
-        rows.append((n1, n2, val))
+        val = contribution(n1, hi, at, g, decay)
+        rows.append((n1, None if n2 is None else hi, val))
         total += val
     return ContributionReport(bands=tuple(rows), total=total, steady=steady)

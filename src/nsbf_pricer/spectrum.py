@@ -152,8 +152,7 @@ def characteristic(omega, coeffs: NSBFCoefficients, c: SLCoefficients):
     that form has no 1/x and holds at omega = 0.  The value is summed from
     the odd orders of the same block.
     """
-    l_u = c.l.values[-1]
-    rho_u = c.rho.values[-1]
+    l_u, rho_u = c.l[-1], c.rho[-1]
     x = np.asarray(omega, dtype=float) * l_u
     trig = np.sin(x), np.cos(x)
     signed = _signed_odd(coeffs.alpha[:, -1])
@@ -190,7 +189,7 @@ def find_eigenvalues(
     """
     if not omega_max > 0:
         raise ValueError(f"need omega_max > 0, got {omega_max}")
-    count = math.ceil(SCAN_PER_SPACING * omega_max * c.l.values[-1] / math.pi)
+    count = math.ceil(SCAN_PER_SPACING * omega_max * c.l[-1] / math.pi)
     grid = np.linspace(0.0, omega_max, count + 1)[1:]
     step = omega_max / count
     vals, _ = characteristic(grid, coeffs, c)
@@ -254,14 +253,14 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
     ConvergenceError.
     """
     omega = np.asarray(omega, dtype=float)
-    n, l, rho = omega.size, c.l.values, c.rho.values
-    ww = c.w.values * c.mesh.weights
+    n, l, rho = omega.size, c.l, c.rho
+    ww = c.w * c.mesh.weights
     phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
     dphi = tuple(np.empty_like(b) for b in phi)
     rows, drows = [r for b in phi for r in b], [r for b in dphi for r in b]
     alpha, beta = _signed_odd(coeffs.alpha), _signed_odd(coeffs.beta)
-    sqrt_wp = np.sqrt(c.w.values / c.p.values)
-    rho_ratio = c.rho_prime.values / rho
+    sqrt_wp = np.sqrt(c.w / c.p)
+    rho_ratio = c.rho_prime / rho
     for om, row, drow in zip(omega, rows, drows):
         x = om * l
         trig = np.sin(x), np.cos(x)
@@ -269,7 +268,7 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
         block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
         # the series 2 sum_m (-1)^m c_{2m+1} j_{2m+1}, coefficients and x on the mesh
         np.add(trig[0] / rho, 2.0 * np.sum(alpha * block, axis=0), out=row)
-        inner = (coeffs.G2.values * trig[0] + om * trig[1]) / rho
+        inner = (coeffs.G2 * trig[0] + om * trig[1]) / rho
         inner += 2.0 * np.sum(beta * block[: len(beta)], axis=0)
         np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
     if not all(np.isfinite(b).all() for b in phi + dphi):
@@ -305,5 +304,5 @@ def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
     against the series at U alone, using the slope at each root.
     """
     dphi_u = np.concatenate([b[:, -1] for b in basis.dphi])
-    identity = c.p.values[-1] * dphi_u * basis.slope / (2.0 * basis.omega)
+    identity = c.p[-1] * dphi_u * basis.slope / (2.0 * basis.omega)
     return np.abs(identity - basis.norm_sq) / basis.norm_sq

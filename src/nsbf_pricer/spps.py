@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .mesh import GridFunction, cumulative_integral
+from .mesh import cumulative_integral
 from .model import SLCoefficients
 
 SPPS_TOL = 1e-14  # stop once the last even iterate is this small relative to the sum
@@ -26,8 +26,10 @@ SPPS_MAX_TERMS = 64
 
 @dataclass(frozen=True)
 class ParticularSolution:
-    g: GridFunction
-    g_prime: GridFunction
+    """g and g' as float arrays on the mesh of the Sturm-Liouville data, and the terms summed."""
+
+    g: np.ndarray
+    g_prime: np.ndarray
     series_order: int
 
 
@@ -45,8 +47,8 @@ def solve_particular(
 ) -> ParticularSolution:
     """Non-vanishing solution of (p g')' = q g with g(L) = 1/rho(L), g'(L) = 0."""
     mesh = c.mesh
-    p, q = c.p.values, c.q.values
-    rho_l = c.rho.values[0]
+    p, q = c.p, c.q
+    rho_l = c.rho[0]
 
     x_even = np.ones(mesh.M)
     g_sum = np.ones(mesh.M)
@@ -71,18 +73,14 @@ def solve_particular(
     if np.any(g <= 0.0):
         raise PositivityError("series solution is not positive; model has q < 0 somewhere")
     g_prime = odd_sum / (p * rho_l)
-    return ParticularSolution(
-        g=GridFunction(mesh, g),
-        g_prime=GridFunction(mesh, g_prime),
-        series_order=order,
-    )
+    return ParticularSolution(g=g, g_prime=g_prime, series_order=order)
 
 
 def build_formal_powers(sol: ParticularSolution, c: SLCoefficients) -> FirstFormalPower:
     """The first formal power Phi_1, the one a solve reads, with Y_1 and Phi_1'."""
-    g, p = sol.g.values, c.p.values
+    g, p = sol.g, c.p
     Y1 = cumulative_integral(c.mesh, 1.0 / (g**2 * p))
-    return FirstFormalPower(Y1=Y1, Phi1=Y1 * g, Phi1_prime=sol.g_prime.values * Y1 + 1.0 / (p * g))
+    return FirstFormalPower(Y1=Y1, Phi1=Y1 * g, Phi1_prime=sol.g_prime * Y1 + 1.0 / (p * g))
 
 
 def steady_state(powers: FirstFormalPower) -> tuple[np.ndarray, np.ndarray]:

@@ -51,12 +51,12 @@ def flat_sl():
     x = mesh.points - 1.0
     return SLCoefficients(
         mesh=mesh,
-        p=nb.GridFunction(mesh, ones),
-        q=nb.GridFunction(mesh, 0.0 * ones),
-        w=nb.GridFunction(mesh, ones),
-        l=nb.GridFunction(mesh, x),
-        rho=nb.GridFunction(mesh, ones),
-        rho_prime=nb.GridFunction(mesh, 0.0 * ones),
+        p=ones,
+        q=0.0 * ones,
+        w=ones,
+        l=x,
+        rho=ones,
+        rho_prime=0.0 * ones,
     )
 
 
@@ -68,10 +68,10 @@ def cosh_sl():
     x = mesh.points - 1.0
     return SLCoefficients(
         mesh=mesh,
-        p=nb.GridFunction(mesh, ones),
-        q=nb.GridFunction(mesh, ones),
-        w=nb.GridFunction(mesh, ones),
-        l=nb.GridFunction(mesh, x),
-        rho=nb.GridFunction(mesh, ones),
-        rho_prime=nb.GridFunction(mesh, 0.0 * ones),
+        p=ones,
+        q=ones,
+        w=ones,
+        l=x,
+        rho=ones,
+        rho_prime=0.0 * ones,
     )

@@ -53,11 +53,11 @@ def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:
     root = math.sqrt(kappa)
     return replace(
         c,
-        p=GridFunction(c.mesh, kappa * c.p.values),
-        q=GridFunction(c.mesh, kappa * c.q.values),
-        w=GridFunction(c.mesh, kappa * c.w.values),
-        rho=GridFunction(c.mesh, root * c.rho.values),
-        rho_prime=GridFunction(c.mesh, root * c.rho_prime.values),
+        p=kappa * c.p,
+        q=kappa * c.q,
+        w=kappa * c.w,
+        rho=root * c.rho,
+        rho_prime=root * c.rho_prime,
     )
 
 
@@ -114,9 +114,9 @@ def formal_power_table(sol: ParticularSolution, c: SLCoefficients, K: int) -> Fo
     (spps.build_formal_powers).
     """
     mesh = c.mesh
-    g = sol.g.values
-    g2w = g**2 * c.w.values
-    inv_g2p = 1.0 / (g**2 * c.p.values)
+    g = sol.g
+    g2w = g**2 * c.w
+    inv_g2p = 1.0 / (g**2 * c.p)
 
     Y = np.empty((K + 1, mesh.M))
     Yt = np.empty((K + 1, mesh.M))
@@ -142,7 +142,7 @@ def direct_alpha(
     table: LegendreTable,
     powers: FormalPowerTable,
     c: SLCoefficients,
-) -> GridFunction:
+) -> np.ndarray:
     """alpha_n from the direct Legendre/formal-power formula.
 
     Only meaningful for small n (the Legendre coefficients grow fast and
@@ -153,7 +153,7 @@ def direct_alpha(
         raise ValueError(f"direct formula is numerically meaningless for n > {DIRECT_ALPHA_MAX_ORDER}")
     if n > powers.K or n >= table.l_coeffs.shape[1]:
         raise ValueError("formal powers or Legendre table too short for requested order")
-    l, rho = c.l.values, c.rho.values
+    l, rho = c.l, c.rho
     l_safe = np.where(l > 0.0, l, 1.0)
     acc = np.zeros(c.mesh.M)
     for k in range(n + 1):
@@ -164,16 +164,16 @@ def direct_alpha(
     out = (2.0 * n + 1.0) / 2.0 * (acc - 1.0 / rho)
     if n >= 1:
         out[0] = 0.0  # l(L) = 0; the limit vanishes
-    return GridFunction(c.mesh, out)
+    return out
 
 
-def compute_G2_unintegrated(c: SLCoefficients) -> GridFunction:
+def compute_G2_unintegrated(c: SLCoefficients) -> np.ndarray:
     """Direct form of G2 with the nested derivative; dual route for testing."""
-    rho, p = c.rho.values, c.p.values
+    rho, p = c.rho, c.p
     inner = derivative_values(c.mesh, 1.0 / rho)
     bracket = derivative_values(c.mesh, p * inner)
-    integrand = (c.q.values / rho - bracket) / rho
-    return GridFunction(c.mesh, 0.5 * cumulative_integral(c.mesh, integrand))
+    integrand = (c.q / rho - bracket) / rho
+    return 0.5 * cumulative_integral(c.mesh, integrand)
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,11 @@ def identity_p_w_q_consistency(c: SLCoefficients, spec: DiffusionSpec) -> Consis
     """Self-test: w = 2p/(sigma^2 y^2) and q = (rbar + h) w pointwise."""
     y = c.mesh.points
     sig = np.asarray(spec.sigma(y), dtype=float)
-    w_ref = 2.0 * c.p.values / (sig**2 * y**2)
-    q_ref = (np.asarray(spec.rbar(y), dtype=float) + np.asarray(spec.hazard(y), dtype=float)) * c.w.values
-    w_res = float(np.max(np.abs(c.w.values - w_ref) / np.maximum(np.abs(w_ref), 1e-300)))
+    w_ref = 2.0 * c.p / (sig**2 * y**2)
+    q_ref = (np.asarray(spec.rbar(y), dtype=float) + np.asarray(spec.hazard(y), dtype=float)) * c.w
+    w_res = float(np.max(np.abs(c.w - w_ref) / np.maximum(np.abs(w_ref), 1e-300)))
     q_scale = np.maximum(np.abs(q_ref), np.max(np.abs(q_ref)) * 1e-12 + 1e-300)
-    q_res = float(np.max(np.abs(c.q.values - q_ref) / q_scale))
+    q_res = float(np.max(np.abs(c.q - q_ref) / q_scale))
     return ConsistencyReport(w_residual=w_res, q_residual=q_res)
 
 
@@ -202,9 +202,9 @@ def recurrence_reference(n: int, A_prev: np.ndarray, B_prev: np.ndarray, c: SLCo
     Returns (A_n, B_n, theta~, eta~): the two cumulative integrals behind
     A_n and B_n come back too.
     """
-    l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
-    g, g_p = sol.g.values, sol.g_prime.values
-    sqrt_wp = np.sqrt(c.w.values / c.p.values)
+    l, rho, rho_p = c.l, c.rho, c.rho_prime
+    g, g_p = sol.g, sol.g_prime
+    sqrt_wp = np.sqrt(c.w / c.p)
     gp_rho = g_p * rho + g * rho_p
     eta = cumulative_integral(
         c.mesh, (l * gp_rho + (n - 1.0) * rho * g * sqrt_wp) * rho * A_prev
@@ -315,9 +315,9 @@ def per_pair_basis(omega, coeffs, c: SLCoefficients) -> dict:
         signs = np.where(np.arange(odd.shape[0]) % 2 == 0, 1.0, -1.0)
         return 2.0 * np.sum(signs[:, None] * odd * block, axis=0)
 
-    l, rho = c.l.values, c.rho.values
-    sqrt_wp = np.sqrt(c.w.values / c.p.values)
-    rho_ratio = c.rho_prime.values / rho
+    l, rho = c.l, c.rho
+    sqrt_wp = np.sqrt(c.w / c.p)
+    rho_ratio = c.rho_prime / rho
     n_odd = coeffs.alpha.shape[0] // 2
     out = {"phi": [], "dphi": [], "norm_sq": [], "boundary_residual": []}
     for om in omega:
@@ -330,9 +330,9 @@ def per_pair_basis(omega, coeffs, c: SLCoefficients) -> dict:
         phi = trig[0] / rho + odd_sum(coeffs.alpha, block)
         gf = GridFunction(c.mesh, phi)
         out["phi"].append(phi)
-        out["norm_sq"].append(inner_product(gf, gf, c.w))
+        out["norm_sq"].append(inner_product(gf, gf, GridFunction(c.mesh, c.w)))
         out["boundary_residual"].append(float(abs(phi[-1]) / float(np.max(np.abs(phi)))))
-        inner = (coeffs.G2.values * trig[0] + om * trig[1]) / rho
+        inner = (coeffs.G2 * trig[0] + om * trig[1]) / rho
         inner += odd_sum(coeffs.beta, block[: coeffs.beta.shape[0] // 2])
         out["dphi"].append(sqrt_wp * inner - rho_ratio * phi)
     out["lam"] = [om * om for om in omega]

@@ -300,10 +300,11 @@ def test_criterion_6_spectral_properties(medium, short):
     # pairwise orthogonality up to n, m = 20
     s = short(-2.0, 2.0)
     pairs = s.pairs[:20]
+    w = nb.GridFunction(s.mesh, s.sl.w)
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             phi_i, phi_j = (nb.GridFunction(s.mesh, pairs[k].phi) for k in (i, j))
-            ip = inner_product(phi_i, phi_j, s.sl.w)
+            ip = inner_product(phi_i, phi_j, w)
             rel = abs(ip) / math.sqrt(pairs[i].norm_sq * pairs[j].norm_sq)
             if rel > 1e-6:
                 problems.append(f"orthogonality {rel:.1e} at ({i + 1},{j + 1})")
@@ -398,7 +399,8 @@ def test_criterion_9_rebate(medium, short):
     plain = contract()
     pairs = solver.retained_pairs(plain)
     f = nb.GridFunction(solver.mesh, pricing.payoff_grid(plain, solver.mesh))
-    fn = np.array([inner_product(f, nb.GridFunction(solver.mesh, p.phi), solver.sl.w) / p.norm_sq
+    w = nb.GridFunction(solver.mesh, solver.sl.w)
+    fn = np.array([inner_product(f, nb.GridFunction(solver.mesh, p.phi), w) / p.norm_sq
                    for p in pairs])
     lam = np.array([p.lam for p in pairs])
     ys = np.linspace(L + 0.5, U - 0.5, 11)
@@ -419,9 +421,8 @@ def test_criterion_9_rebate(medium, short):
     recon_r = recon_r + rebate.rebate * kept.h
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)
-    ratio = math.sqrt(
-        inner_product(e0, e0, s.sl.w) / inner_product(er, er, s.sl.w)
-    )
+    w = nb.GridFunction(s.mesh, s.sl.w)
+    ratio = math.sqrt(inner_product(e0, e0, w) / inner_product(er, er, w))
     if ratio < 5.0:
         problems.append(f"smoothing ratio {ratio:.2f} < 5")
     # positive rebate against the Dirichlet oracle: every six-month grid

@@ -19,7 +19,7 @@ STAGES = {
     "coefficients": ["NSBFCoefficients", "build_nsbf_coefficients"],
     "fd": ["FDSolution", "solve_pde"],
     "mesh": ["Mesh", "build_mesh", "inner_product"],
-    "model": ["SLCoefficients", "build_sl_coefficients", "drift_of"],
+    "model": ["SLCoefficients", "build_sl_coefficients", "sample"],
     "pricing": ["contribution", "decay_factors", "delta", "fourier_coefficients", "rows_at",
                 "theta", "value", "value_surface", "vega"],
     "spectrum": ["EigenBasis", "EigenPair", "assemble_pairs", "characteristic",

@@ -146,7 +146,7 @@ def mesh_arguments(medium, short):
     out = []
     for s in (medium(-1.0, 2.0), short(-2.0, 3.0)):
         omegas = [p.omega for p in s.pairs]
-        out += [om * s.sl.l.values for om in (omegas[0], omegas[len(omegas) // 2], omegas[-1])]
+        out += [om * s.sl.l for om in (omegas[0], omegas[len(omegas) // 2], omegas[-1])]
     return out
 
 

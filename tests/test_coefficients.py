@@ -37,7 +37,7 @@ def build_coeffs(sl, order=None):
 def seed_rows(c, sol, n_edge):
     """((A0, A1), (B0, B1)), both families' scaled orders 0 and 1, as the build seeds them."""
     powers = build_formal_powers(sol, c)
-    G2, h_tilde = compute_G2(c).values, compute_h_tilde(sol, c)
+    G2, h_tilde = compute_G2(c), compute_h_tilde(sol, c)
     return initial_coefficients(sol, c, powers, G2, h_tilde, n_edge)
 
 
@@ -61,17 +61,17 @@ def scaled_rows(s, top):
 
 class TestG2:
     def test_degenerate_zero(self, flat_sl):
-        g2 = compute_G2(flat_sl).values
+        g2 = compute_G2(flat_sl)
         assert np.max(np.abs(g2)) < 1e-14
 
     def test_vanishes_at_left(self, medium):
         s = medium(-1.0, 2.0)
-        assert compute_G2(s.sl).values[0] == 0.0
+        assert compute_G2(s.sl)[0] == 0.0
 
     def test_two_forms_agree(self, medium):
         s = medium(-1.0, 2.0)
-        a = compute_G2(s.sl).values
-        b = compute_G2_unintegrated(s.sl).values
+        a = compute_G2(s.sl)
+        b = compute_G2_unintegrated(s.sl)
         assert np.max(np.abs(a - b)) < 1e-7
 
 
@@ -85,8 +85,8 @@ class TestHTilde:
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=0.0, b=0.0, c=0.0, rbar=0.0))
         sl = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         sol = solve_particular(sl)
-        expected = math.sqrt(sl.p.values[0] / sl.w.values[0]) * (
-            sl.rho_prime.values[0] / sl.rho.values[0]
+        expected = math.sqrt(sl.p[0] / sl.w[0]) * (
+            sl.rho_prime[0] / sl.rho[0]
         )
         assert compute_h_tilde(sol, sl) == pytest.approx(expected, rel=1e-14)
 
@@ -119,7 +119,7 @@ class TestInitialOp:
     def test_flat_all_zero(self, flat_sl):
         sol = solve_particular(flat_sl)
         (A0, A1), (B0, B1) = seed_rows(flat_sl, sol, n_edge=51)
-        l = flat_sl.l.values
+        l = flat_sl.l
         alpha1, beta1 = (recover_row(row, l, 1, 51) for row in (A1, B1))
         for arr in (A0, A1, B0, B1, alpha1, beta1):
             assert np.max(np.abs(arr)) < 1e-11
@@ -131,7 +131,7 @@ class TestInitialOp:
         c, sol = s.sl, s.particular
         n_edge = int(round(EDGE_FRACTION * (c.mesh.M - 1))) + 1
         (A0, A1), (B0, B1) = seed_rows(c, sol, n_edge)
-        l = c.l.values
+        l = c.l
         assert np.array_equal(s.coeffs.alpha[0], A0)
         assert np.array_equal(s.coeffs.beta[0], B0)
         assert np.array_equal(s.coeffs.alpha[1], recover_row(A1, l, 1, n_edge))
@@ -142,11 +142,11 @@ class TestInitialOp:
         s = medium(-1.0, 2.0)
         c, sol = s.sl, s.particular
         powers = build_formal_powers(sol, c)
-        g2 = compute_G2(c).values
+        g2 = compute_G2(c)
         _, (_, B1) = initial_coefficients(sol, c, powers, g2, compute_h_tilde(sol, c), n_edge=101)
-        l, rho, rho_p = c.l.values, c.rho.values, c.rho_prime.values
-        p, w = c.p.values, c.w.values
-        g, g_p = sol.g.values, sol.g_prime.values
+        l, rho, rho_p = c.l, c.rho, c.rho_prime
+        p, w = c.p, c.w
+        g, g_p = sol.g, sol.g_prime
         sel = slice(1000, None)
         phi1 = powers.Phi1
         alpha1 = 1.5 * (phi1[sel] / l[sel] - 1.0 / rho[sel])
@@ -187,7 +187,7 @@ class TestRecurrence:
         # equals a step that forms every factor itself, and the rows the
         # build kept are the recovered rows of the seed rows and that step
         s = medium(-1.0, 2.0)
-        coeffs, l = s.coeffs, s.sl.l.values
+        coeffs, l = s.coeffs, s.sl.l
         A, B, n_edge = scaled_rows(s, coeffs.M_trunc)
         assert coeffs.M_beta >= 7
         for n in (2, 3, 7):
@@ -301,9 +301,9 @@ class TestDirectAlpha:
         sol = solve_particular(s.sl)
         powers = formal_power_table(sol, s.sl, K=2)
         table = LegendreTable.build(2)
-        a0 = direct_alpha(0, table, powers, s.sl).values
+        a0 = direct_alpha(0, table, powers, s.sl)
         assert np.max(np.abs(a0 - s.coeffs.alpha[0])) < 1e-13
-        a1 = direct_alpha(1, table, powers, s.sl).values
+        a1 = direct_alpha(1, table, powers, s.sl)
         sel = s.sl.mesh.points > 91.0
         assert np.max(np.abs(a1[sel] - s.coeffs.alpha[1][sel])) < 1e-11
 
@@ -312,7 +312,7 @@ class TestDirectAlpha:
         sol = solve_particular(s.sl)
         powers = formal_power_table(sol, s.sl, K=4)
         table = LegendreTable.build(4)
-        a4 = direct_alpha(4, table, powers, s.sl).values
+        a4 = direct_alpha(4, table, powers, s.sl)
         sel = s.sl.mesh.points >= 90 + 30.0 / 4
         rel = np.abs(a4[sel] - s.coeffs.alpha[4][sel]) / np.max(np.abs(s.coeffs.alpha[4][sel]))
         assert np.max(rel) < 1e-5

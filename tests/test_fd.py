@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ class TestGridValidation:
     def test_counts_are_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             FDGrid(**{name: value})
+
+
+class TestModelRead:
+    # the oracle reads the model through model.sample, as the solve does
+    @pytest.mark.parametrize("error, name, bad", [
+        (nb.PositivityError, "sigma", lambda y: np.full_like(y, -0.25)),
+        (nb.NonFiniteParameter, "hazard", lambda y: np.where(y > 110.0, np.nan, 0.02)),
+    ])
+    def test_bad_callable_refused(self, spec, error, name, bad):
+        with pytest.raises(error, match=rf"{name}\(y\) = "):
+            fd_price(dataclasses.replace(spec, **{name: bad}), contract(), FDGrid(), 100.0)
 
 
 class TestSolve:

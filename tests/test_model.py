@@ -5,7 +5,7 @@ import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer.mesh import build_mesh
-from nsbf_pricer.model import SLCoefficients, build_sl_coefficients, drift_of
+from nsbf_pricer.model import SLCoefficients, build_sl_coefficients, sample
 
 from dual_routes import ConsistencyReport, identity_p_w_q_consistency, interpolate, scale_gauge
 
@@ -76,10 +76,16 @@ class TestNonFiniteInputs:
         assert issubclass(nb.NonFiniteParameter, ValueError)
 
 
+def drift(spec, y):
+    """Martingale drift rbar - qbar + hazard, read through model.sample as the solve reads it."""
+    y = np.asarray(y, dtype=float)
+    return sample(spec, "rbar", y) - sample(spec, "qbar", y) + sample(spec, "hazard", y)
+
+
 class TestDrift:
     def test_gamma_zero_constant_hazard(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=0.0))
-        mu = drift_of(spec)(np.array([95.0, 100.0, 110.0]))
+        mu = drift(spec, [95.0, 100.0, 110.0])
         assert np.allclose(mu, 0.62)  # 0.1 + 0.02 + 0.5
 
     def test_zero_drift(self):
@@ -89,34 +95,97 @@ class TestDrift:
             qbar=lambda y: np.full_like(np.asarray(y, float), 0.03),
             hazard=lambda y: np.zeros_like(np.asarray(y, float)),
         )
-        assert drift_of(spec)(np.array([100.0]))[0] == pytest.approx(0.0)
+        assert drift(spec, [100.0])[0] == pytest.approx(0.0)
 
     def test_ejdcev_plugin(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
-        mu = drift_of(spec)(np.array([100.0]))[0]
+        mu = drift(spec, [100.0])[0]
         # 0.1 - 0 + 0.02 + 0.5 * 0.25^2
         assert mu == pytest.approx(0.15125, abs=1e-12)
+
+
+def flat_spec(**given):
+    """Constant coefficients returned as arrays of y's shape; a given callable replaces its own."""
+    fields = {"sigma": 0.25, "rbar": 0.1, "qbar": 0.0, "hazard": 0.02, **given}
+    return nb.DiffusionSpec(**{k: v if callable(v) else (lambda c: lambda y: np.full_like(y, c))(v)
+                               for k, v in fields.items()})
+
+
+def nan_above_110(y):
+    return np.where(y > 110.0, np.nan, 0.02)
+
+
+class TestSample:
+    """model.sample is the one reader of a DiffusionSpec's callables."""
+
+    def test_scalar_return_is_broadcast(self):
+        y = np.linspace(90.0, 120.0, 7)
+        spec = nb.DiffusionSpec(lambda y: 0.25, lambda y: 0.1, lambda y: 0, lambda y: 0)
+        out = sample(spec, "sigma", y)
+        assert out.shape == y.shape and out.dtype == float and np.all(out == 0.25)
+
+    # each bad callable is named at the first bad y, where it enters the solve
+    @pytest.mark.parametrize("error, callables, match", [
+        (nb.NonFiniteParameter, {"hazard": nan_above_110}, r"hazard\(y\) = nan at y = 110.001 "),
+        (nb.NonFiniteParameter, {"rbar": lambda y: np.full_like(y, np.inf)},
+         r"rbar\(y\) = inf at y = 90.0 "),
+        (nb.NonFiniteParameter, {"sigma_prime": lambda y: np.full_like(y, np.nan)},
+         r"sigma_prime\(y\) = nan at y = 90.0 "),
+        (nb.PositivityError, {"sigma": lambda y: y - 100.0},
+         r"sigma\(y\) = -10.0 at y = 90.0 .*positive"),
+        (nb.PositivityError, {"hazard": lambda y: y - 100.0},
+         r"hazard\(y\) = -10.0 at y = 90.0 .*non-negative"),
+    ])
+    def test_bad_callable_named_by_the_solve(self, error, callables, match):
+        with pytest.raises(error, match=match):
+            build_sl_coefficients(flat_spec(**callables), build_mesh(90, 120, 10001))
+
+    def test_overflowing_p_named(self):
+        # 2 mu / sigma^2 = 10^4: p = exp(int 10^4 / y) overflows past y = 53.68
+        with pytest.raises(nb.PositivityError, match="p is not finite from y = 53.68 on"):
+            build_sl_coefficients(flat_spec(sigma=0.01, rbar=0.5, hazard=0.0),
+                                  build_mesh(50, 250, 10001))
+
+    def test_float_callables_quote_without_vega(self):
+        # constant sigma has sigma' = 0, so Vega is undefined, not a TypeError
+        floats = nb.DiffusionSpec(lambda y: 0.25, lambda y: 0.1, lambda y: 0.0, lambda y: 0.02)
+        call = nb.OptionContract("call", 90.0, 120.0, 0.5, 100.0)
+        quotes = [nb.DoubleBarrierSolver(spec, 90.0, 120.0).price(call, 100.0, greeks=True)
+                  for spec in (floats, flat_spec())]
+        assert quotes[0].vega is None and quotes[0].delta is not None
+        assert quotes[0].price == quotes[1].price == pytest.approx(0.979555, abs=5e-7)
+
+    def test_solve_builds_no_grid_function(self, monkeypatch):
+        # the samples are checked where they come in; the solve carries plain arrays
+        calls = []
+        checked = nb.GridFunction.__post_init__
+        monkeypatch.setattr(nb.GridFunction, "__post_init__", lambda gf: calls.append(checked(gf)))
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        s = nb.DoubleBarrierSolver(spec, 90.0, 120.0).solve()
+        assert calls == []
+        arrays = (s.sl.p, s.sl.rho_prime, s.particular.g, s.coeffs.G2)
+        assert all(type(a) is np.ndarray for a in arrays)
 
 
 class TestSLCoefficients:
     def test_p_starts_at_one(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=1.0))
         c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
-        assert c.p.values[0] == 1.0
+        assert c.p[0] == 1.0
 
     def test_liouville_closed_form_beta0(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.0, gamma=1.0))
         mesh = build_mesh(90, 120, 2001)
         c = build_sl_coefficients(spec, mesh)
         exact = math.sqrt(2.0) / 0.25 * np.log(mesh.points / 90.0)
-        assert np.max(np.abs(c.l.values - exact)) < 1e-8
+        assert np.max(np.abs(c.l - exact)) < 1e-8
 
     def test_liouville_linear_beta_minus1(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
         mesh = build_mesh(90, 120, 2001)
         c = build_sl_coefficients(spec, mesh)
         exact = math.sqrt(2.0) * (mesh.points - 90.0) / 25.0
-        assert np.max(np.abs(c.l.values - exact)) < 1e-8
+        assert np.max(np.abs(c.l - exact)) < 1e-8
 
     def test_p_closed_form_beta0(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.0, gamma=0.0))
@@ -124,24 +193,24 @@ class TestSLCoefficients:
         c = build_sl_coefficients(spec, mesh)
         mu = 0.62
         exact = (mesh.points / 90.0) ** (2.0 * mu / 0.25**2)
-        assert np.max(np.abs(c.p.values - exact) / exact) < 1e-8
+        assert np.max(np.abs(c.p - exact) / exact) < 1e-8
 
     def test_l_increasing_rho_positive(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-2.0, gamma=1.0))
         c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
-        assert c.l.values[0] == 0.0
-        assert np.all(np.diff(c.l.values) > 0)
-        assert np.all(c.rho.values > 0)
-        assert np.all(c.q.values >= 0)
+        assert c.l[0] == 0.0
+        assert np.all(np.diff(c.l) > 0)
+        assert np.all(c.rho > 0)
+        assert np.all(c.q >= 0)
 
     def test_mesh_insensitivity(self):
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=0.5, gamma=2.0))
         coarse = build_sl_coefficients(spec, build_mesh(90, 120, 3001))
         fine = build_sl_coefficients(spec, build_mesh(90, 120, 10001))
         ys = np.linspace(90, 120, 301)
-        for gf_coarse, gf_fine in ((coarse.l, fine.l), (coarse.rho, fine.rho)):
-            a = interpolate(gf_coarse.mesh, gf_coarse.values, ys)
-            b = interpolate(gf_fine.mesh, gf_fine.values, ys)
+        for v_coarse, v_fine in ((coarse.l, fine.l), (coarse.rho, fine.rho)):
+            a = interpolate(coarse.mesh, v_coarse, ys)
+            b = interpolate(fine.mesh, v_fine, ys)
             assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)) < 1e-6
 
     def test_sigma_positive_required(self):
@@ -169,7 +238,7 @@ class TestConsistencyCheck:
         c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
         bad = SLCoefficients(
             mesh=c.mesh, p=c.p, q=c.q,
-            w=nb.GridFunction(c.mesh, c.w.values * 1.001),
+            w=c.w * 1.001,
             l=c.l, rho=c.rho, rho_prime=c.rho_prime,
         )
         assert identity_p_w_q_consistency(bad, spec).w_residual > 1e-4
@@ -179,9 +248,9 @@ def test_scale_gauge_relations():
     spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=1.0))
     c = build_sl_coefficients(spec, build_mesh(90, 120, 1001))
     scaled = scale_gauge(c, 10.0)
-    assert np.allclose(scaled.p.values, 10.0 * c.p.values)
-    assert np.allclose(scaled.rho.values, math.sqrt(10.0) * c.rho.values)
-    assert np.allclose(scaled.l.values, c.l.values)
+    assert np.allclose(scaled.p, 10.0 * c.p)
+    assert np.allclose(scaled.rho, math.sqrt(10.0) * c.rho)
+    assert np.allclose(scaled.l, c.l)
     with pytest.raises(ValueError):
         scale_gauge(c, -1.0)
 
@@ -196,4 +265,4 @@ def test_rho_prime_numeric_fallback():
     mesh = build_mesh(90, 120, 2001)
     a = build_sl_coefficients(with_analytic, mesh)
     b = build_sl_coefficients(without, mesh)
-    assert np.max(np.abs(a.rho_prime.values - b.rho_prime.values)) < 1e-8
+    assert np.max(np.abs(a.rho_prime - b.rho_prime)) < 1e-8

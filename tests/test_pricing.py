@@ -35,6 +35,15 @@ class TestContractValidation:
         with pytest.raises(ValueError, match="payoff"):
             nb.OptionContract(style="custom", L=L, U=U, T=0.5)
 
+    # an input the style does not price is refused, naming it, not ignored
+    @pytest.mark.parametrize("style, field", [("call", "payoff"), ("put", "payoff"),
+                                              ("custom", "strike K")])
+    def test_unused_input_refused(self, style, field):
+        mesh = build_mesh(L, U, 201)
+        inputs = {"K": 100.0, "payoff": nb.GridFunction(mesh, np.zeros(mesh.M))}
+        with pytest.raises(ValueError, match=f"takes no {field}"):
+            nb.OptionContract(style=style, L=L, U=U, T=0.5, **inputs)
+
     def test_positive_maturity(self):
         with pytest.raises(ValueError, match="maturity"):
             contract(T=0.0)
@@ -275,11 +284,11 @@ class TestValueSurface:
         s = short(-2.0, 2.0)
         c = contract()
         f = pricing.payoff_grid(c, s.mesh)
-        errs = []
+        errs, w = [], nb.GridFunction(s.mesh, s.sl.w)
         for n in (5, 10, 20, 27):
             recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ np.vstack(s.pairs[:n].phi)
             diff = nb.GridFunction(s.mesh, recon - f)
-            errs.append(math.sqrt(inner_product(diff, diff, s.sl.w)))
+            errs.append(math.sqrt(inner_product(diff, diff, w)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
 
@@ -450,6 +459,16 @@ class TestContribution:
             assert r.contributions.steady == R * interpolate(s.mesh, s.pairs.h, Y0)
             assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
 
+    def test_bands_report_the_pairs_they_summed(self, medium):
+        # the six-month basis keeps 4 pairs: (3, 10) sums pairs 3-4 and reads
+        # (3, 4), and (5, 7) sums none and is left out
+        s = medium(-1.0, 2.0)
+        r = s.price(contract(), Y0, bands=[(1, 2), (3, 10), (5, 7), (2, None)])
+        assert r.N_used == 4
+        assert [b[:2] for b in r.contributions.bands] == [(1, 2), (3, 4), (2, None)]
+        whole = s.price(contract(), Y0, bands=[(1, 2), (3, 4), (2, None)]).contributions
+        assert r.contributions == whole
+
     def test_band_out_of_range(self, short):
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360)
@@ -487,8 +506,8 @@ class TestRebate:
         h, dh = s.pairs.h, s.pairs.dh
         assert h[0] == 0.0 and h[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(derivative_values(s.mesh, h) - dh)) < 1e-10 * np.max(np.abs(dh))
-        flux = derivative_values(s.mesh, s.sl.p.values * dh)[5:-5]
-        rhs = (s.sl.q.values * h)[5:-5]
+        flux = derivative_values(s.mesh, s.sl.p * dh)[5:-5]
+        rhs = (s.sl.q * h)[5:-5]
         assert np.max(np.abs(flux - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
     def test_consistent_boundary_rebate_smoother(self, short):
@@ -505,8 +524,9 @@ class TestRebate:
         recon_r = pricing.fourier_coefficients(cr, pairs) @ np.vstack(pairs.phi)
         recon_r = recon_r + cr.rebate * pairs.h
         err_r = nb.GridFunction(s.mesh, recon_r - f)
-        e0 = math.sqrt(inner_product(err0, err0, s.sl.w))
-        er = math.sqrt(inner_product(err_r, err_r, s.sl.w))
+        w = nb.GridFunction(s.mesh, s.sl.w)
+        e0 = math.sqrt(inner_product(err0, err0, w))
+        er = math.sqrt(inner_product(err_r, err_r, w))
         assert e0 / er >= 5.0
 
     def test_rebate_against_fd_oracle(self, medium):
@@ -540,7 +560,8 @@ class TestStackedBasis:
     def reference(s, c, y0, t, bands):
         pairs = s.retained_pairs(c)
         d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * s.pairs.h)
-        g = np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), s.sl.w) / p.norm_sq
+        w = nb.GridFunction(s.mesh, s.sl.w)
+        g = np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), w) / p.norm_sq
                       for p in pairs])
         lam = np.array([p.lam for p in pairs])
         phi = np.array([interpolate(s.mesh, p.phi, [y0]) for p in pairs])
@@ -551,7 +572,10 @@ class TestStackedBasis:
         delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
         theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
         rows, total = [], c.rebate * h
-        for n1, n2 in bands:
+        for n1, n2 in bands:  # each band over the retained pairs it sums
+            if n1 > len(pairs):
+                continue
+            n2 = n2 if n2 is None else min(n2, len(pairs))
             sel = slice(n1 - 1, len(pairs) if n2 is None else n2)
             val = float(np.sum(g[sel] * phi[sel, 0] * np.exp(-lam[sel] * (c.T - t))))
             rows.append((n1, n2, val))

@@ -74,8 +74,9 @@ def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
     c = nb.OptionContract(style, L, U, T, K)
     t = t_share * T
     f = nb.GridFunction(solver.mesh, pricing.payoff_grid(c, solver.mesh))
+    w = nb.GridFunction(solver.mesh, solver.sl.w)
     expected = sum(
-        inner_product(f, nb.GridFunction(solver.mesh, p.phi), solver.sl.w) / p.norm_sq
+        inner_product(f, nb.GridFunction(solver.mesh, p.phi), w) / p.norm_sq
         * interpolate(solver.mesh, p.phi, y0) * np.exp(-p.lam * (T - t))
         for p in pricing.select_pairs(solver.pairs, T, solver.config)
     )

@@ -28,7 +28,7 @@ def flat_solved(flat_sl):
 class TestCharacteristic:
     def test_flat_pure_sine(self, flat_sl, flat_solved):
         _, coeffs, _ = flat_solved
-        l_u = flat_sl.l.values[-1]
+        l_u = flat_sl.l[-1]
         omegas = np.array([0.5, 1.7, 9.3])
         vals, _ = characteristic(omegas, coeffs, flat_sl)
         assert np.max(np.abs(vals - np.sin(omegas * l_u))) < 1e-8
@@ -143,7 +143,7 @@ class TestNormIdentity:
 class TestFindEigenvalues:
     def test_flat_equally_spaced(self, flat_sl, flat_solved):
         _, _, pairs = flat_solved
-        l_u = flat_sl.l.values[-1]  # = 1, roots at n pi
+        l_u = flat_sl.l[-1]  # = 1, roots at n pi
         for p in pairs:
             assert p.omega == pytest.approx(p.n * math.pi / l_u, abs=1e-10)
 
@@ -173,7 +173,7 @@ class TestFindEigenvalues:
         # root that bisection finds on a fine explicit grid
         spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
         s = nb.DoubleBarrierSolver(spec, 50.0, 250.0, nb.NumericsConfig(mesh_points=4001)).solve()
-        assert math.pi / s.sl.l.values[-1] < 2.0 * s.config.omega_max / 100
+        assert math.pi / s.sl.l[-1] < 2.0 * s.config.omega_max / 100
         ref = bisection_eigenvalues(s.coeffs, s.sl, s.config.omega_max, 20000)
         assert s.pairs.omega.shape == ref.shape
         assert np.max(np.abs(s.pairs.omega - ref)) <= 5e-13
@@ -186,7 +186,7 @@ class TestFindEigenvalues:
     def test_asymptotic_spacing(self, short):
         s = short(-2.0, 2.0)
         spacing = np.diff(s.pairs.omega)
-        expected = math.pi / s.sl.l.values[-1]
+        expected = math.pi / s.sl.l[-1]
         assert abs(spacing[30] - expected) / expected < 0.01
 
 
@@ -210,10 +210,11 @@ class TestEigenfunctions:
 
     def test_orthogonality(self, medium):
         s = medium(-1.0, 2.0)
+        w = nb.GridFunction(s.mesh, s.sl.w)
         for i in range(3):
             for j in range(i + 1, 4):
                 phi_i, phi_j = (nb.GridFunction(s.mesh, s.pairs[k].phi) for k in (i, j))
-                ip = inner_product(phi_i, phi_j, s.sl.w)
+                ip = inner_product(phi_i, phi_j, w)
                 norm = math.sqrt(s.pairs[i].norm_sq * s.pairs[j].norm_sq)
                 assert abs(ip) / norm < 1e-6
 
@@ -327,7 +328,7 @@ class TestAgainstMaskedPerPairRoute:
         s = self.solved(medium, short, horizon)
         alpha_u = s.coeffs.alpha[1::2, -1]
         signs = np.where(np.arange(alpha_u.size) % 2 == 0, 1.0, -1.0)
-        l_u = s.sl.l.values[-1]
+        l_u = s.sl.l[-1]
         count = math.ceil(spectrum.SCAN_PER_SPACING * s.config.omega_max * l_u / math.pi)
         omega = np.linspace(0.0, s.config.omega_max, count + 1)[1:]
         vals, _ = characteristic(omega, s.coeffs, s.sl)
@@ -339,5 +340,5 @@ class TestAgainstMaskedPerPairRoute:
             x = om * l_u
             block = masked_jn_block(x, 2 * alpha_u.size)[1::2]
             series = 2.0 * np.tensordot(signs * alpha_u, block, axes=(0, 0))
-            ref = np.sin(x) / s.sl.rho.values[-1] + series
+            ref = np.sin(x) / s.sl.rho[-1] + series
             assert np.array_equal(characteristic(om, s.coeffs, s.sl)[0], ref)

@@ -12,24 +12,24 @@ from dual_routes import formal_power_table
 class TestParticularSolution:
     def test_zero_q_gives_constant(self, flat_sl):
         sol = solve_particular(flat_sl)
-        assert np.allclose(sol.g.values, 1.0, atol=0, rtol=0)
+        assert np.allclose(sol.g, 1.0, atol=0, rtol=0)
         assert sol.series_order == 1
-        assert np.max(np.abs(sol.g_prime.values)) == 0.0
+        assert np.max(np.abs(sol.g_prime)) == 0.0
 
     def test_cosh_oracle(self, cosh_sl):
         sol = solve_particular(cosh_sl)
         x = cosh_sl.mesh.points - 1.0
-        assert np.max(np.abs(sol.g.values - np.cosh(x))) < 1e-10
-        assert np.max(np.abs(sol.g_prime.values - np.sinh(x))) < 1e-10
-        assert sol.g.values[0] == pytest.approx(1.0, abs=1e-15)
-        assert sol.g_prime.values[0] == 0.0
+        assert np.max(np.abs(sol.g - np.cosh(x))) < 1e-10
+        assert np.max(np.abs(sol.g_prime - np.sinh(x))) < 1e-10
+        assert sol.g[0] == pytest.approx(1.0, abs=1e-15)
+        assert sol.g_prime[0] == 0.0
 
     def test_ejdcev_ode_residual(self, medium):
         s = medium(-1.0, 2.0)
         c, sol = s.sl, s.particular
-        flux = c.p.values * sol.g_prime.values
-        residual = derivative_values(c.mesh, flux) - c.q.values * sol.g.values
-        scale = np.max(np.abs(c.q.values * sol.g.values))
+        flux = c.p * sol.g_prime
+        residual = derivative_values(c.mesh, flux) - c.q * sol.g
+        scale = np.max(np.abs(c.q * sol.g))
         interior = slice(3, -3)
         assert np.max(np.abs(residual[interior])) / scale < 1e-8
 
@@ -38,12 +38,12 @@ class TestParticularSolution:
         ones = np.ones(mesh.M)
         sign_changing = SLCoefficients(
             mesh=mesh,
-            p=nb.GridFunction(mesh, ones),
-            q=nb.GridFunction(mesh, -40.0 * ones),  # strongly oscillatory regime
-            w=nb.GridFunction(mesh, ones),
-            l=nb.GridFunction(mesh, mesh.points - 1.0),
-            rho=nb.GridFunction(mesh, ones),
-            rho_prime=nb.GridFunction(mesh, 0.0 * ones),
+            p=ones,
+            q=-40.0 * ones,  # strongly oscillatory regime
+            w=ones,
+            l=mesh.points - 1.0,
+            rho=ones,
+            rho_prime=0.0 * ones,
         )
         with pytest.raises(nb.PositivityError):
             solve_particular(sign_changing)
@@ -61,7 +61,7 @@ class TestFormalPowers:
         for c, sol in ((cosh_sl, solve_particular(cosh_sl)), (s.sl, s.particular)):
             first = build_formal_powers(sol, c)
             table = formal_power_table(sol, c, K=3)
-            phi1_prime = sol.g_prime.values * table.Y[1] + 1.0 / (c.p.values * sol.g.values)
+            phi1_prime = sol.g_prime * table.Y[1] + 1.0 / (c.p * sol.g)
             assert np.array_equal(first.Y1, table.Y[1])
             assert np.array_equal(first.Phi1, table.Phi[1])
             assert np.array_equal(first.Phi1_prime, phi1_prime)
@@ -69,7 +69,7 @@ class TestFormalPowers:
     def test_phi0_is_g(self, cosh_sl):
         sol = solve_particular(cosh_sl)
         powers = formal_power_table(sol, cosh_sl, K=3)
-        assert np.array_equal(powers.Phi[0], sol.g.values)
+        assert np.array_equal(powers.Phi[0], sol.g)
         assert np.all(powers.Y[0] == 1.0) and np.all(powers.Ytilde[0] == 1.0)
 
     def test_powers_reduce_to_monomials(self, flat_sl):
