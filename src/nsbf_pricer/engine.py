@@ -18,9 +18,7 @@ import numpy as np
 
 from . import pricing
 from .coefficients import NSBFCoefficients, build_nsbf_coefficients
-from .errors import (
-    ConfigError, NonFiniteSpot, SpotOutsideBarriers, TimeOutsideHorizon, VegaUndefined,
-)
+from .errors import ConfigError, VegaUndefined
 from .mesh import Mesh, build_mesh
 from .model import DiffusionSpec, SLCoefficients, build_sl_coefficients, is_number
 from .pricing import ContributionReport, OptionContract, PricingResult
@@ -94,6 +92,10 @@ class DoubleBarrierSolver:
         U: float,
         config: NumericsConfig = NumericsConfig(),
     ):
+        if not isinstance(spec, DiffusionSpec):
+            raise TypeError(f"spec must be a DiffusionSpec, got {type(spec).__name__}")
+        if not isinstance(config, NumericsConfig):
+            raise TypeError(f"config must be a NumericsConfig, got {type(config).__name__}")
         pricing.check_barriers(L, U)
         self.spec = spec
         self.L = float(L)
@@ -127,14 +129,16 @@ class DoubleBarrierSolver:
         self._ensure_solved()
         return self.pairs.lam.copy()
 
-    def retained_pairs(self, contract: OptionContract) -> EigenBasis:
-        """The leading slice of the basis that the truncation rule keeps for the contract.
+    def retained_pairs(self, contract: OptionContract, t: float = 0.0) -> EigenBasis:
+        """The leading slice of the basis that the truncation rule keeps at time t.
 
-        Solves first; a contract on other barriers raises ValueError.
+        The rule reads the remaining time T - t.  Solves first; a contract on
+        other barriers raises ValueError, a t outside [0, T] TimeOutsideHorizon.
         """
         self._check_contract(contract)
+        pricing.check_time(t, contract.T)
         self._ensure_solved()
-        return pricing.select_pairs(self.pairs, contract.T, self.config)
+        return pricing.select_pairs(self.pairs, contract.T - t, self.config)
 
     def _check_contract(self, contract: OptionContract):
         if not (contract.L == self.L and contract.U == self.U):
@@ -154,18 +158,11 @@ class DoubleBarrierSolver:
         own InvalidQuoteInput subclass, and a bool TypeError, before any work is done.
         So does a band that pricing.is_band refuses, with a ValueError naming it.
         """
-        if not (is_number(y0) and is_number(t)):
-            raise TypeError(f"spot y0 and time t must be real numbers, got y0={y0!r}, t={t!r}")
-        if not np.isfinite(y0):
-            raise NonFiniteSpot(f"spot y0 = {y0} is not finite")
-        if not self.L <= y0 <= self.U:
-            raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{self.L}, {self.U}]")
-        if not 0.0 <= t <= contract.T:
-            raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {contract.T}]")
+        pricing.check_quote_point(y0, t, self.L, self.U, contract.T)
         bad = [band for band in bands or () if not pricing.is_band(band)]
         if bad:
             raise ValueError(f"band {bad[0]!r} must be (n1, n2), integers 1 <= n1 <= n2 or n2 None")
-        pairs = self.retained_pairs(contract)
+        pairs = self.retained_pairs(contract, t)
         g = pricing.fourier_coefficients(contract, pairs)
         at = pricing.rows_at(y0, pairs)
         decay = pricing.decay_factors(pairs, contract, t)
@@ -184,7 +181,7 @@ class DoubleBarrierSolver:
             report = pricing.contribution_report(bands, at, contract, g, decay)
         diagnostics = self.diagnostics()
         diagnostics["truncation"] = pricing.truncation(
-            len(pairs), len(self.pairs), contract.T, self.config
+            len(pairs), len(self.pairs), contract.T - t, self.config
         )
 
         return PricingResult(
@@ -199,11 +196,14 @@ class DoubleBarrierSolver:
         )
 
     def surface(self, contract: OptionContract, t_count: int = 101, y_count: int = 101):
-        """Value on a t_count x y_count grid; each count must be an integer >= 1, not a bool."""
+        """Value on a t_count x y_count grid; each count must be an integer >= 1, not a bool.
+
+        Every row reads the pairs that its last row, at t = T, keeps.
+        """
         for name, count in (("t_count", t_count), ("y_count", y_count)):
             if not (is_number(count, numbers.Integral) and count >= 1):
                 raise ValueError(f"surface {name} must be an integer >= 1, got {count!r}")
-        pairs = self.retained_pairs(contract)
+        pairs = self.retained_pairs(contract, contract.T)
         g = pricing.fourier_coefficients(contract, pairs)
         return pricing.value_surface(contract, pairs, g, t_count, y_count)
 

@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from .errors import InstabilityError
 from .model import DiffusionSpec, sample
-from .pricing import OptionContract
+from .pricing import OptionContract, check_quote_point
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,11 @@ class FDSolution:
     values: np.ndarray  # shape (t_count + 1, y_count); row 0 is t = 0
 
     def at(self, y0: float, t0: float = 0.0) -> float:
+        """The value at the grid time nearest t0, interpolated linearly at y0.
+
+        y0 must be finite and in [L, U], and t0 in [0, T], as for a quote.
+        """
+        check_quote_point(y0, t0, self.y[0], self.y[-1], self.t[-1])
         ti = int(np.argmin(np.abs(self.t - t0)))
         return float(np.interp(y0, self.y, self.values[ti]))
 
@@ -122,5 +127,6 @@ def solve_pde(spec: DiffusionSpec, contract: OptionContract, grid: FDGrid) -> FD
 def fd_price(
     spec: DiffusionSpec, contract: OptionContract, grid: FDGrid, y0: float
 ) -> float:
-    """Price at (y0, 0) from the oracle solve."""
+    """Price at (y0, 0) from the oracle solve; a bad spot is refused before the solve."""
+    check_quote_point(y0, 0.0, contract.L, contract.U, contract.T)
     return solve_pde(spec, contract, grid).at(y0, 0.0)

@@ -35,7 +35,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import NonFiniteParameter, ParameterOutOfRange, VegaUndefined
+from .errors import (
+    NonFiniteParameter, NonFiniteSpot, ParameterOutOfRange, SpotOutsideBarriers,
+    TimeOutsideHorizon, VegaUndefined,
+)
 
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
@@ -55,6 +58,27 @@ def check_barriers(L: float, U: float):
         raise NonFiniteParameter(f"barriers must be finite, got L={L}, U={U}")
     if not 0.0 < L < U:
         raise ParameterOutOfRange(f"barriers need 0 < L < U, got L={L}, U={U}")
+
+
+def check_time(t: float, T: float):
+    """The evaluation time t must lie in [0, T]; else TimeOutsideHorizon."""
+    if not 0.0 <= t <= T:
+        raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {T}]")
+
+
+def check_quote_point(y0: float, t: float, L: float, U: float, T: float):
+    """A quote at (y0, t) needs y0 finite and in [L, U], and t in [0, T].
+
+    Each violation raises its own InvalidQuoteInput subclass, and a
+    non-number or a bool a TypeError.
+    """
+    if not (is_number(y0) and is_number(t)):
+        raise TypeError(f"spot y0 and time t must be real numbers, got y0={y0!r}, t={t!r}")
+    if not np.isfinite(y0):
+        raise NonFiniteSpot(f"spot y0 = {y0} is not finite")
+    if not L <= y0 <= U:
+        raise SpotOutsideBarriers(f"spot y0 = {y0} lies outside [{L}, {U}]")
+    check_time(t, T)
 
 
 @dataclass(frozen=True)
@@ -158,30 +182,30 @@ def is_band(band) -> bool:
     return n2 is None or (is_number(n2, int) and n2 >= n1)
 
 
-def select_pairs(pairs: EigenBasis, T: float, config: "NumericsConfig") -> EigenBasis:
-    """Truncation rule, the same for every contract.
+def select_pairs(pairs: EigenBasis, tau: float, config: "NumericsConfig") -> EigenBasis:
+    """Truncation rule, the same for every contract, at remaining time tau = T - t.
 
     Keep lambda_n <= config.lambda_cutoff when it is set, otherwise
-    lambda_n T <= config.lambda_decay_cap, and at least the first pair.
+    lambda_n tau <= config.lambda_decay_cap, and at least the first pair.
     Eigenvalues increase, so the kept pairs are a leading slice of the
     basis.
     """
     if config.lambda_cutoff is None:
-        kept = np.count_nonzero(pairs.lam * T <= config.lambda_decay_cap)
+        kept = np.count_nonzero(pairs.lam * tau <= config.lambda_decay_cap)
     else:
         kept = np.count_nonzero(pairs.lam <= config.lambda_cutoff)
     return pairs[: max(kept, 1)]
 
 
-def truncation(kept: int, found: int, T: float, config: "NumericsConfig") -> str:
-    """What cut the series off for a contract of maturity T: "lambda_cutoff" when set,
-    "window" when every found pair is kept and omega_max**2 T < lambda_decay_cap (roots
+def truncation(kept: int, found: int, tau: float, config: "NumericsConfig") -> str:
+    """What cut the series off at remaining time tau = T - t: "lambda_cutoff" when set,
+    "window" when every found pair is kept and omega_max**2 tau < lambda_decay_cap (roots
     above the omega window, which the decay rule would keep, were never searched for),
     "lambda_decay_cap" otherwise.
     """
     if config.lambda_cutoff is not None:
         return "lambda_cutoff"
-    if kept == found and config.omega_max**2 * T < config.lambda_decay_cap:
+    if kept == found and config.omega_max**2 * tau < config.lambda_decay_cap:
         return "window"
     return "lambda_decay_cap"
 

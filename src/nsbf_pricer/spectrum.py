@@ -11,9 +11,9 @@ assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
 and one shared block of the odd Bessel orders, the only ones the series
 uses; the derivative's beta series, truncated no higher than alpha's,
 reads the block's leading rows.  The assembled basis (EigenBasis) is all a
-quote reads, each fact held once, as arrays: phi_n and phi_n' are rows of
-(BLOCK_ROWS, M) arrays that only this module reads, beside the steady state,
-and an EigenPair is a view of one row, built when asked.  Sturm's
+quote reads, each fact held once, as arrays: phi_n and phi_n' are rows
+n - 1 of one (N, M) array each, beside the steady state, and an EigenPair
+is a view of one row, built when asked.  Sturm's
 oscillation theorem checks that the scan skipped no root (phi_N has N - 1
 interior zeros), and the slope at each root checks each norm through the
 Sturm-Liouville identity (norm_identity_residuals).
@@ -41,12 +41,10 @@ SCAN_PER_SPACING = 20
 # its bracket at most REFINE_TOL wide; REFINE_MAX_STEPS caps the steps.
 REFINE_TOL = 1e-12
 REFINE_MAX_STEPS = 60
-# Rows per basis array; a quote projects a block at a time through one
-# block-sized buffer.  Blocks, not one (N, M) array per basis, because a
-# multi-megabyte array freed with an old solve leaves a hole that glibc's heap
-# rarely refills: with one array per basis, one-day sweeps that solve a model
-# per item peaked at about 5 MB more resident memory.
-BLOCK_ROWS = 8
+# Rows phi_sums multiplies into its buffer and reduces per step.  On the
+# 56-pair one-day basis (2-CPU container), 1, 2, 4, 8, 16 and 56 rows per
+# step took 0.69, 0.58, 0.51, 0.51, 0.59 and 0.75 ms.
+SUM_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,8 @@ class EigenBasis:
     """The eigenpairs of one solve and the steady state, held once as arrays.
 
     omega, lam, slope, norm_sq and boundary_residual hold one entry per
-    pair.  phi (dphi) is a tuple of 2-D arrays whose rows, block after
-    block, are phi_1, phi_2, ... (phi_1', ...) on the mesh; every block but
-    the last has BLOCK_ROWS rows.  h and dh are the steady state and its
+    pair.  phi (dphi) is one (N, M) array whose rows are phi_1, phi_2, ...
+    (phi_1', ...) on the mesh.  h and dh are the steady state and its
     derivative on the mesh, and ww is w times the mesh's quadrature weights,
     so <f, g>_w = sum(f * (g * ww)).  Indexing or iterating builds the
     EigenPair view of a row when asked; a leading slice gives the basis of
@@ -89,8 +86,8 @@ class EigenBasis:
     slope: np.ndarray
     norm_sq: np.ndarray
     boundary_residual: np.ndarray
-    phi: tuple
-    dphi: tuple
+    phi: np.ndarray
+    dphi: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     ww: np.ndarray
@@ -106,34 +103,33 @@ class EigenBasis:
             start, stop, step = index.indices(len(self))
             if start != 0 or step != 1:
                 raise ValueError("a basis slice must be leading: basis[:stop]")
-            # every block but the last holds BLOCK_ROWS rows: keep the blocks
-            # that hold the first stop rows, the last one cut short
-            kept = -(-stop // BLOCK_ROWS)
-            phi, dphi = (tuple(b[: stop - k * BLOCK_ROWS] for k, b in enumerate(blocks[:kept]))
-                         for blocks in (self.phi, self.dphi))
             return EigenBasis(self.mesh, self.omega[:stop], self.lam[:stop], self.slope[:stop],
-                              self.norm_sq[:stop], self.boundary_residual[:stop], phi, dphi,
-                              self.h, self.dh, self.ww)
+                              self.norm_sq[:stop], self.boundary_residual[:stop],
+                              self.phi[:stop], self.dphi[:stop], self.h, self.dh, self.ww)
         i = range(len(self))[index]
-        block, row = divmod(i, BLOCK_ROWS)
         return EigenPair(
             n=i + 1, omega=float(self.omega[i]), lam=float(self.lam[i]),
-            phi=self.phi[block][row], phi_prime=self.dphi[block][row],
+            phi=self.phi[i], phi_prime=self.dphi[i],
             norm_sq=float(self.norm_sq[i]), boundary_residual=float(self.boundary_residual[i]),
             slope=float(self.slope[i]),
         )
 
     def phi_sums(self, v: np.ndarray) -> np.ndarray:
-        """np.sum(phi_n * v) for every pair, as one array, each block through one buffer."""
-        buf = np.empty_like(self.phi[0]) if self.phi else None
-        sums = [np.sum(np.multiply(b, v, out=buf[: len(b)]), axis=-1) for b in self.phi]
-        return np.concatenate(sums) if sums else np.empty(0)
+        """np.sum(phi_n * v) for every pair, as one array, SUM_ROWS rows at a time.
+
+        Each step multiplies its rows into one buffer and sums along them, so
+        every sum has the bits of np.sum(phi_n * v) for any SUM_ROWS.
+        """
+        buf = np.empty((min(SUM_ROWS, len(self)), self.mesh.M))
+        sums = np.empty(len(self))
+        for i in range(0, len(self), SUM_ROWS):
+            rows = self.phi[i : i + SUM_ROWS]
+            sums[i : i + len(rows)] = np.sum(np.multiply(rows, v, out=buf[: len(rows)]), axis=-1)
+        return sums
 
     def rows_at(self, at: Stencil) -> tuple[np.ndarray, np.ndarray]:
         """phi_n and phi_n' of every pair at the stencil's points, (pairs, points) each."""
-        empty = np.empty((0, len(at.nodes)))
-        return tuple(np.concatenate([at(b) for b in blocks]) if blocks else empty
-                     for blocks in (self.phi, self.dphi))
+        return at(self.phi), at(self.dphi)
 
 
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
@@ -236,14 +232,15 @@ def find_eigenvalues(
 def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) -> EigenBasis:
     """The basis of the roots omega: eigenfunctions and their derivatives, stacked.
 
-    phi_n and phi_n' are written straight into row n-1 of the basis's row
-    blocks.  Each root evaluates sin(omega l) and cos(omega l) once on the
-    mesh, and one block of the odd Bessel orders built from them serves
+    phi_n and phi_n' are written straight into row n-1 of the basis's two
+    (N, M) arrays.  Each root evaluates sin(omega l) and cos(omega l) once on
+    the mesh, and one block of the odd Bessel orders built from them serves
     phi_n and phi_n'.  The block holds alpha's odd orders; beta is truncated
     at an order no higher than alpha's, so its odd rows read the block's
     leading rows.  The checks, the norms and the boundary residuals are
-    taken over the row blocks after the loop, and one characteristic call
-    at the roots gives their slopes.  The basis keeps the steady state h, h'.
+    taken after the loop, sup |phi| from each row's max and min and each norm
+    row by row, so no (N, M) temporary is made; one characteristic call at
+    the roots gives their slopes.  The basis keeps the steady state h, h'.
 
     A non-finite value in any row raises ConvergenceError, and an
     eigenfunction whose |phi(U)| exceeds BOUNDARY_TOL * sup |phi| raises
@@ -255,13 +252,11 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
     omega = np.asarray(omega, dtype=float)
     n, l, rho = omega.size, c.l, c.rho
     ww = c.w * c.mesh.weights
-    phi = tuple(np.empty((min(BLOCK_ROWS, n - i), c.mesh.M)) for i in range(0, n, BLOCK_ROWS))
-    dphi = tuple(np.empty_like(b) for b in phi)
-    rows, drows = [r for b in phi for r in b], [r for b in dphi for r in b]
+    phi, dphi = np.empty((n, c.mesh.M)), np.empty((n, c.mesh.M))
     alpha, beta = _signed_odd(coeffs.alpha), _signed_odd(coeffs.beta)
     sqrt_wp = np.sqrt(c.w / c.p)
     rho_ratio = c.rho_prime / rho
-    for om, row, drow in zip(omega, rows, drows):
+    for om, row, drow in zip(omega, phi, dphi):
         x = om * l
         trig = np.sin(x), np.cos(x)
         # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
@@ -271,26 +266,24 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
         inner = (coeffs.G2 * trig[0] + om * trig[1]) / rho
         inner += 2.0 * np.sum(beta * block[: len(beta)], axis=0)
         np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
-    if not all(np.isfinite(b).all() for b in phi + dphi):
+    if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
         raise ConvergenceError("an assembled eigenfunction or derivative is not finite")
-    residual = np.concatenate(
-        [np.abs(b[:, -1]) / np.max(np.abs(b), axis=1) for b in phi] or [np.empty(0)]
-    )
+    residual = np.abs(phi[:, -1]) / np.maximum(phi.max(axis=1), -phi.min(axis=1))
     (bad,) = np.nonzero(residual > BOUNDARY_TOL)
     if bad.size:
         i = bad[0]
         raise BoundaryViolation(
-            f"phi_{i + 1}(U) = {rows[i][-1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
+            f"phi_{i + 1}(U) = {phi[i, -1]:.3e} exceeds {BOUNDARY_TOL:g} x sup |phi|"
         )
-    if rows:
-        interior = np.signbit(rows[-1][1:-1])
+    if n:
+        interior = np.signbit(phi[-1, 1:-1])
         changes = int(np.count_nonzero(interior[1:] != interior[:-1]))
         if changes != n - 1:
             raise ConvergenceError(
                 f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
                 "the omega scan skipped a root or found a spurious one"
             )
-    norm_sq = np.concatenate([np.sum(b * (b * ww), axis=-1) for b in phi] or [np.empty(0)])
+    norm_sq = np.array([np.sum(r * (r * ww)) for r in phi])
     _, slope = characteristic(omega, coeffs, c)
     return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi, h, dh, ww)
 
@@ -303,6 +296,5 @@ def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
     holds, with d_lambda = d_omega / (2 omega).  It checks each mesh norm
     against the series at U alone, using the slope at each root.
     """
-    dphi_u = np.concatenate([b[:, -1] for b in basis.dphi])
-    identity = c.p[-1] * dphi_u * basis.slope / (2.0 * basis.omega)
+    identity = c.p[-1] * basis.dphi[:, -1] * basis.slope / (2.0 * basis.omega)
     return np.abs(identity - basis.norm_sq) / basis.norm_sq

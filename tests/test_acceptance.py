@@ -416,8 +416,8 @@ def test_criterion_9_rebate(medium, short):
     s = short(-1.0, 2.0)
     kept = s.pairs[:27]
     rebate = contract(rebate=U - 100.0)
-    recon0 = pricing.fourier_coefficients(plain, kept) @ np.vstack(kept.phi)
-    recon_r = pricing.fourier_coefficients(rebate, kept) @ np.vstack(kept.phi)
+    recon0 = pricing.fourier_coefficients(plain, kept) @ kept.phi
+    recon_r = pricing.fourier_coefficients(rebate, kept) @ kept.phi
     recon_r = recon_r + rebate.rebate * kept.h
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)

@@ -7,7 +7,7 @@ import pytest
 
 import nsbf_pricer as nb
 from nsbf_pricer import engine, pricing, spectrum
-from nsbf_pricer.fd import FDGrid, fd_price
+from nsbf_pricer.fd import FDGrid, fd_price, solve_pde
 from nsbf_pricer.mesh import build_mesh, derivative_values, inner_product
 
 from conftest import make_solver
@@ -117,7 +117,7 @@ class TestFourierCoefficients:
         # terminal reconstruction of the discontinuous payoff overshoots near U
         s = short(-2.0, 2.0)
         c = contract()
-        recon = pricing.fourier_coefficients(c, s.pairs[:27]) @ np.vstack(s.pairs[:27].phi)
+        recon = pricing.fourier_coefficients(c, s.pairs[:27]) @ s.pairs[:27].phi
         near_u = s.mesh.points > 115.0
         assert np.max(recon[near_u]) > (U - c.K) * 1.02
 
@@ -154,34 +154,72 @@ class TestValue:
 
 
 
+# Every route to a quote refuses the same inputs: the pricer, the pricer's
+# truncation rule (time only), and the oracle's price and its solution's
+# reading (fd_price quotes at t = 0 only).
+QUOTE_ROUTES = {
+    "price": lambda s, sol, y0, t: s.price(contract(), y0, t=t),
+    "retained_pairs": lambda s, sol, y0, t: s.retained_pairs(contract(), t),
+    "fd_price": lambda s, sol, y0, t: fd_price(s.spec, contract(), FDGrid(), y0),
+    "fd_at": lambda s, sol, y0, t: sol.at(y0, t),
+}
+
+
+def on_routes(values, routes):
+    """Each value on each route; the pricer's cases keep the value alone as their id."""
+    return [pytest.param(v, r, id=str(v) if r == "price" else f"{v}-{r}")
+            for r in routes for v in values]
+
+
 class TestQuoteInputValidation:
-    @pytest.mark.parametrize("y0", [math.nan, math.inf, -math.inf])
-    def test_non_finite_spot(self, medium, y0):
+    @pytest.fixture(scope="class")
+    def quote(self, medium):
+        s = medium(-1.0, 2.0)
+        sol = solve_pde(s.spec, contract(), FDGrid(201, 200))
+        return lambda route, y0, t=0.0: QUOTE_ROUTES[route](s, sol, y0, t)
+
+    @pytest.mark.parametrize("y0, route", on_routes([math.nan, math.inf, -math.inf],
+                                                    ["price", "fd_price", "fd_at"]))
+    def test_non_finite_spot(self, quote, y0, route):
         with pytest.raises(nb.NonFiniteSpot):
-            medium(-1.0, 2.0).price(contract(), y0)
+            quote(route, y0)
 
-    @pytest.mark.parametrize("y0", [L - 1e-9, U + 1.0])
-    def test_spot_outside_barriers(self, medium, y0):
+    @pytest.mark.parametrize("y0, route", on_routes([L - 1e-9, U + 1.0, 10.0, 200.0],
+                                                    ["price", "fd_price", "fd_at"]))
+    def test_spot_outside_barriers(self, quote, y0, route):
         with pytest.raises(nb.SpotOutsideBarriers):
-            medium(-1.0, 2.0).price(contract(), y0)
+            quote(route, y0)
 
-    @pytest.mark.parametrize("t", [-0.01, 0.6, math.nan])
-    def test_time_outside_horizon(self, medium, t):
+    @pytest.mark.parametrize("t, route", on_routes([-0.01, 0.6, math.nan],
+                                                   ["price", "retained_pairs", "fd_at"]))
+    def test_time_outside_horizon(self, quote, t, route):
         with pytest.raises(nb.TimeOutsideHorizon):
-            medium(-1.0, 2.0).price(contract(), Y0, t=t)
+            quote(route, Y0, t)
 
     # JSON true is a Python bool, which would otherwise read as the number 1
-    @pytest.mark.parametrize("case", ["L", "U", "y0", "t"])
-    def test_bool_inputs_refused(self, medium, case):
+    @pytest.mark.parametrize("case", ["L", "U", "y0", "t", "fd_price y0", "fd_at t"])
+    def test_bool_inputs_refused(self, medium, quote, case):
         s = medium(-1.0, 2.0)
         calls = {
             "L": lambda: nb.DoubleBarrierSolver(s.spec, True, U),
             "U": lambda: nb.DoubleBarrierSolver(s.spec, L, True),
             "y0": lambda: s.price(contract(), True),
             "t": lambda: s.price(contract(T=2.0), Y0, t=True),
+            "fd_price y0": lambda: quote("fd_price", True),
+            "fd_at t": lambda: quote("fd_at", Y0, True),
         }
         with pytest.raises(TypeError, match="must be real numbers"):
             calls[case]()
+
+    # a dict config used to fail only at solve, on its missing mesh_points
+    @pytest.mark.parametrize("name, bad", [
+        ("spec", {}), ("spec", None), ("config", {"mesh_points": 2001}), ("config", None),
+    ])
+    def test_solver_arguments_checked_at_construction(self, medium, name, bad):
+        args = dict(spec=medium(-1.0, 2.0).spec, L=L, U=U, config=nb.NumericsConfig())
+        args[name] = bad
+        with pytest.raises(TypeError, match=f"{name} must be a"):
+            nb.DoubleBarrierSolver(**args)
 
     def test_errors_are_value_errors(self, medium):
         with pytest.raises(ValueError):
@@ -286,7 +324,7 @@ class TestValueSurface:
         f = pricing.payoff_grid(c, s.mesh)
         errs, w = [], nb.GridFunction(s.mesh, s.sl.w)
         for n in (5, 10, 20, 27):
-            recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ np.vstack(s.pairs[:n].phi)
+            recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ s.pairs[:n].phi
             diff = nb.GridFunction(s.mesh, recon - f)
             errs.append(math.sqrt(inner_product(diff, diff, w)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
@@ -420,6 +458,19 @@ class TestTruncation:
                 assert r.N_used == kept
                 assert r.diagnostics["truncation"] == "lambda_cutoff"
 
+    def test_a_late_quote_keeps_the_pairs_its_remaining_time_needs(self, medium):
+        # the decay rule reads T - t: at 0.9 T every one of the 8 found pairs
+        # counts (a rule on T kept 4 and priced 5.909119 against CN's 5.961165)
+        s, c = medium(-1.0, 2.0), contract(K=100.0, T=0.5)
+        cn = solve_pde(s.spec, c, FDGrid(3201, 2000))
+        r = s.price(c, 105.0, t=0.9 * c.T)
+        assert r.N_used == len(s.pairs) == 8
+        assert abs(r.price - cn.at(105.0, 0.9 * c.T)) < 1e-4
+        # at 0.98 T the decay rule would keep roots above the omega window
+        late = s.price(c, 105.0, t=0.98 * c.T)
+        assert late.diagnostics["truncation"] == "window"
+        assert s.price(c, 105.0).N_used == len(s.retained_pairs(c)) == 4
+
     # omega_max**2 T against the cap of 35: 112.5 (table1-medium), 27.8
     # (table3-short) and 0.625 (the default window at one day, pinned by
     # test_known_defect_default_window_truncates_one_day_quote); below the
@@ -519,9 +570,9 @@ class TestRebate:
         n_keep = 27
         pairs = s.pairs[:n_keep]
         f = pricing.payoff_grid(c0, s.mesh)
-        recon0 = pricing.fourier_coefficients(c0, pairs) @ np.vstack(pairs.phi)
+        recon0 = pricing.fourier_coefficients(c0, pairs) @ pairs.phi
         err0 = nb.GridFunction(s.mesh, recon0 - f)
-        recon_r = pricing.fourier_coefficients(cr, pairs) @ np.vstack(pairs.phi)
+        recon_r = pricing.fourier_coefficients(cr, pairs) @ pairs.phi
         recon_r = recon_r + cr.rebate * pairs.h
         err_r = nb.GridFunction(s.mesh, recon_r - f)
         w = nb.GridFunction(s.mesh, s.sl.w)
@@ -557,12 +608,16 @@ class TestStackedBasis:
     """
 
     @staticmethod
-    def reference(s, c, y0, t, bands):
-        pairs = s.retained_pairs(c)
+    def coefficients(s, c, pairs):
         d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * s.pairs.h)
         w = nb.GridFunction(s.mesh, s.sl.w)
-        g = np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), w) / p.norm_sq
-                      for p in pairs])
+        return np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), w) / p.norm_sq
+                         for p in pairs])
+
+    @classmethod
+    def reference(cls, s, c, y0, t, bands):
+        pairs = s.retained_pairs(c, t)
+        g = cls.coefficients(s, c, pairs)
         lam = np.array([p.lam for p in pairs])
         phi = np.array([interpolate(s.mesh, p.phi, [y0]) for p in pairs])
         dphi = np.array([interpolate(s.mesh, p.phi_prime, y0) for p in pairs])
@@ -580,12 +635,18 @@ class TestStackedBasis:
             val = float(np.sum(g[sel] * phi[sel, 0] * np.exp(-lam[sel] * (c.T - t))))
             rows.append((n1, n2, val))
             total += val
+        return g, float(price[0]), delta, theta, tuple(rows), total
+
+    @classmethod
+    def reference_surface(cls, s, c):
+        pairs = s.retained_pairs(c, c.T)  # every row keeps the pairs of its last, at t = T
+        g = cls.coefficients(s, c, pairs)
+        lam = np.array([p.lam for p in pairs])
         y_grid = np.linspace(L, U, 41)
         phis = np.array([interpolate(s.mesh, p.phi, y_grid) for p in pairs])
         tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
         h_grid = interpolate(s.mesh, s.pairs.h, y_grid)
-        surface = (g * np.exp(-lam * tau)) @ phis + c.rebate * h_grid
-        return g, float(price[0]), delta, theta, tuple(rows), total, surface
+        return (g * np.exp(-lam * tau)) @ phis + c.rebate * h_grid
 
     @pytest.mark.parametrize("style", ["call", "put", "custom"])
     @pytest.mark.parametrize("R", [0.0, 5.0])
@@ -596,17 +657,19 @@ class TestStackedBasis:
         c = nb.OptionContract(style, L, U, T, None if style == "custom" else 101.5, rebate=R,
                               payoff=payoff if style == "custom" else None)
         bands = [(1, 2), (3, 10), (11, None)]
-        pairs = s.retained_pairs(c)
-        for y0, t in ((float(s.mesh.points[3337]), 0.0), (101.2345678, 0.3 * T), (L, 0.0), (U, 0.0)):
-            g, price, delta, theta, rows, total, surface = self.reference(s, c, y0, t, bands)
-            assert np.array_equal(pricing.fourier_coefficients(c, pairs), g)
+        for y0, t in ((float(s.mesh.points[3337]), 0.0), (101.2345678, 0.3 * T),
+                      (101.2345678, 0.95 * T), (L, 0.0), (U, 0.0)):
+            g, price, delta, theta, rows, total = self.reference(s, c, y0, t, bands)
+            assert np.array_equal(pricing.fourier_coefficients(c, s.retained_pairs(c, t)), g)
             r = s.price(c, y0, greeks=True, bands=bands, t=t)
+            assert r.N_used == len(g)
             assert (r.price, r.delta, r.theta) == (price, delta, theta)
             assert r.contributions.bands == rows and r.contributions.total == total
+        surface = self.reference_surface(s, c)
         assert np.array_equal(s.surface(c, t_count=5, y_count=41)[2], surface)
 
     def test_one_day_quote_allocates_one_block_and_a_few_vectors(self, short):
-        # the projection reduces each block through one block-sized buffer
+        # the projection reduces SUM_ROWS rows at a time through one buffer
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360, rebate=5.0)
         quote = lambda: s.price(c, Y0, greeks=True, bands=[(1, 2), (3, 10), (11, None)])
@@ -617,29 +680,38 @@ class TestStackedBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (spectrum.BLOCK_ROWS + 4) * s.mesh.M * 8
+        assert peak <= (spectrum.SUM_ROWS + 4) * s.mesh.M * 8
+
+    @pytest.mark.parametrize("rows", [1, 3, 8, 64])
+    def test_projection_bits_do_not_depend_on_the_chunk_height(self, short, monkeypatch, rows):
+        s = short(-2.0, 2.0)
+        v = np.sin(s.mesh.points) * s.pairs.ww
+        monkeypatch.setattr(spectrum, "SUM_ROWS", rows)
+        assert np.array_equal(s.pairs.phi_sums(v), [np.sum(r * v) for r in s.pairs.phi])
 
     def test_pairs_are_views_of_the_stacked_rows(self, medium, short):
-        rows = spectrum.BLOCK_ROWS
         for s in (medium(-1.0, 2.0), short(-2.0, 2.0)):
             basis = s.pairs
-            heights = [len(b) for b in basis.phi]
-            assert heights == [min(rows, len(basis) - i) for i in range(0, len(basis), rows)]
-            assert [b.shape for b in basis.dphi] == [b.shape for b in basis.phi]
+            n = len(basis)
+            for rows in (basis.phi, basis.dphi):
+                assert rows.shape == (n, s.mesh.M) and rows.flags.c_contiguous
             for i, p in enumerate(basis):
                 assert p.n == i + 1
-                assert np.shares_memory(p.phi, basis.phi[i // rows][i % rows])
-                assert np.shares_memory(p.phi_prime, basis.dphi[i // rows][i % rows])
+                assert np.shares_memory(p.phi, basis.phi[i])
+                assert np.shares_memory(p.phi_prime, basis.dphi[i])
+                assert np.array_equal(p.phi, basis.phi[i])
+                assert np.array_equal(p.phi_prime, basis.dphi[i])
                 assert (p.omega, p.lam, p.norm_sq, p.boundary_residual, p.slope) == (
                     basis.omega[i], basis.lam[i], basis.norm_sq[i], basis.boundary_residual[i],
                     basis.slope[i])
-            n = len(basis)
             for stop in (1, min(13, n), n, n + 5):
                 part = basis[:stop]
-                assert np.array_equal(np.vstack(part.phi), np.vstack(basis.phi)[:stop])
-                assert np.array_equal(np.vstack(part.dphi), np.vstack(basis.dphi)[:stop])
-                assert all(np.shares_memory(a, b) for a, b in zip(part.phi, basis.phi))
+                assert np.array_equal(part.phi, basis.phi[:stop])
+                assert np.array_equal(part.dphi, basis.dphi[:stop])
+                assert np.shares_memory(part.phi, basis.phi)
+                assert np.shares_memory(part.dphi, basis.dphi)
                 assert len(part) == min(stop, n) and np.array_equal(part.lam, basis.lam[:stop])
+                assert part.phi.shape == part.dphi.shape == (len(part), s.mesh.M)
                 last = part[-1]
                 assert (last.n, last.omega) == (len(part), basis.omega[len(part) - 1])
                 assert np.array_equal(last.phi, basis[len(part) - 1].phi)
