@@ -31,7 +31,6 @@ _FLAGS = {
     "mesh": ("numerics", "mesh_points"),
     "omega_max": ("numerics", "omega_max"),
     "nsbf_order": ("numerics", "nsbf_order"),
-    "lambda_cutoff": ("numerics", "lambda_cutoff"),
     "format": ("output", "format"),
     "output": ("output", "path"),
 }
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh", type=int, metavar="M", help="mesh point count")
         p.add_argument("--omega-max", type=float, dest="omega_max", metavar="W")
         p.add_argument("--nsbf-order", type=int, dest="nsbf_order", metavar="M")
-        p.add_argument("--lambda-cutoff", type=float, dest="lambda_cutoff", metavar="X")
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -28,16 +28,17 @@ from .spps import ParticularSolution, build_formal_powers, solve_particular, ste
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Discretization and truncation knobs; defaults match the reference tables.
+    """Discretization knobs; defaults match the reference tables.
 
-    No root above omega_max is found, so lambda_cutoff may not exceed omega_max**2.
+    The series is cut by one rule, the same for every contract and not a
+    knob: a quote at remaining time T - t keeps the pairs with
+    lambda_n (T - t) <= lambda_decay_cap, a class constant.
     """
 
     mesh_points: int = 10001
     nsbf_order: Optional[int] = None  # None: choose by identity-residual plateau
     omega_max: float = 15.0
-    lambda_decay_cap: float = 35.0  # keep lambda_n * T <= cap
-    lambda_cutoff: Optional[float] = None  # absolute cutoff lambda_n <= X, overrides the decay rule
+    lambda_decay_cap: ClassVar[float] = 35.0
 
     def __post_init__(self):
         def check(ok: bool, name: str, rule: str):
@@ -47,21 +48,13 @@ class NumericsConfig:
         def integer(value) -> bool:
             return is_number(value, numbers.Integral)
 
-        def finite_positive(value) -> bool:
-            return is_number(value) and math.isfinite(value) and value > 0
-
         m = self.mesh_points
         check(integer(m) and m >= 6 and m % 5 == 1, "mesh_points", "an integer >= 6 and 1 mod 5")
         order = self.nsbf_order
         check(order is None or (integer(order) and order >= 0), "nsbf_order",
               "None or a non-negative integer")
-        check(finite_positive(self.omega_max), "omega_max", "finite and positive")
-        check(finite_positive(self.lambda_decay_cap), "lambda_decay_cap", "finite and positive")
-        check(self.lambda_cutoff is None or finite_positive(self.lambda_cutoff), "lambda_cutoff",
-              "None or finite and positive")
-        top = self.omega_max**2
-        check(self.lambda_cutoff is None or self.lambda_cutoff <= top, "lambda_cutoff",
-              f"at most omega_max**2 = {top:g}, the top of the omega window")
+        w = self.omega_max
+        check(is_number(w) and math.isfinite(w) and w > 0, "omega_max", "finite and positive")
 
 
 def solve_from_sl(
@@ -196,16 +189,22 @@ class DoubleBarrierSolver:
         )
 
     def surface(self, contract: OptionContract, t_count: int = 101, y_count: int = 101):
-        """Value on a t_count x y_count grid; each count must be an integer >= 1, not a bool.
+        """(t_grid, y_grid, values) on a t_count x y_count grid from t = 0 to T, L to U.
 
-        Every row reads the pairs that its last row, at t = T, keeps.
+        Rows of values are times, columns prices.  Each count must be an
+        integer >= 1, not a bool.  Every row reads the pairs that its last
+        row, at t = T, keeps.
         """
         for name, count in (("t_count", t_count), ("y_count", y_count)):
             if not (is_number(count, numbers.Integral) and count >= 1):
                 raise ValueError(f"surface {name} must be an integer >= 1, got {count!r}")
         pairs = self.retained_pairs(contract, contract.T)
         g = pricing.fourier_coefficients(contract, pairs)
-        return pricing.value_surface(contract, pairs, g, t_count, y_count)
+        t_grid = np.linspace(0.0, contract.T, t_count)
+        y_grid = np.linspace(contract.L, contract.U, y_count)
+        at = pricing.rows_at(y_grid, pairs)
+        decay = pricing.decay_factors(pairs, contract, t_grid)
+        return t_grid, y_grid, pricing.value(at, contract, g, decay)
 
     def diagnostics(self) -> dict:
         """Facts about the solve (solving first); computed once per solve, copied per call."""

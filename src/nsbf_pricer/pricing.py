@@ -22,14 +22,16 @@ coefficients g travel as one array: d = f - R h times the basis's
 quadrature vector w weights is formed once, and the basis reduces its phi
 rows against it.  Then one interpolation stencil at y0 reads phi, phi', h
 and h' (Rows), and value, Delta, Theta and the band report all use those
-rows; a surface does the same with one stencil on its price grid.  The
-time factors exp(-lambda_n (T - t)) are formed once per quote, so the
-series and its Greeks are taken at the same t.
+rows; a surface reads one stencil on its price grid through value, with
+one row of time factors per time.  The time factors exp(-lambda_n (T - t))
+are formed once per quote, so the series and its Greeks are taken at the
+same t.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -60,10 +62,14 @@ def check_barriers(L: float, U: float):
         raise ParameterOutOfRange(f"barriers need 0 < L < U, got L={L}, U={U}")
 
 
-def check_time(t: float, T: float):
-    """The evaluation time t must lie in [0, T]; else TimeOutsideHorizon."""
-    if not 0.0 <= t <= T:
-        raise TimeOutsideHorizon(f"time t = {t} lies outside [0, {T}]")
+def check_time(t, T: float):
+    """Every evaluation time in t, a number or an array, must lie in [0, T].
+
+    Else TimeOutsideHorizon, naming a time outside.
+    """
+    for s in (t,) if is_number(t) else (np.min(t), np.max(t)):
+        if not 0.0 <= s <= T:
+            raise TimeOutsideHorizon(f"time t = {s} lies outside [0, {T}]")
 
 
 def check_quote_point(y0: float, t: float, L: float, U: float, T: float):
@@ -173,38 +179,31 @@ def fourier_coefficients(contract: OptionContract, pairs: EigenBasis) -> np.ndar
 
 
 def is_band(band) -> bool:
-    """(n1, n2) with Python ints 1 <= n1 <= n2, or n2 None: to the last pair; bools refused."""
+    """(n1, n2) with integers 1 <= n1 <= n2, or n2 None: to the last pair; bools refused."""
     if not (isinstance(band, (tuple, list)) and len(band) == 2):
         return False
     n1, n2 = band
-    if not (is_number(n1, int) and n1 >= 1):
+    if not (is_number(n1, numbers.Integral) and n1 >= 1):
         return False
-    return n2 is None or (is_number(n2, int) and n2 >= n1)
+    return n2 is None or (is_number(n2, numbers.Integral) and n2 >= n1)
 
 
 def select_pairs(pairs: EigenBasis, tau: float, config: "NumericsConfig") -> EigenBasis:
     """Truncation rule, the same for every contract, at remaining time tau = T - t.
 
-    Keep lambda_n <= config.lambda_cutoff when it is set, otherwise
-    lambda_n tau <= config.lambda_decay_cap, and at least the first pair.
-    Eigenvalues increase, so the kept pairs are a leading slice of the
-    basis.
+    Keep lambda_n tau <= config.lambda_decay_cap, and at least the first
+    pair.  Eigenvalues increase, so the kept pairs are a leading slice of
+    the basis.
     """
-    if config.lambda_cutoff is None:
-        kept = np.count_nonzero(pairs.lam * tau <= config.lambda_decay_cap)
-    else:
-        kept = np.count_nonzero(pairs.lam <= config.lambda_cutoff)
+    kept = np.count_nonzero(pairs.lam * tau <= config.lambda_decay_cap)
     return pairs[: max(kept, 1)]
 
 
 def truncation(kept: int, found: int, tau: float, config: "NumericsConfig") -> str:
-    """What cut the series off at remaining time tau = T - t: "lambda_cutoff" when set,
-    "window" when every found pair is kept and omega_max**2 tau < lambda_decay_cap (roots
-    above the omega window, which the decay rule would keep, were never searched for),
-    "lambda_decay_cap" otherwise.
+    """What cut the series off at remaining time tau = T - t: "window" when every found
+    pair is kept and omega_max**2 tau < lambda_decay_cap (roots above the omega window,
+    which the decay rule would keep, were never searched for), "lambda_decay_cap" otherwise.
     """
-    if config.lambda_cutoff is not None:
-        return "lambda_cutoff"
     if kept == found and config.omega_max**2 * tau < config.lambda_decay_cap:
         return "window"
     return "lambda_decay_cap"
@@ -231,37 +230,28 @@ def rows_at(y, pairs: EigenBasis) -> Rows:
     return Rows(y, *pairs.rows_at(at), at(pairs.h), at(pairs.dh))
 
 
-def decay_factors(pairs: EigenBasis, contract: OptionContract, t: float) -> np.ndarray:
-    """exp(-lambda_n (T - t)) for every pair, at calendar time t <= T.
+def decay_factors(pairs: EigenBasis, contract: OptionContract, t) -> np.ndarray:
+    """exp(-lambda_n (T - t)) for every pair at calendar time(s) t, shape(t) + (pairs,).
 
-    A quote forms them once; value, delta, theta and the band report read them.
+    Every time must lie in [0, T]; else TimeOutsideHorizon.  A quote forms
+    them once, for one t; value, delta, theta and the band report read them.
+    A surface forms one row per time.
     """
-    if t > contract.T:
-        raise ValueError("evaluation time beyond maturity")
-    return np.exp(-pairs.lam * (contract.T - t))
+    check_time(t, contract.T)
+    return np.exp(-pairs.lam * (contract.T - np.asarray(t))[..., None])
 
 
 def value(at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray):
-    """Truncated series value at the points of at, at the time of decay."""
-    out = np.tensordot(g * decay, at.phi, axes=(0, 0))
-    out = out + contract.rebate * at.h
-    return out if np.ndim(at.y) else float(out[0])
+    """Truncated series value at the points of at, at the time(s) of decay.
 
-
-def value_surface(
-    contract: OptionContract,
-    pairs: EigenBasis,
-    g: np.ndarray,
-    t_count: int = 101,
-    y_count: int = 101,
-):
-    """Value on a (t, y) grid; rows are times from 0 to T, columns prices."""
-    t_grid = np.linspace(0.0, contract.T, t_count)
-    y_grid = np.linspace(contract.L, contract.U, y_count)
-    at = rows_at(y_grid, pairs)
-    tau = (contract.T - t_grid)[:, None]
-    surface = (g * np.exp(-pairs.lam * tau)) @ at.phi + contract.rebate * at.h
-    return t_grid, y_grid, surface
+    The result has shape(t) + shape(y), or is a float for one time and one
+    point: decay keeps the pairs axis last, so a surface is one product of
+    its (times, pairs) factors and the (pairs, points) phi rows.
+    """
+    out = (g * decay) @ at.phi + contract.rebate * at.h
+    if not np.ndim(at.y):
+        out = out[..., 0]
+    return out if out.ndim else float(out)
 
 
 def delta(at: Rows, contract: OptionContract, g: np.ndarray, decay: np.ndarray) -> float:
@@ -311,8 +301,8 @@ def contribution_report(
     for n1, n2 in bands:
         if n1 > len(g):
             continue
-        hi = len(g) if n2 is None else min(n2, len(g))
+        hi = len(g) if n2 is None else int(min(n2, len(g)))
         val = contribution(n1, hi, at, g, decay)
-        rows.append((n1, None if n2 is None else hi, val))
+        rows.append((int(n1), None if n2 is None else hi, val))
         total += val
     return ContributionReport(bands=tuple(rows), total=total, steady=steady)

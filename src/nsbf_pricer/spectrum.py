@@ -185,7 +185,10 @@ def find_eigenvalues(
     """
     if not omega_max > 0:
         raise ValueError(f"need omega_max > 0, got {omega_max}")
-    count = math.ceil(SCAN_PER_SPACING * omega_max * c.l[-1] / math.pi)
+    span = SCAN_PER_SPACING * omega_max * c.l[-1] / math.pi
+    if not math.isfinite(span):
+        raise ValueError(f"omega_max = {omega_max:g} is too large to scan")
+    count = math.ceil(span)
     grid = np.linspace(0.0, omega_max, count + 1)[1:]
     step = omega_max / count
     vals, _ = characteristic(grid, coeffs, c)

@@ -553,3 +553,16 @@ def test_known_defect_order_search_accepts_a_wrong_order():
                    "orders, so the search stops at order 0; order 21 prices within 6e-10")
 def test_known_defect_order_search_on_a_flat_start():
     assert _off_grid_call_gap(1.0, 0.0, 50.0, 80.0, MEDIUM_T, 65.0, 65.0) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a late quote wants roots above the "
+                   "default omega window, which the solve never searched for, and prices "
+                   "silently wrong (0.225210 at 0.98T against 1.333814, -10.451848 at 0.999T "
+                   "against 0.238828); omega_max=270 prices both within 1e-4")
+@pytest.mark.parametrize("fraction", [0.98, 0.999])
+def test_known_defect_default_window_truncates_late_quote(fraction):
+    spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-2.0, gamma=0.0))
+    t = fraction * MEDIUM_T
+    r = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig()).price(contract(), Y0, t=t)
+    ref = fd_price(spec, contract(T=MEDIUM_T - t), FDGrid(3201, 2000), Y0)
+    assert abs(r.price - ref) <= 1e-4

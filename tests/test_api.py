@@ -21,7 +21,7 @@ STAGES = {
     "mesh": ["Mesh", "build_mesh", "inner_product"],
     "model": ["SLCoefficients", "build_sl_coefficients", "sample"],
     "pricing": ["contribution", "decay_factors", "delta", "fourier_coefficients", "rows_at",
-                "theta", "value", "value_surface", "vega"],
+                "theta", "value", "vega"],
     "spectrum": ["EigenBasis", "EigenPair", "assemble_pairs", "characteristic",
                  "find_eigenvalues"],
     "spps": ["ParticularSolution", "build_formal_powers", "solve_particular"],

@@ -61,17 +61,6 @@ class TestPrice:
         assert code == 0
         assert json.loads(out)["M_used"] == 12
 
-    def test_lambda_cutoff_flag(self, capsys, fast_config):
-        # at T = 0.5 the decay rule keeps lambda_n <= 70 (4 pairs); the cutoff
-        # 20 lies between lambda_2 ~ 14.1 and lambda_3 ~ 31.2
-        args = build_parser().parse_args(["price", "--config", fast_config, "--lambda-cutoff", "20"])
-        assert read_run(load_config(args))[2].lambda_cutoff == 20.0
-        _, out, _ = run_cli(capsys, "price", "--config", fast_config)
-        assert json.loads(out)["N_used"] == 4
-        code, out, err = run_cli(capsys, "price", "--config", fast_config, "--lambda-cutoff", "20")
-        assert code == 0, err
-        assert json.loads(out)["N_used"] == 2
-
 
 class TestConfigErrors:
     def test_invalid_barriers_named(self, capsys, tmp_path):
@@ -118,6 +107,12 @@ class TestConfigErrors:
             main(["price", "--omega-grid", "100"])
         assert exc.value.code == 2
 
+    # an omega_max whose scan point count overflows is refused by name, before the scan
+    def test_omega_max_too_large_to_scan_refused(self, capsys, fast_config):
+        code, out, err = run_cli(capsys, "price", "--config", fast_config, "--omega-max", "1e308")
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: omega_max = 1e+308 is too large to scan\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/does/not/exist.json")
         assert code == 2
@@ -148,9 +143,9 @@ class TestConfigErrors:
                         "contract: contract rebate must be real"),
         "numerics-bool": ("price", {"numerics": {"nsbf_order": True}},
                           "numerics.nsbf_order must be None or a non-negative integer, got True"),
-        # above omega_max**2 the window, not the cutoff, would end the series
-        "cutoff-above-window": ("price", {"numerics": {"lambda_cutoff": 100000}},
-                                "numerics.lambda_cutoff must be at most omega_max**2 = 225"),
+        # the truncation rule is not a knob: the removed keys are unknown
+        "removed-knobs": ("price", {"numerics": {"lambda_cutoff": 20, "lambda_decay_cap": 20}},
+                          "numerics: unknown keys ['lambda_cutoff', 'lambda_decay_cap']"),
         "fd-string": ("oracle-compare", {"fd": {"y_count": "x"}}, "fd: y_count must be an integer"),
         "fd-too-small": ("oracle-compare", {"fd": {"y_count": 100}},
                          "fd: y_count must be an integer >= 201, got 100"),
@@ -187,9 +182,6 @@ class TestNumericsValidation:
         "mesh_points": [10000, 5, 1, 2001.0, "2001"],
         "nsbf_order": [-1, 2.5, True],
         "omega_max": [0.0, -15.0, float("nan"), float("inf"), True],
-        "lambda_decay_cap": [0.0, -35.0, float("nan"), float("inf"), True],
-        # the default window omega < 15 holds no eigenvalue above 225
-        "lambda_cutoff": [0.0, -1.0, float("nan"), float("inf"), True, 1e5],
     }
 
     @pytest.mark.parametrize("field", sorted(BAD))
@@ -199,7 +191,18 @@ class TestNumericsValidation:
                 NumericsConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        NumericsConfig(mesh_points=6, nsbf_order=0, lambda_cutoff=1e-9)
+        NumericsConfig(mesh_points=6, nsbf_order=0, omega_max=1e-9)
+
+    # the series is cut by lambda_n (T - t) <= NumericsConfig.lambda_decay_cap,
+    # a class constant; neither the cap nor a cutoff can be set
+    # (the config keys are refused by TestConfigErrors' removed-knobs case)
+    @pytest.mark.parametrize("key", ["lambda_cutoff", "lambda_decay_cap"])
+    def test_removed_knob_refused(self, key):
+        with pytest.raises(TypeError):
+            NumericsConfig(**{key: 20.0})
+        with pytest.raises(SystemExit) as exc:
+            main(["price", f"--{key.replace('_', '-')}", "20"])
+        assert exc.value.code == 2
 
 
 class TestSubcommands:
@@ -278,8 +281,6 @@ class TestPresets:
         assert asdict(numerics) == dict(
             mesh_points=10001,
             nsbf_order=None,
-            lambda_decay_cap=35.0,
-            lambda_cutoff=None,
             **self.EXPECTED[name],
         )
 

@@ -142,7 +142,7 @@ class TestValue:
         s = medium(-1.0, 2.0)
         c = contract()
         pairs = s.retained_pairs(c)
-        with pytest.raises(ValueError, match="maturity"):
+        with pytest.raises(nb.TimeOutsideHorizon, match=r"t = 0.6 lies outside \[0, 0.5\]"):
             value_at(s, c, pairs, Y0, 0.6)
 
     def test_out_of_range_price(self, medium):
@@ -162,6 +162,9 @@ QUOTE_ROUTES = {
     "retained_pairs": lambda s, sol, y0, t: s.retained_pairs(contract(), t),
     "fd_price": lambda s, sol, y0, t: fd_price(s.spec, contract(), FDGrid(), y0),
     "fd_at": lambda s, sol, y0, t: sol.at(y0, t),
+    # every time of the array is checked, not only the first
+    "decay_factors": lambda s, sol, y0, t: pricing.decay_factors(s.pairs, contract(),
+                                                                 np.array([0.0, 0.25, t])),
 }
 
 
@@ -191,7 +194,8 @@ class TestQuoteInputValidation:
             quote(route, y0)
 
     @pytest.mark.parametrize("t, route", on_routes([-0.01, 0.6, math.nan],
-                                                   ["price", "retained_pairs", "fd_at"]))
+                                                   ["price", "retained_pairs", "fd_at",
+                                                    "decay_factors"]))
     def test_time_outside_horizon(self, quote, t, route):
         with pytest.raises(nb.TimeOutsideHorizon):
             quote(route, Y0, t)
@@ -300,20 +304,18 @@ class TestValueSurface:
     def test_consistency_with_point_value(self, medium):
         s = medium(-1.0, 2.0)
         c = contract()
-        pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, t_count=11, y_count=21)
-        direct = value_at(s, c, pairs, y_grid[7], t_grid[0])
-        assert surf[0, 7] == pytest.approx(direct, abs=1e-12)
+        t_grid, y_grid, surf = s.surface(c, t_count=11, y_count=21)
+        # one spot at every time of the grid: value has shape(t)
+        direct = value_at(s, c, s.retained_pairs(c, c.T), y_grid[7], t_grid)
+        assert direct.shape == t_grid.shape
+        assert surf[:, 7] == pytest.approx(direct, abs=1e-12)
 
     def test_interior_bounds_away_from_maturity(self, medium):
         # the terminal slice converges only in the weighted-L2 sense (Gibbs),
         # so the maximum-principle bound is checked away from t = T
         s = medium(-1.0, 2.0)
         c = contract()
-        pairs = s.retained_pairs(c)
-        g = pricing.fourier_coefficients(c, pairs)
-        t_grid, y_grid, surf = pricing.value_surface(c, pairs, g, t_count=101, y_count=101)
+        t_grid, y_grid, surf = s.surface(c)
         body = surf[t_grid <= 0.9 * c.T]
         assert np.min(body) > -1e-8
         assert np.max(body) < (U - c.K) + 1e-6
@@ -444,20 +446,6 @@ class TestTruncation:
         gaps = [abs(value_n(n + 5) - value_n(n)) for n in (6, 11, 16)]
         assert gaps[0] < 1e-4 and gaps[2] <= gaps[0]
 
-
-    def test_lambda_cutoff_overrides_the_decay_rule(self):
-        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
-        lam = nb.DoubleBarrierSolver(spec, L, U, nb.NumericsConfig(mesh_points=2001)).eigenvalues()
-        for cutoff, kept in ((0.5 * (lam[2] + lam[3]), 3), (float(lam[1]), 2), (0.5 * lam[0], 1)):
-            cfg = nb.NumericsConfig(mesh_points=2001, lambda_cutoff=cutoff)
-            s = nb.DoubleBarrierSolver(spec, L, U, cfg).solve()
-            for T in (1 / 360, 0.5, 5.0):
-                pairs = s.retained_pairs(contract(T=T))
-                assert np.array_equal(pairs.lam, lam[:kept])
-                r = s.price(contract(T=T), Y0)
-                assert r.N_used == kept
-                assert r.diagnostics["truncation"] == "lambda_cutoff"
-
     def test_a_late_quote_keeps_the_pairs_its_remaining_time_needs(self, medium):
         # the decay rule reads T - t: at 0.9 T every one of the 8 found pairs
         # counts (a rule on T kept 4 and priced 5.909119 against CN's 5.961165)
@@ -519,6 +507,11 @@ class TestContribution:
         assert [b[:2] for b in r.contributions.bands] == [(1, 2), (3, 4), (2, None)]
         whole = s.price(contract(), Y0, bands=[(1, 2), (3, 4), (2, None)]).contributions
         assert r.contributions == whole
+        # numpy integers are integers too, and the report holds Python ints
+        i = np.int64
+        r64 = s.price(contract(), Y0, bands=[(i(1), i(2)), (i(3), i(10)), (i(5), i(7)), (i(2), None)])
+        assert r64.contributions == r.contributions
+        assert {type(n) for b in r64.contributions.bands for n in b[:2] if n is not None} == {int}
 
     def test_band_out_of_range(self, short):
         s = short(-2.0, 2.0)
