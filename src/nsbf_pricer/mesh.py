@@ -6,7 +6,10 @@ is one sum against Mesh.weights, a cumulative one fills each panel's
 interior nodes from its quintic interpolant.  Off-mesh points are read
 through a Stencil, six quintic Lagrange weights per point formed once and
 applied to any stack of functions as one weighted sum; differentiation
-uses five-point stencils of matching order.
+uses five-point stencils of matching order.  GaussPanels tile the mesh with
+equal panels of Gauss-Legendre nodes: a smooth function evaluated at the
+nodes and at the panel ends is carried onto every mesh point by one
+barycentric interpolation matrix that all panels share.
 """
 
 from __future__ import annotations
@@ -152,6 +155,70 @@ def stencil(mesh: Mesh, y) -> Stencil:
     bary = _BARY / np.where(on_node, 1.0, d)
     weights = np.where(on_node.any(1, keepdims=True), on_node, bary / bary.sum(1, keepdims=True))
     return Stencil(start[:, None] + np.arange(6)[None, :], weights)
+
+
+# Gauss-Legendre nodes per panel.  Probe on the one-day (-2, 3) basis, 56
+# pairs: 16 panels x 16 nodes read the rows within 1.3e-6 of their sup,
+# 16 x 24 within 2.8e-13; the node count matters more than the panel count.
+GAUSS_NODES = 24
+_X, _W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+# node values -> the top two Legendre coefficients of their interpolant,
+# c_k = (k + 1/2) sum_j w_j P_k(x_j) f(x_j), exact below degree GAUSS_NODES
+_TOP = np.arange(GAUSS_NODES - 2, GAUSS_NODES)
+_TAIL = np.polynomial.legendre.legvander(_X, GAUSS_NODES - 1)[:, _TOP] * (_TOP + 0.5) * _W[:, None]
+
+
+@dataclass(frozen=True)
+class GaussPanels:
+    """Equal panels tiling a mesh, width intervals each, with GAUSS_NODES Gauss-Legendre nodes.
+
+    points lists the nodes of every panel, panel by panel, then the count + 1
+    panel ends, which are mesh points.  interp (GAUSS_NODES, width - 1) takes
+    a panel's node values to its interior mesh points by barycentric
+    interpolation.
+    """
+
+    count: int
+    width: int
+    points: np.ndarray
+    interp: np.ndarray
+
+    def fill(self, values: np.ndarray, out: np.ndarray):
+        """Write rows of values at points onto the mesh rows of out, (rows, M), in place.
+
+        The panel ends take their values as given; each panel's interior mesh
+        points take its interpolant, one matrix product over every row and
+        panel written straight into out.
+        """
+        rows, nodes = len(out), self.count * GAUSS_NODES
+        out[:, :: self.width] = values[:, nodes:]
+        inner = out[:, :-1].reshape(rows, self.count, self.width)[:, :, 1:]
+        np.matmul(values[:, :nodes].reshape(rows, self.count, GAUSS_NODES), self.interp, out=inner)
+
+    def legendre_tail(self, values: np.ndarray) -> np.ndarray:
+        """|c_k| of the top two Legendre coefficients of one row's interpolant, (count, 2)."""
+        return np.abs(values[: self.count * GAUSS_NODES].reshape(self.count, GAUSS_NODES) @ _TAIL)
+
+
+def gauss_panels(mesh: Mesh, min_count: int) -> GaussPanels:
+    """The fewest equal panels, at least min_count, whose ends are mesh points.
+
+    The count divides M - 1, so one interpolation matrix serves every panel;
+    at most M - 1 panels of one interval each, whose mesh points are all ends.
+    """
+    intervals = mesh.M - 1
+    first = min(max(min_count, 1), intervals)
+    count = next(d for d in range(first, intervals + 1) if intervals % d == 0)
+    width = intervals // count
+    ends = mesh.points[::width]
+    centre, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+    nodes = centre[:, None] + half[:, None] * _X
+    # barycentric weights of Gauss-Legendre nodes (Berrut & Trefethen 2004);
+    # no interior offset of a panel up to 20000 intervals wide is a node
+    bary = (-1.0) ** np.arange(GAUSS_NODES) * np.sqrt((1.0 - _X * _X) * _W)
+    terms = bary[:, None] / ((-1.0 + 2.0 * np.arange(1, width) / width) - _X[:, None])
+    interp = terms / terms.sum(0)
+    return GaussPanels(count, width, np.concatenate([nodes.ravel(), ends]), interp)
 
 
 def derivative_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:

@@ -6,14 +6,20 @@ lambda_n = omega_n^2.  The roots lie about pi / l(U) apart, so they are
 bracketed on a uniform omega grid of SCAN_PER_SPACING points per spacing
 and refined by safeguarded Newton steps on the analytic omega-slope (the
 series coefficients at U do not depend on omega, so value and slope come
-from one Bessel block).  Each eigenfunction and its derivative are then
-assembled on the mesh from one evaluation of sin(omega l) and cos(omega l)
-and one shared block of the odd Bessel orders, the only ones the series
-uses; the derivative's beta series, truncated no higher than alpha's,
-reads the block's leading rows.  The assembled basis (EigenBasis) is all a
-quote reads, each fact held once, as arrays: phi_n and phi_n' are rows
-n - 1 of one (N, M) array each, beside the steady state, and an EigenPair
-is a view of one row, built when asked.  Sturm's
+from one Bessel block); a window implying more roots than the mesh can
+show is refused before the scan.  The eigenfunctions are entire in omega
+and smooth in y, so they are evaluated where few points suffice: all roots
+at once, at the Gauss-Legendre nodes of equal panels (mesh.gauss_panels)
+sized to the top root's half-waves, from one evaluation of sin(omega l) and
+cos(omega l) and one shared block of the odd Bessel orders, the only ones
+the series uses; the derivative's beta series, truncated no higher than
+alpha's, reads the block's leading rows.  The top Legendre coefficients of
+the top eigenfunction on each panel check that the panels resolve it, and
+one barycentric interpolation product per family fills the mesh rows, which
+the projection onto the basis and the stencil reads use.  The assembled
+basis (EigenBasis) is all a quote reads, each fact held once, as arrays:
+phi_n and phi_n' are rows n - 1 of one (N, M) array each, beside the steady
+state, and an EigenPair is a view of one row, built when asked.  Sturm's
 oscillation theorem checks that the scan skipped no root (phi_N has N - 1
 interior zeros), and the slope at each root checks each norm through the
 Sturm-Liouville identity (norm_identity_residuals).
@@ -31,7 +37,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation, ConvergenceError
-from .mesh import Mesh, Stencil
+from .mesh import Mesh, Stencil, gauss_panels, stencil
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -45,6 +51,15 @@ REFINE_MAX_STEPS = 60
 # 56-pair one-day basis (2-CPU container), 1, 2, 4, 8, 16 and 56 rows per
 # step took 0.69, 0.58, 0.51, 0.51, 0.59 and 0.75 ms.
 SUM_ROWS = 8
+# Half-waves of the top eigenfunction per Gauss-Legendre panel of
+# assemble_pairs, and the largest top Legendre coefficient on a panel,
+# relative to sup |phi_N|, that it accepts as resolved.  On the 24 grid bases
+# (both presets) 4 half-waves per panel read every row within 7.7e-13 of its
+# sup from the direct mesh series, and the top coefficients reach 5.1e-11;
+# at 6 the one-day rows miss by up to 2e-7 and the coefficients reach 7.8e-6.
+# The top coefficients run 20-70 times the rows' own error.
+PANEL_HALF_WAVES = 4.0
+RESOLVED_TAIL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,7 +186,9 @@ def find_eigenvalues(
 
     The scan holds ceil(SCAN_PER_SPACING * omega_max * l(U) / pi) points,
     SCAN_PER_SPACING per expected root spacing; assemble_pairs checks by
-    Sturm's zero count that it skipped none.  Each root starts at the
+    Sturm's zero count that it skipped none.  A window implying more roots,
+    omega_max l(U) / pi, than that count can see on the mesh (M - 2) raises
+    ValueError before anything is allocated.  Each root starts at the
     regula-falsi point of its scan bracket.  A step evaluates the
     characteristic and its analytic omega-slope at the roots still moving,
     tightens each bracket from the sign of the value, and takes the Newton
@@ -185,10 +202,15 @@ def find_eigenvalues(
     """
     if not omega_max > 0:
         raise ValueError(f"need omega_max > 0, got {omega_max}")
-    span = SCAN_PER_SPACING * omega_max * c.l[-1] / math.pi
-    if not math.isfinite(span):
-        raise ValueError(f"omega_max = {omega_max:g} is too large to scan")
-    count = math.ceil(span)
+    # phi_N has N - 1 interior zeros, and the M - 2 interior mesh nodes show
+    # at most M - 3 sign changes, so Sturm's check passes no more than M - 2 roots
+    roots, limit = omega_max * c.l[-1] / math.pi, c.mesh.M - 2
+    if not roots <= limit:
+        raise ValueError(
+            f"omega_max = {omega_max:g} implies about {roots:.3g} roots (omega_max l(U) / pi), "
+            f"more than the {limit} a {c.mesh.M}-point mesh can resolve"
+        )
+    count = math.ceil(SCAN_PER_SPACING * roots)
     grid = np.linspace(0.0, omega_max, count + 1)[1:]
     step = omega_max / count
     vals, _ = characteristic(grid, coeffs, c)
@@ -232,43 +254,66 @@ def find_eigenvalues(
     return np.sort(roots)
 
 
+def _series_at(omega, coeffs: NSBFCoefficients, c: SLCoefficients, at: Stencil):
+    """phi and phi' of every root at the stencil's points, (N, points) each.
+
+    The series data are read at the points, and one block of the odd Bessel
+    orders on the (N, points) arguments serves both; beta, truncated no
+    higher than alpha, reads its leading rows.
+    """
+    l, rho, rho_prime, w, p, G2 = (at(a) for a in (c.l, c.rho, c.rho_prime, c.w, c.p, coeffs.G2))
+    alpha, beta = _signed_odd(at(coeffs.alpha)), _signed_odd(at(coeffs.beta))
+    x = omega[:, None] * l
+    trig = np.sin(x), np.cos(x)
+    # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
+    block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
+    # the series 2 sum_m (-1)^m c_{2m+1} j_{2m+1}
+    f = trig[0] / rho + 2.0 * np.sum(alpha[:, None] * block, axis=0)
+    inner = (G2 * trig[0] + omega[:, None] * trig[1]) / rho
+    inner += 2.0 * np.sum(beta[:, None] * block[: len(beta)], axis=0)
+    return f, np.sqrt(w / p) * inner - rho_prime / rho * f
+
+
 def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) -> EigenBasis:
     """The basis of the roots omega: eigenfunctions and their derivatives, stacked.
 
-    phi_n and phi_n' are written straight into row n-1 of the basis's two
-    (N, M) arrays.  Each root evaluates sin(omega l) and cos(omega l) once on
-    the mesh, and one block of the odd Bessel orders built from them serves
-    phi_n and phi_n'.  The block holds alpha's odd orders; beta is truncated
-    at an order no higher than alpha's, so its odd rows read the block's
-    leading rows.  The checks, the norms and the boundary residuals are
-    taken after the loop, sup |phi| from each row's max and min and each norm
-    row by row, so no (N, M) temporary is made; one characteristic call at
-    the roots gives their slopes.  The basis keeps the steady state h, h'.
+    phi and phi' are evaluated for every root at once (_series_at) at the
+    Gauss-Legendre nodes of mesh.gauss_panels and at the panel ends, which
+    are mesh points.  The panels hold at most PANEL_HALF_WAVES half-waves of
+    the top root each, counted as omega_N l(U) / pi at l's steepest mesh step.
+    GaussPanels.fill then writes phi_n and phi_n' straight into row n-1 of
+    the basis's two (N, M) mesh arrays, one interpolation product per family;
+    the rows are what the projection and the stencil reads use.  The checks,
+    the norms and the boundary residuals are taken on those rows, sup |phi|
+    from each row's max and min and each norm row by row, so no (N, M) float
+    temporary is made; one characteristic call at the roots gives their
+    slopes.  The basis keeps the steady state h, h'.
 
-    A non-finite value in any row raises ConvergenceError, and an
-    eigenfunction whose |phi(U)| exceeds BOUNDARY_TOL * sup |phi| raises
-    BoundaryViolation.  By Sturm's oscillation theorem phi_N, the top row of
-    N roots, changes sign N - 1 times over the interior nodes exactly when
-    the roots are the first N eigenvalues; any other count raises
-    ConvergenceError.
+    If the top two Legendre coefficients of phi_N on any panel exceed
+    RESOLVED_TAIL * sup |phi_N| the panels are too coarse, and
+    ConvergenceError is raised.  A non-finite value in any row raises
+    ConvergenceError, and an eigenfunction whose |phi(U)| exceeds
+    BOUNDARY_TOL * sup |phi| raises BoundaryViolation.  By Sturm's
+    oscillation theorem phi_N, the top row of N roots, changes sign N - 1
+    times over the interior nodes exactly when the roots are the first N
+    eigenvalues; any other count raises ConvergenceError.
     """
     omega = np.asarray(omega, dtype=float)
-    n, l, rho = omega.size, c.l, c.rho
-    ww = c.w * c.mesh.weights
-    phi, dphi = np.empty((n, c.mesh.M)), np.empty((n, c.mesh.M))
-    alpha, beta = _signed_odd(coeffs.alpha), _signed_odd(coeffs.beta)
-    sqrt_wp = np.sqrt(c.w / c.p)
-    rho_ratio = c.rho_prime / rho
-    for om, row, drow in zip(omega, phi, dphi):
-        x = om * l
-        trig = np.sin(x), np.cos(x)
-        # j_1, j_3, ... up to alpha's top odd order (no rows if it has none)
-        block = _jn_block(x, max(2 * len(alpha) - 1, 0), trig, odd=True)
-        # the series 2 sum_m (-1)^m c_{2m+1} j_{2m+1}, coefficients and x on the mesh
-        np.add(trig[0] / rho, 2.0 * np.sum(alpha * block, axis=0), out=row)
-        inner = (coeffs.G2 * trig[0] + om * trig[1]) / rho
-        inner += 2.0 * np.sum(beta * block[: len(beta)], axis=0)
-        np.subtract(sqrt_wp * inner, rho_ratio * row, out=drow)
+    n, mesh = omega.size, c.mesh
+    # the top root's half-wave count omega_N l(U) / pi, at l's steepest mesh step
+    half_waves = omega[-1] * np.max(np.diff(c.l)) * (mesh.M - 1) / math.pi if n else 0.0
+    panels = gauss_panels(mesh, math.ceil(half_waves / PANEL_HALF_WAVES))
+    f, df = _series_at(omega, coeffs, c, stencil(mesh, panels.points))
+    if n:
+        tail = np.max(panels.legendre_tail(f[-1])) / np.max(np.abs(f[-1]))
+        if tail > RESOLVED_TAIL:  # NaN passes on to the finite check
+            raise ConvergenceError(
+                f"phi_{n} is not resolved on {panels.count} Gauss-Legendre panels: its top "
+                f"Legendre coefficients reach {tail:.1e} x sup |phi|, above {RESOLVED_TAIL:g}"
+            )
+    phi, dphi = np.empty((n, mesh.M)), np.empty((n, mesh.M))
+    panels.fill(f, phi)
+    panels.fill(df, dphi)
     if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
         raise ConvergenceError("an assembled eigenfunction or derivative is not finite")
     residual = np.abs(phi[:, -1]) / np.maximum(phi.max(axis=1), -phi.min(axis=1))
@@ -286,9 +331,10 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
                 f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
                 "the omega scan skipped a root or found a spurious one"
             )
+    ww = c.w * mesh.weights
     norm_sq = np.array([np.sum(r * (r * ww)) for r in phi])
     _, slope = characteristic(omega, coeffs, c)
-    return EigenBasis(c.mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi, h, dh, ww)
+    return EigenBasis(mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi, h, dh, ww)
 
 
 def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:

@@ -107,11 +107,17 @@ class TestConfigErrors:
             main(["price", "--omega-grid", "100"])
         assert exc.value.code == 2
 
-    # an omega_max whose scan point count overflows is refused by name, before the scan
+    # an omega_max implying more roots than the mesh resolves is refused by
+    # name, before the scan: 1e12 once asked numpy for 78.6 TiB, 1e308 overflowed
     def test_omega_max_too_large_to_scan_refused(self, capsys, fast_config):
-        code, out, err = run_cli(capsys, "price", "--config", fast_config, "--omega-max", "1e308")
-        assert (code, out) == (1, "")
-        assert err == "error: ValueError: omega_max = 1e+308 is too large to scan\n"
+        for omega_max, roots in (("1e12", "5.4e+11"), ("1e308", "5.4e+307")):
+            code, out, err = run_cli(capsys, "price", "--config", fast_config,
+                                     "--omega-max", omega_max)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: ValueError: omega_max = {float(omega_max):g} implies about {roots} roots "
+                "(omega_max l(U) / pi), more than the 1999 a 2001-point mesh can resolve\n"
+            )
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "price", "--config", "/does/not/exist.json")

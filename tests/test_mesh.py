@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nsbf_pricer.mesh import (
+    GAUSS_NODES,
     GridFunction,
     build_mesh,
     cumulative_integral,
     derivative_values,
+    gauss_panels,
     inner_product,
     stencil,
 )
@@ -180,6 +182,49 @@ class TestInterpolate:
         m = build_mesh(90, 120, 101)
         with pytest.raises(ValueError, match="not finite"):
             stencil(m, y)
+
+
+class TestGaussPanels:
+    @pytest.mark.parametrize("M, min_count, count", [
+        (10001, 14, 16), (10001, 16, 16), (10001, 0, 1), (506, 6, 101), (506, 10**6, 505),
+    ])
+    def test_fewest_panels_tiling_the_mesh(self, M, min_count, count):
+        # the count divides M - 1; beyond M - 1 every mesh point is a panel end
+        m = build_mesh(90, 120, M)
+        panels = gauss_panels(m, min_count)
+        assert (panels.count, panels.width) == (count, (M - 1) // count)
+        ends = panels.points[count * GAUSS_NODES:]
+        assert np.array_equal(ends, m.points[:: panels.width])
+        nodes = panels.points[: count * GAUSS_NODES].reshape(count, GAUSS_NODES)
+        assert np.all((ends[:-1, None] < nodes) & (nodes < ends[1:, None]))
+
+    def test_fill_interpolates_inside_each_panel(self):
+        # a polynomial of degree GAUSS_NODES - 1 is reproduced; the panel ends
+        # take the values given for them, and out is written in place
+        m = build_mesh(90, 120, 1001)
+        panels = gauss_panels(m, 4)
+        f = lambda y: ((y - 104.0) / 16.0) ** (GAUSS_NODES - 1) + np.sin(y)
+        values = np.stack([f(panels.points), 2.0 * f(panels.points)])
+        values[:, panels.count * GAUSS_NODES:] = [[-1.0], [-2.0]]
+        out = np.zeros((2, m.M))
+        panels.fill(values, out)
+        ends = np.zeros(m.M, dtype=bool)
+        ends[:: panels.width] = True
+        assert np.all(out[:, ends] == [[-1.0], [-2.0]])
+        exact = np.stack([f(m.points), 2.0 * f(m.points)])
+        assert np.max(np.abs(out[:, ~ends] - exact[:, ~ends])) < 1e-12
+
+    def test_legendre_tail_reads_the_top_coefficients(self):
+        m = build_mesh(90, 120, 1001)
+        panels = gauss_panels(m, 2)
+        x = np.polynomial.legendre.leggauss(GAUSS_NODES)[0]
+        values = np.concatenate([
+            np.polynomial.legendre.legval(x, [0.5, 1.0] + [0.0] * 20 + [3e-4, -2e-5]),
+            np.polynomial.legendre.legval(x, [1.0] * 22),
+        ])
+        tail = panels.legendre_tail(np.append(values, np.zeros(3)))
+        assert tail[0] == pytest.approx([3e-4, 2e-5], rel=1e-9)
+        assert np.max(tail[1]) < 1e-13
 
 
 class TestDerivative:

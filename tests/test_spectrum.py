@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import nsbf_pricer as nb
 from nsbf_pricer import spectrum
 from nsbf_pricer.engine import solve_from_sl
-from nsbf_pricer.mesh import GridFunction, derivative_values, inner_product
+from nsbf_pricer.mesh import GridFunction, derivative_values, gauss_panels, inner_product
 from nsbf_pricer.spectrum import (
     assemble_pairs, characteristic, find_eigenvalues, norm_identity_residuals,
 )
@@ -183,6 +184,24 @@ class TestFindEigenvalues:
         with pytest.raises(ValueError, match="widen"):
             find_eigenvalues(s.coeffs, s.sl, omega_max=1.0)
 
+    def test_window_beyond_the_mesh_refused_before_allocating(self):
+        # 1e12 implies about 5e11 roots; the scan alone would take terabytes.
+        # A 1001-point mesh resolves at most 999 (Sturm's count over its
+        # interior nodes), and the solve refuses by name within about 1 MB
+        # (measured peak 0.69 MB, the data and coefficients of the solve)
+        spec = nb.ejdcev_spec(nb.EJDCEVParams(beta=-1.0, gamma=2.0))
+        s = nb.DoubleBarrierSolver(spec, 90.0, 120.0,
+                                   nb.NumericsConfig(mesh_points=1001, omega_max=1e12))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"omega_max = 1e\+12 implies about 5.\de\+11 "
+                               r"roots .* more than the 999 a 1001-point mesh can resolve"):
+                s.solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
     def test_asymptotic_spacing(self, short):
         s = short(-2.0, 2.0)
         spacing = np.diff(s.pairs.omega)
@@ -233,6 +252,34 @@ class TestEigenfunctions:
             assemble_pairs(
                 s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl, s.pairs.h, s.pairs.dh
             )
+
+
+class TestGaussPanelAssembly:
+    def test_under_resolved_panels_raise(self, short, monkeypatch):
+        # 12 half-waves per panel leave phi_N's top Legendre coefficients
+        # near 1e-5 of its sup; the basis is refused, not interpolated
+        s = short(-2.0, 3.0)
+        monkeypatch.setattr(spectrum, "PANEL_HALF_WAVES", 12.0)
+        with pytest.raises(nb.ConvergenceError, match="phi_56 is not resolved on 8 Gauss"):
+            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+
+    def test_allocates_the_basis_and_node_work_only(self, short, monkeypatch):
+        # the two (N, M) basis arrays plus O(N x points) at the panel nodes;
+        # one more (N, M) float temporary would add 4.5 MB.  Measured: 2 x 4.48
+        # MB + 1.19 MB, and 1.19 MB is 5.3 x N x points floats
+        s = short(-2.0, 3.0)
+        used = []
+        monkeypatch.setattr(spectrum, "gauss_panels", lambda *a: used.append(gauss_panels(*a)) or used[-1])
+        tracemalloc.start()
+        try:
+            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m = s.pairs.phi.shape
+        (panels,) = used
+        assert (n, panels.count, panels.points.size) == (56, 20, 20 * 24 + 21)
+        assert peak <= 2 * n * m * 8 + 8 * n * panels.points.size * 8
 
 
 class TestPairViews:
@@ -301,7 +348,12 @@ class TestGaugeInvariance:
 
 
 class TestAgainstMaskedPerPairRoute:
-    """Sliced, odd-only Bessel blocks leave every number of a solve unchanged."""
+    """The solve's basis against the per-pair route evaluated on every mesh point.
+
+    assemble_pairs evaluates the series at Gauss-Legendre panel nodes and
+    interpolates the mesh rows; per_pair_basis evaluates it at each mesh
+    point, one root at a time, with masked all-orders Bessel blocks.
+    """
 
     @staticmethod
     def solved(medium, short, horizon):
@@ -309,16 +361,22 @@ class TestAgainstMaskedPerPairRoute:
 
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_basis_equals_per_pair_loop(self, medium, short, horizon):
+        # measured: rows within 9.5e-15 (six-month) and 8.1e-14 (one-day) of
+        # each row's sup, norms and boundary residuals within 5.5e-15 relative
         s = self.solved(medium, short, horizon)
         ref = per_pair_basis(s.pairs.omega, s.coeffs, s.sl)
         b = s.pairs
-        assert np.array_equal(b.phi, ref["phi"])
-        assert np.array_equal(b.dphi, ref["dphi"])
+        for got, want in ((b.phi, ref["phi"]), (b.dphi, ref["dphi"])):
+            sup = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.max(np.abs(got - want) / sup) < 1e-12
+        assert np.array_equal(b.phi[:, 0], ref["phi"][:, 0])  # phi(L) = 0 exactly
+        assert np.max(np.abs(b.norm_sq / ref["norm_sq"] - 1.0)) < 1e-13
+        assert np.array_equal([p.norm_sq for p in b], b.norm_sq)
+        residual = ref["boundary_residual"]
+        assert np.max(np.abs(b.boundary_residual - residual) / residual) < 1e-12
+        assert np.array_equal([p.boundary_residual for p in b], b.boundary_residual)
         assert np.array_equal(b.lam, ref["lam"])
-        assert np.array_equal(b.norm_sq, ref["norm_sq"])
-        assert np.array_equal([p.norm_sq for p in b], ref["norm_sq"])
-        assert np.array_equal(b.boundary_residual, ref["boundary_residual"])
-        assert np.array_equal([p.boundary_residual for p in b], ref["boundary_residual"])
+        assert np.array_equal(b.slope, characteristic(b.omega, s.coeffs, s.sl)[1])
 
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_characteristic_equals_masked_blocks(self, medium, short, horizon):
