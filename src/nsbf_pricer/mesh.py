@@ -8,8 +8,9 @@ through a Stencil, six quintic Lagrange weights per point formed once and
 applied to any stack of functions as one weighted sum; differentiation
 uses five-point stencils of matching order.  GaussPanels tile the mesh with
 equal panels of Gauss-Legendre nodes: a smooth function evaluated at the
-nodes and at the panel ends is carried onto every mesh point by one
-barycentric interpolation matrix that all panels share.
+nodes and at the panel ends is read at any mesh point through one
+barycentric interpolation matrix that all panels share, and its transpose
+takes the mesh rule against the interpolant to the panel points.
 """
 
 from __future__ import annotations
@@ -133,10 +134,13 @@ class Stencil:
     weights: np.ndarray  # (P, 6) Lagrange weights, one-hot where the point sits on a node
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        return self.combine(np.asarray(values, dtype=float)[..., self.nodes])
+
+    def combine(self, fv: np.ndarray) -> np.ndarray:
+        """The weighted sum of fv, values at the nodes (..., P, 6), which it overwrites."""
         # C order: the reduction may hand back stacked rows in F order, and a
         # matmul over them would then take another BLAS path
-        fv = np.asarray(values)[..., self.nodes]
-        return np.ascontiguousarray(np.sum(fv * self.weights, axis=-1))
+        return np.ascontiguousarray(np.sum(np.multiply(fv, self.weights, out=fv), axis=-1))
 
 
 def stencil(mesh: Mesh, y) -> Stencil:
@@ -172,32 +176,45 @@ _TAIL = np.polynomial.legendre.legvander(_X, GAUSS_NODES - 1)[:, _TOP] * (_TOP +
 class GaussPanels:
     """Equal panels tiling a mesh, width intervals each, with GAUSS_NODES Gauss-Legendre nodes.
 
-    points lists the nodes of every panel, panel by panel, then the count + 1
-    panel ends, which are mesh points.  interp (GAUSS_NODES, width - 1) takes
-    a panel's node values to its interior mesh points by barycentric
-    interpolation.
+    points lists, in y order, each panel's left end and nodes, then the last
+    end U; the ends are mesh points.  weights is the Gauss rule on the
+    points, int_L^U f = sum(f(points) * weights), zero at the ends.  interp
+    (GAUSS_NODES + 2, width + 1) takes the values at one panel's points and
+    its right end to its mesh points: barycentric interpolation inside, the
+    end values themselves at the ends.
     """
 
     count: int
     width: int
     points: np.ndarray
+    weights: np.ndarray
     interp: np.ndarray
 
-    def fill(self, values: np.ndarray, out: np.ndarray):
-        """Write rows of values at points onto the mesh rows of out, (rows, M), in place.
+    def mesh_values(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The interpolant of values (..., points) at the mesh indices m, (...,) + m.shape.
 
-        The panel ends take their values as given; each panel's interior mesh
-        points take its interpolant, one matrix product over every row and
-        panel written straight into out.
+        One matrix product per panel that m reaches, over that panel's points.
         """
-        rows, nodes = len(out), self.count * GAUSS_NODES
-        out[:, :: self.width] = values[:, nodes:]
-        inner = out[:, :-1].reshape(rows, self.count, self.width)[:, :, 1:]
-        np.matmul(values[:, :nodes].reshape(rows, self.count, GAUSS_NODES), self.interp, out=inner)
+        k = np.minimum(m // self.width, self.count - 1)
+        out = np.empty(values.shape[:-1] + m.shape)
+        for panel in np.unique(k):
+            inside, start = k == panel, panel * (GAUSS_NODES + 1)
+            cols = self.interp[:, m[inside] - panel * self.width]
+            out[..., inside] = values[..., start : start + GAUSS_NODES + 2] @ cols
+        return out
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """The transpose of interpolation onto the mesh: sum(f(points) * restrict(v)) = sum(f * v).
+
+        Each panel's left end and nodes take the panel's mesh values, right
+        end excluded, through interp's transpose; U takes v(U).
+        """
+        panels = v[:-1].reshape(self.count, self.width)
+        return np.append((panels @ self.interp[:-1, :-1].T).ravel(), v[-1])
 
     def legendre_tail(self, values: np.ndarray) -> np.ndarray:
         """|c_k| of the top two Legendre coefficients of one row's interpolant, (count, 2)."""
-        return np.abs(values[: self.count * GAUSS_NODES].reshape(self.count, GAUSS_NODES) @ _TAIL)
+        return np.abs(values[:-1].reshape(self.count, GAUSS_NODES + 1)[:, 1:] @ _TAIL)
 
 
 def gauss_panels(mesh: Mesh, min_count: int) -> GaussPanels:
@@ -212,13 +229,17 @@ def gauss_panels(mesh: Mesh, min_count: int) -> GaussPanels:
     width = intervals // count
     ends = mesh.points[::width]
     centre, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-    nodes = centre[:, None] + half[:, None] * _X
+    points = np.column_stack([ends[:-1], centre[:, None] + half[:, None] * _X])
+    weights = np.column_stack([np.zeros(count), half[:, None] * _W])
     # barycentric weights of Gauss-Legendre nodes (Berrut & Trefethen 2004);
     # no interior offset of a panel up to 20000 intervals wide is a node
     bary = (-1.0) ** np.arange(GAUSS_NODES) * np.sqrt((1.0 - _X * _X) * _W)
     terms = bary[:, None] / ((-1.0 + 2.0 * np.arange(1, width) / width) - _X[:, None])
-    interp = terms / terms.sum(0)
-    return GaussPanels(count, width, np.concatenate([nodes.ravel(), ends]), interp)
+    interp = np.zeros((GAUSS_NODES + 2, width + 1))
+    interp[0, 0] = interp[-1, -1] = 1.0
+    interp[1:-1, 1:-1] = terms / terms.sum(0)
+    return GaussPanels(count, width, np.append(points.ravel(), ends[-1]),
+                       np.append(weights.ravel(), 0.0), interp)
 
 
 def derivative_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:

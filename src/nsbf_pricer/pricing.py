@@ -16,14 +16,14 @@ exp(-lambda_n (T - t)) and adds R h'(y0), Theta sums g_n lambda_n phi_n(y0)
 exp(-lambda_n (T - t)) (the steady part does not depend on time), and Vega
 is Delta / sigma'(y0) by the chain rule.
 
-A quote reads one solved basis (spectrum.EigenBasis), and reads it twice;
-how the basis stores its rows is the basis's own business.  The
-coefficients g travel as one array: d = f - R h times the basis's
-quadrature vector w weights is formed once, and the basis reduces its phi
-rows against it.  Then one interpolation stencil at y0 reads phi, phi', h
-and h' (Rows), and value, Delta, Theta and the band report all use those
-rows; a surface reads one stencil on its price grid through value, with
-one row of time factors per time.  The time factors exp(-lambda_n (T - t))
+A quote reads one solved basis (spectrum.EigenBasis), and reads it twice.
+The coefficients g travel as one array: d = f - R h times the basis's
+quadrature vector w weights is formed once, restricted to the basis's panel
+points by the transpose of their interpolation, and summed against the phi
+rows there.  Then one interpolation stencil at y0 reads phi, phi', h and h'
+(Rows), and value, Delta, Theta and the band report all use those rows; a
+surface reads one stencil on its price grid through value, with one row of
+time factors per time.  The time factors exp(-lambda_n (T - t))
 are formed once per quote, so the series and its Greeks are taken at the
 same t.
 """
@@ -170,12 +170,13 @@ def payoff_grid(contract: OptionContract, mesh: Mesh) -> np.ndarray:
 def fourier_coefficients(contract: OptionContract, pairs: EigenBasis) -> np.ndarray:
     """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
 
-    d = f - R h is weighted once, dw = d (w weights), and the basis reduces
-    every phi row against dw, so each g_n equals inner_product(d, phi_n, w)
-    bit for bit.
+    d = f - R h is weighted once, dw = d (w weights), and the mesh rule
+    sum(phi_n * dw) is taken on the basis's panel points, against dw
+    restricted there.  numpy's pairwise sum along each row gives every g_n
+    the same bits for any leading slice and BLAS thread count.
     """
     d = payoff_grid(contract, pairs.mesh) - contract.rebate * pairs.h
-    return pairs.phi_sums(d * pairs.ww) / pairs.norm_sq
+    return np.sum(pairs.nodes[0] * pairs.panels.restrict(d * pairs.ww), axis=-1) / pairs.norm_sq
 
 
 def is_band(band) -> bool:

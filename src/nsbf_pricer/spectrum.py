@@ -9,20 +9,19 @@ series coefficients at U do not depend on omega, so value and slope come
 from one Bessel block); a window implying more roots than the mesh can
 show is refused before the scan.  The eigenfunctions are entire in omega
 and smooth in y, so they are evaluated where few points suffice: all roots
-at once, at the Gauss-Legendre nodes of equal panels (mesh.gauss_panels)
-sized to the top root's half-waves, from one evaluation of sin(omega l) and
-cos(omega l) and one shared block of the odd Bessel orders, the only ones
-the series uses; the derivative's beta series, truncated no higher than
-alpha's, reads the block's leading rows.  The top Legendre coefficients of
-the top eigenfunction on each panel check that the panels resolve it, and
-one barycentric interpolation product per family fills the mesh rows, which
-the projection onto the basis and the stencil reads use.  The assembled
-basis (EigenBasis) is all a quote reads, each fact held once, as arrays:
-phi_n and phi_n' are rows n - 1 of one (N, M) array each, beside the steady
-state, and an EigenPair is a view of one row, built when asked.  Sturm's
-oscillation theorem checks that the scan skipped no root (phi_N has N - 1
-interior zeros), and the slope at each root checks each norm through the
-Sturm-Liouville identity (norm_identity_residuals).
+at once, at the Gauss-Legendre nodes and ends of equal panels
+(mesh.gauss_panels) sized to the top root's half-waves, from one evaluation
+of sin(omega l) and cos(omega l) and one shared block of the odd Bessel
+orders, the only ones the series uses; the derivative's beta series,
+truncated no higher than alpha's, reads the block's leading rows.  The top
+Legendre coefficients of the top eigenfunction on each panel check that the
+panels resolve it.  The assembled basis (EigenBasis) is all a quote reads,
+each fact held once, as arrays: phi_n and phi_n' are kept at the panel
+points only, rows n - 1 of one (2, N, points) array, and their mesh values
+are the panels' interpolant.  An EigenPair holds one entry's scalars.
+Sturm's oscillation theorem checks that the scan skipped no root (phi_N has
+N - 1 interior zeros), and the slope at each root checks each Gauss norm
+through the Sturm-Liouville identity (norm_identity_residuals).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from .bessel import _jn_block, spherical_jn_block  # noqa: F401
 from .coefficients import NSBFCoefficients
 from .errors import BoundaryViolation, ConvergenceError
-from .mesh import Mesh, Stencil, gauss_panels, stencil
+from .mesh import GaussPanels, Mesh, Stencil, gauss_panels, stencil
 from .model import SLCoefficients
 
 BOUNDARY_TOL = 1e-6
@@ -47,10 +46,6 @@ SCAN_PER_SPACING = 20
 # its bracket at most REFINE_TOL wide; REFINE_MAX_STEPS caps the steps.
 REFINE_TOL = 1e-12
 REFINE_MAX_STEPS = 60
-# Rows phi_sums multiplies into its buffer and reduces per step.  On the
-# 56-pair one-day basis (2-CPU container), 1, 2, 4, 8, 16 and 56 rows per
-# step took 0.69, 0.58, 0.51, 0.51, 0.59 and 0.75 ms.
-SUM_ROWS = 8
 # Half-waves of the top eigenfunction per Gauss-Legendre panel of
 # assemble_pairs, and the largest top Legendre coefficient on a panel,
 # relative to sup |phi_N|, that it accepts as resolved.  On the 24 grid bases
@@ -64,19 +59,17 @@ RESOLVED_TAIL = 1e-9
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One term of the pricing series, a view of one row of an EigenBasis.
+    """One term of the pricing series, read from one entry of an EigenBasis.
 
-    lam is the eigenvalue (lambda_n = omega_n^2); phi is not normalized,
+    lam is the eigenvalue (lambda_n = omega_n^2); phi_n is not normalized,
     norm_sq carries the normalization, boundary_residual is
-    |phi(U)| / sup |phi|, and slope is d phi(U, omega) / d omega at the root.
-    phi and phi_prime are views of the basis's rows on its mesh.
+    |phi(U)| / max |phi| over the panel points, and slope is
+    d phi(U, omega) / d omega at the root.
     """
 
     n: int
     omega: float
     lam: float
-    phi: np.ndarray
-    phi_prime: np.ndarray
     norm_sq: float
     boundary_residual: float
     slope: float
@@ -87,22 +80,23 @@ class EigenBasis:
     """The eigenpairs of one solve and the steady state, held once as arrays.
 
     omega, lam, slope, norm_sq and boundary_residual hold one entry per
-    pair.  phi (dphi) is one (N, M) array whose rows are phi_1, phi_2, ...
-    (phi_1', ...) on the mesh.  h and dh are the steady state and its
-    derivative on the mesh, and ww is w times the mesh's quadrature weights,
-    so <f, g>_w = sum(f * (g * ww)).  Indexing or iterating builds the
-    EigenPair view of a row when asked; a leading slice gives the basis of
-    the first pairs, again as views.
+    pair.  nodes[0] (nodes[1]) has rows phi_1, phi_2, ... (phi_1', ...) at
+    panels.points, where the solve evaluated them; the mesh values are their
+    panel interpolant.  h and dh are the steady state and its derivative on
+    the mesh, and ww is w times the mesh's quadrature weights, so the mesh
+    rule <f, phi_n>_w is sum(nodes[0, n-1] * panels.restrict(f * ww)).
+    Indexing or iterating builds the EigenPair of an entry when asked; a
+    leading slice gives the basis of the first pairs, as views.
     """
 
     mesh: Mesh
+    panels: GaussPanels
     omega: np.ndarray
     lam: np.ndarray
     slope: np.ndarray
     norm_sq: np.ndarray
     boundary_residual: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
+    nodes: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     ww: np.ndarray
@@ -118,33 +112,23 @@ class EigenBasis:
             start, stop, step = index.indices(len(self))
             if start != 0 or step != 1:
                 raise ValueError("a basis slice must be leading: basis[:stop]")
-            return EigenBasis(self.mesh, self.omega[:stop], self.lam[:stop], self.slope[:stop],
-                              self.norm_sq[:stop], self.boundary_residual[:stop],
-                              self.phi[:stop], self.dphi[:stop], self.h, self.dh, self.ww)
+            return EigenBasis(self.mesh, self.panels, self.omega[:stop], self.lam[:stop],
+                              self.slope[:stop], self.norm_sq[:stop],
+                              self.boundary_residual[:stop], self.nodes[:, :stop],
+                              self.h, self.dh, self.ww)
         i = range(len(self))[index]
         return EigenPair(
             n=i + 1, omega=float(self.omega[i]), lam=float(self.lam[i]),
-            phi=self.phi[i], phi_prime=self.dphi[i],
             norm_sq=float(self.norm_sq[i]), boundary_residual=float(self.boundary_residual[i]),
             slope=float(self.slope[i]),
         )
 
-    def phi_sums(self, v: np.ndarray) -> np.ndarray:
-        """np.sum(phi_n * v) for every pair, as one array, SUM_ROWS rows at a time.
+    def rows_at(self, at: Stencil) -> np.ndarray:
+        """phi_n and phi_n' of every pair at the stencil's points, (2, pairs, points).
 
-        Each step multiplies its rows into one buffer and sums along them, so
-        every sum has the bits of np.sum(phi_n * v) for any SUM_ROWS.
+        The stencil's mesh points read the stacked array once, through the panels.
         """
-        buf = np.empty((min(SUM_ROWS, len(self)), self.mesh.M))
-        sums = np.empty(len(self))
-        for i in range(0, len(self), SUM_ROWS):
-            rows = self.phi[i : i + SUM_ROWS]
-            sums[i : i + len(rows)] = np.sum(np.multiply(rows, v, out=buf[: len(rows)]), axis=-1)
-        return sums
-
-    def rows_at(self, at: Stencil) -> tuple[np.ndarray, np.ndarray]:
-        """phi_n and phi_n' of every pair at the stencil's points, (pairs, points) each."""
-        return at(self.phi), at(self.dphi)
+        return at.combine(self.panels.mesh_values(self.nodes, at.nodes))
 
 
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
@@ -255,7 +239,7 @@ def find_eigenvalues(
 
 
 def _series_at(omega, coeffs: NSBFCoefficients, c: SLCoefficients, at: Stencil):
-    """phi and phi' of every root at the stencil's points, (N, points) each.
+    """phi and phi' of every root at the stencil's points, stacked (2, N, points), and w there.
 
     The series data are read at the points, and one block of the odd Bessel
     orders on the (N, points) arguments serves both; beta, truncated no
@@ -271,31 +255,26 @@ def _series_at(omega, coeffs: NSBFCoefficients, c: SLCoefficients, at: Stencil):
     f = trig[0] / rho + 2.0 * np.sum(alpha[:, None] * block, axis=0)
     inner = (G2 * trig[0] + omega[:, None] * trig[1]) / rho
     inner += 2.0 * np.sum(beta[:, None] * block[: len(beta)], axis=0)
-    return f, np.sqrt(w / p) * inner - rho_prime / rho * f
+    return np.stack((f, np.sqrt(w / p) * inner - rho_prime / rho * f)), w
 
 
 def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) -> EigenBasis:
     """The basis of the roots omega: eigenfunctions and their derivatives, stacked.
 
     phi and phi' are evaluated for every root at once (_series_at) at the
-    Gauss-Legendre nodes of mesh.gauss_panels and at the panel ends, which
-    are mesh points.  The panels hold at most PANEL_HALF_WAVES half-waves of
-    the top root each, counted as omega_N l(U) / pi at l's steepest mesh step.
-    GaussPanels.fill then writes phi_n and phi_n' straight into row n-1 of
-    the basis's two (N, M) mesh arrays, one interpolation product per family;
-    the rows are what the projection and the stencil reads use.  The checks,
-    the norms and the boundary residuals are taken on those rows, sup |phi|
-    from each row's max and min and each norm row by row, so no (N, M) float
-    temporary is made; one characteristic call at the roots gives their
-    slopes.  The basis keeps the steady state h, h'.
+    points of mesh.gauss_panels, and the basis keeps them there.  The panels
+    hold at most PANEL_HALF_WAVES half-waves of the top root each, counted as
+    omega_N l(U) / pi at l's steepest mesh step.  The checks read the same
+    points, each norm is their Gauss sum of w phi_n^2, and one
+    characteristic call at the roots gives their slopes.
 
     If the top two Legendre coefficients of phi_N on any panel exceed
     RESOLVED_TAIL * sup |phi_N| the panels are too coarse, and
-    ConvergenceError is raised.  A non-finite value in any row raises
-    ConvergenceError, and an eigenfunction whose |phi(U)| exceeds
-    BOUNDARY_TOL * sup |phi| raises BoundaryViolation.  By Sturm's
+    ConvergenceError is raised.  A non-finite value raises ConvergenceError,
+    and an eigenfunction whose |phi(U)| exceeds BOUNDARY_TOL times its
+    largest |phi| over the points raises BoundaryViolation.  By Sturm's
     oscillation theorem phi_N, the top row of N roots, changes sign N - 1
-    times over the interior nodes exactly when the roots are the first N
+    times over the interior points exactly when the roots are the first N
     eigenvalues; any other count raises ConvergenceError.
     """
     omega = np.asarray(omega, dtype=float)
@@ -303,20 +282,18 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
     # the top root's half-wave count omega_N l(U) / pi, at l's steepest mesh step
     half_waves = omega[-1] * np.max(np.diff(c.l)) * (mesh.M - 1) / math.pi if n else 0.0
     panels = gauss_panels(mesh, math.ceil(half_waves / PANEL_HALF_WAVES))
-    f, df = _series_at(omega, coeffs, c, stencil(mesh, panels.points))
+    nodes, w = _series_at(omega, coeffs, c, stencil(mesh, panels.points))
+    phi = nodes[0]  # the points run in y order, L first and U last
     if n:
-        tail = np.max(panels.legendre_tail(f[-1])) / np.max(np.abs(f[-1]))
+        tail = np.max(panels.legendre_tail(phi[-1])) / np.max(np.abs(phi[-1]))
         if tail > RESOLVED_TAIL:  # NaN passes on to the finite check
             raise ConvergenceError(
                 f"phi_{n} is not resolved on {panels.count} Gauss-Legendre panels: its top "
                 f"Legendre coefficients reach {tail:.1e} x sup |phi|, above {RESOLVED_TAIL:g}"
             )
-    phi, dphi = np.empty((n, mesh.M)), np.empty((n, mesh.M))
-    panels.fill(f, phi)
-    panels.fill(df, dphi)
-    if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
+    if not np.isfinite(nodes).all():
         raise ConvergenceError("an assembled eigenfunction or derivative is not finite")
-    residual = np.abs(phi[:, -1]) / np.maximum(phi.max(axis=1), -phi.min(axis=1))
+    residual = np.abs(phi[:, -1]) / np.max(np.abs(phi), axis=1)
     (bad,) = np.nonzero(residual > BOUNDARY_TOL)
     if bad.size:
         i = bad[0]
@@ -331,10 +308,10 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
                 f"phi_{n} changes sign {changes} times inside (L, U), not {n - 1}: "
                 "the omega scan skipped a root or found a spurious one"
             )
-    ww = c.w * mesh.weights
-    norm_sq = np.array([np.sum(r * (r * ww)) for r in phi])
+    norm_sq = np.sum(phi * (phi * (w * panels.weights)), axis=-1)
     _, slope = characteristic(omega, coeffs, c)
-    return EigenBasis(mesh, omega, omega * omega, slope, norm_sq, residual, phi, dphi, h, dh, ww)
+    return EigenBasis(mesh, panels, omega, omega * omega, slope, norm_sq, residual, nodes, h, dh,
+                      c.w * mesh.weights)
 
 
 def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
@@ -342,8 +319,8 @@ def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:
 
     phi(y, omega) vanishes at L for every omega, so the Sturm-Liouville
     identity int_L^U w phi_n^2 = p(U) phi_n'(U) d_lambda phi(U, lambda_n)
-    holds, with d_lambda = d_omega / (2 omega).  It checks each mesh norm
+    holds, with d_lambda = d_omega / (2 omega).  It checks each Gauss norm
     against the series at U alone, using the slope at each root.
     """
-    identity = c.p[-1] * basis.dphi[:, -1] * basis.slope / (2.0 * basis.omega)
+    identity = c.p[-1] * basis.nodes[1, :, -1] * basis.slope / (2.0 * basis.omega)
     return np.abs(identity - basis.norm_sq) / basis.norm_sq

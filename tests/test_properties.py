@@ -19,7 +19,7 @@ from nsbf_pricer import pricing
 from nsbf_pricer.engine import solve_from_sl
 from nsbf_pricer.mesh import inner_product
 
-from dual_routes import interpolate, scale_gauge
+from dual_routes import interpolate, mesh_rows, scale_gauge
 
 L, U = 90.0, 120.0
 HORIZONS = {"six-month": (0.5, -1.0, 2.0), "one-day": (1.0 / 360.0, -2.0, 3.0)}
@@ -47,6 +47,12 @@ def solved(request, medium, short):
     return (medium if T == 0.5 else short)(beta, gamma), T
 
 
+@pytest.fixture(scope="module")
+def phi_rows(solved):
+    """phi_n of every pair of the solve at every mesh point."""
+    return mesh_rows(solved[0].pairs)[0]
+
+
 def _price(solver, T, style, K, R, y0):
     return solver.price(nb.OptionContract(style, L, U, T, K, rebate=R), y0).price
 
@@ -69,16 +75,16 @@ def test_price_inside_payoff_range(solved, style, K, y0, R):
 
 @PROPERTY
 @given(style=styles, K=strikes, y0=spots, t_share=st.floats(0.0, 1.0))
-def test_zero_rebate_is_the_plain_series(solved, style, K, y0, t_share):
+def test_zero_rebate_is_the_plain_series(solved, phi_rows, style, K, y0, t_share):
     solver, T = solved
     c = nb.OptionContract(style, L, U, T, K)
     t = t_share * T
     f = nb.GridFunction(solver.mesh, pricing.payoff_grid(c, solver.mesh))
     w = nb.GridFunction(solver.mesh, solver.sl.w)
     expected = sum(
-        inner_product(f, nb.GridFunction(solver.mesh, p.phi), w) / p.norm_sq
-        * interpolate(solver.mesh, p.phi, y0) * np.exp(-p.lam * (T - t))
-        for p in pricing.select_pairs(solver.pairs, T, solver.config)
+        inner_product(f, nb.GridFunction(solver.mesh, phi), w) / p.norm_sq
+        * interpolate(solver.mesh, phi, y0) * np.exp(-p.lam * (T - t))
+        for p, phi in zip(pricing.select_pairs(solver.pairs, T, solver.config), phi_rows)
     )
     pairs = solver.retained_pairs(c)
     g = pricing.fourier_coefficients(c, pairs)
