@@ -4,13 +4,13 @@ Every function of the price variable is carried as samples on one mesh.
 Quadrature is composite six-point Newton-Cotes: a full-interval integral
 is one sum against Mesh.weights, a cumulative one fills each panel's
 interior nodes from its quintic interpolant.  Off-mesh points are read
-through a Stencil, six quintic Lagrange weights per point formed once and
-applied to any stack of functions as one weighted sum; differentiation
-uses five-point stencils of matching order.  GaussPanels tile the mesh with
-equal panels of Gauss-Legendre nodes: a smooth function evaluated at the
-nodes and at the panel ends is read at any mesh point through one
-barycentric interpolation matrix that all panels share, and its transpose
-takes the mesh rule against the interpolant to the panel points.
+through a Stencil, six quintic Lagrange weights per point applied to any
+stack of functions; differentiation uses five-point stencils of matching
+order.  GaussPanels tile the mesh with equal panels of Gauss-Legendre
+nodes: a smooth function kept at the nodes and panel ends is read at any
+point by its panel's barycentric interpolant (GaussPanels.read), and the
+transpose of that read at the mesh points takes the mesh rule to the
+panel points (GaussPanels.restrict).
 """
 
 from __future__ import annotations
@@ -134,30 +134,40 @@ class Stencil:
     weights: np.ndarray  # (P, 6) Lagrange weights, one-hot where the point sits on a node
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.combine(np.asarray(values, dtype=float)[..., self.nodes])
+        fv = np.asarray(values, dtype=float)[..., self.nodes]
+        return np.sum(np.multiply(fv, self.weights, out=fv), axis=-1)
 
-    def combine(self, fv: np.ndarray) -> np.ndarray:
-        """The weighted sum of fv, values at the nodes (..., P, 6), which it overwrites."""
-        # C order: the reduction may hand back stacked rows in F order, and a
-        # matmul over them would then take another BLAS path
-        return np.ascontiguousarray(np.sum(np.multiply(fv, self.weights, out=fv), axis=-1))
+
+def _inside(L: float, U: float, y) -> np.ndarray:
+    """Finite points y (scalar or array) inside [L, U] up to 1e-12 (U - L), clipped to it."""
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    pad = 1e-12 * (U - L)
+    if not ((y_arr >= L - pad) & (y_arr <= U + pad)).all():  # NaN fails both
+        bad = "is not finite" if not np.all(np.isfinite(y_arr)) else f"outside [{L}, {U}]"
+        raise ValueError(f"evaluation point {bad}")
+    return np.minimum(np.maximum(y_arr, L), U)
+
+
+def _barycentric(d: np.ndarray, bary: np.ndarray, tol: float) -> np.ndarray:
+    """Interpolation weights (P, k) from the offsets d (P, k) of P points from k nodes.
+
+    bary holds the nodes' barycentric weights (Berrut & Trefethen 2004); a
+    point within tol of a node reads it alone.  d is overwritten.
+    """
+    rows, cols = np.nonzero(np.abs(d) <= tol)
+    d[rows, cols] = 1.0
+    terms = bary / d
+    terms /= terms.sum(1, keepdims=True)
+    terms[rows] = np.arange(d.shape[1]) == cols[:, None]
+    return terms
 
 
 def stencil(mesh: Mesh, y) -> Stencil:
     """The interpolation stencil at finite points y (scalar or array) inside [L, U]."""
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y_arr)):
-        raise ValueError("evaluation point is not finite")
-    pad = 1e-12 * (mesh.U - mesh.L)
-    if np.any(y_arr < mesh.L - pad) or np.any(y_arr > mesh.U + pad):
-        raise ValueError(f"evaluation point outside [{mesh.L}, {mesh.U}]")
-    y_arr = np.clip(y_arr, mesh.L, mesh.U)
-    pos = (y_arr - mesh.L) / mesh.h
+    pos = (_inside(mesh.L, mesh.U, y) - mesh.L) / mesh.h
     start = np.clip(np.floor(pos).astype(int) - 2, 0, mesh.M - 6)
-    d = (pos - start)[:, None] - np.arange(6)[None, :]  # t in [0, 5] relative to the stencil
-    on_node = np.abs(d) < 1e-12  # such a point reads its node exactly: one-hot weights
-    bary = _BARY / np.where(on_node, 1.0, d)
-    weights = np.where(on_node.any(1, keepdims=True), on_node, bary / bary.sum(1, keepdims=True))
+    # offsets t in [0, 5] from the stencil's nodes; within 1e-12 h a node reads exactly
+    weights = _barycentric((pos - start)[:, None] - np.arange(6)[None, :], _BARY, 1e-12)
     return Stencil(start[:, None] + np.arange(6)[None, :], weights)
 
 
@@ -168,8 +178,13 @@ GAUSS_NODES = 24
 _X, _W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 # node values -> the top two Legendre coefficients of their interpolant,
 # c_k = (k + 1/2) sum_j w_j P_k(x_j) f(x_j), exact below degree GAUSS_NODES
-_TOP = np.arange(GAUSS_NODES - 2, GAUSS_NODES)
-_TAIL = np.polynomial.legendre.legvander(_X, GAUSS_NODES - 1)[:, _TOP] * (_TOP + 0.5) * _W[:, None]
+_TAIL = (np.polynomial.legendre.legvander(_X, GAUSS_NODES - 1)[:, -2:] * _W[:, None]
+         * (np.arange(GAUSS_NODES - 2, GAUSS_NODES) + 0.5))
+# one panel's points on [-1, 1] (left end, nodes, right end) over their
+# barycentric weights; the ends take none, so only an end itself reads one
+_PANEL = np.zeros((2, GAUSS_NODES + 2))
+_PANEL[:, 1:-1] = _X, (-1.0) ** np.arange(GAUSS_NODES) * np.sqrt((1.0 - _X * _X) * _W)
+_PANEL[0, [0, -1]] = -1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -178,10 +193,9 @@ class GaussPanels:
 
     points lists, in y order, each panel's left end and nodes, then the last
     end U; the ends are mesh points.  weights is the Gauss rule on the
-    points, int_L^U f = sum(f(points) * weights), zero at the ends.  interp
-    (GAUSS_NODES + 2, width + 1) takes the values at one panel's points and
-    its right end to its mesh points: barycentric interpolation inside, the
-    end values themselves at the ends.
+    points, int_L^U f = sum(f(points) * weights), zero at the ends.  Column j
+    of interp (GAUSS_NODES + 2, width + 1) holds the read's weights on one
+    panel's points at its mesh point j, ends included.
     """
 
     count: int
@@ -190,21 +204,29 @@ class GaussPanels:
     weights: np.ndarray
     interp: np.ndarray
 
-    def mesh_values(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """The interpolant of values (..., points) at the mesh indices m, (...,) + m.shape.
+    def read(self, y, *values: np.ndarray) -> list:
+        """Each of values (..., points) read at finite points y (scalar or array) inside [L, U].
 
-        One matrix product per panel that m reaches, over that panel's points.
+        Per panel, its values times each point's weights, summed by numpy in
+        one fixed order: a value's bits do not depend on the points and rows
+        read with it, and no product outgrows a panel.
         """
-        k = np.minimum(m // self.width, self.count - 1)
-        out = np.empty(values.shape[:-1] + m.shape)
-        for panel in np.unique(k):
+        ends = self.points[:: GAUSS_NODES + 1]
+        y_arr = _inside(ends[0], ends[-1], y)
+        k = np.minimum(np.searchsorted(ends, y_arr, side="right") - 1, self.count - 1)
+        left, right = ends[k], ends[k + 1]
+        x = 2.0 * (y_arr - left) / (right - left) - 1.0  # on [-1, 1]; an end exactly
+        weights = _barycentric(x[:, None] - _PANEL[0], _PANEL[1], 0.0)
+        out = [np.empty(v.shape[:-1] + y_arr.shape) for v in values]
+        for panel in np.unique(k).tolist():
             inside, start = k == panel, panel * (GAUSS_NODES + 1)
-            cols = self.interp[:, m[inside] - panel * self.width]
-            out[..., inside] = values[..., start : start + GAUSS_NODES + 2] @ cols
+            w = weights[inside]
+            for v, o in zip(values, out):
+                o[..., inside] = (v[..., None, start : start + GAUSS_NODES + 2] * w).sum(axis=-1)
         return out
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
-        """The transpose of interpolation onto the mesh: sum(f(points) * restrict(v)) = sum(f * v).
+        """The transpose of the read at the mesh points: sum(f(points) * restrict(v)) = sum(f * v).
 
         Each panel's left end and nodes take the panel's mesh values, right
         end excluded, through interp's transpose; U takes v(U).
@@ -231,13 +253,8 @@ def gauss_panels(mesh: Mesh, min_count: int) -> GaussPanels:
     centre, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
     points = np.column_stack([ends[:-1], centre[:, None] + half[:, None] * _X])
     weights = np.column_stack([np.zeros(count), half[:, None] * _W])
-    # barycentric weights of Gauss-Legendre nodes (Berrut & Trefethen 2004);
-    # no interior offset of a panel up to 20000 intervals wide is a node
-    bary = (-1.0) ** np.arange(GAUSS_NODES) * np.sqrt((1.0 - _X * _X) * _W)
-    terms = bary[:, None] / ((-1.0 + 2.0 * np.arange(1, width) / width) - _X[:, None])
-    interp = np.zeros((GAUSS_NODES + 2, width + 1))
-    interp[0, 0] = interp[-1, -1] = 1.0
-    interp[1:-1, 1:-1] = terms / terms.sum(0)
+    x = -1.0 + 2.0 * np.arange(width + 1) / width
+    interp = np.ascontiguousarray(_barycentric(x[:, None] - _PANEL[0], _PANEL[1], 0.0).T)
     return GaussPanels(count, width, np.append(points.ravel(), ends[-1]),
                        np.append(weights.ravel(), 0.0), interp)
 

@@ -31,7 +31,7 @@ PRESETS = {
             "gamma": [0.0, 1.0, 2.0],
         },
     },
-    # one-day horizon: slow exponential decay, wide omega window, N ~ 45
+    # one-day horizon: slow exponential decay, wide omega window, 50-56 pairs
     "table3-short": {
         "model": dict(_BASE_MODEL, beta=-2.0),
         "contract": dict(_BASE_CONTRACT, T=1.0 / 360.0),

@@ -6,26 +6,21 @@ knock-out at the upper barrier (R = 0 for a plain contract),
     v(y, t) = R h(y) + sum_n g_n phi_n(y) exp(-lambda_n (T - t)),
     g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w,
 
-where f is the payoff and h the steady state: the lambda = 0 solution of
-the Sturm-Liouville equation with h(L) = 0 and h(U) = 1, which the solve
-builds (spps.steady_state) and keeps on its eigenbasis.  R h carries the
-boundary values, so every modal weight decays like exp(-lambda_n (T - t))
-and the same truncation rule serves every contract.  Greeks reuse the
-eigendata and the same time factors: Delta sums g_n phi_n'(y0)
+where f is the payoff and h the steady state: the lambda = 0 solution with
+h(L) = 0 and h(U) = 1 (spps.steady_state).  R h carries the boundary
+values, so every modal weight decays like exp(-lambda_n (T - t)) and one
+truncation rule serves every contract.  Delta sums g_n phi_n'(y0)
 exp(-lambda_n (T - t)) and adds R h'(y0), Theta sums g_n lambda_n phi_n(y0)
-exp(-lambda_n (T - t)) (the steady part does not depend on time), and Vega
-is Delta / sigma'(y0) by the chain rule.
+exp(-lambda_n (T - t)), and Vega is Delta / sigma'(y0) by the chain rule.
 
-A quote reads one solved basis (spectrum.EigenBasis), and reads it twice.
-The coefficients g travel as one array: d = f - R h times the basis's
-quadrature vector w weights is formed once, restricted to the basis's panel
-points by the transpose of their interpolation, and summed against the phi
-rows there.  Then one interpolation stencil at y0 reads phi, phi', h and h'
-(Rows), and value, Delta, Theta and the band report all use those rows; a
-surface reads one stencil on its price grid through value, with one row of
-time factors per time.  The time factors exp(-lambda_n (T - t))
-are formed once per quote, so the series and its Greeks are taken at the
-same t.
+A quote reads one solved basis (spectrum.EigenBasis) twice.  g is one
+array: f times the basis's w weights is restricted to the panel points and
+summed against the phi rows there, less R times the solve's <h, phi_n>_w.
+Then one read of the panel interpolant at y0 gives phi, phi', h and h'
+(Rows), which value, Delta, Theta and the band report all use; a surface
+reads its price grid the same way, with one row of time factors per time.
+The time factors are formed once per quote, so the series and its Greeks
+are taken at the same t.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from .errors import (
 
 # inner_product is not called here; the name stays importable from this
 # module because perfbench/tracing.py wraps pricing.inner_product by name.
-from .mesh import GridFunction, Mesh, _same_mesh, inner_product, stencil  # noqa: F401
+from .mesh import GridFunction, Mesh, _same_mesh, inner_product  # noqa: F401
 from .model import DiffusionSpec, is_number, sample
 from .spectrum import EigenBasis
 
@@ -170,13 +165,15 @@ def payoff_grid(contract: OptionContract, mesh: Mesh) -> np.ndarray:
 def fourier_coefficients(contract: OptionContract, pairs: EigenBasis) -> np.ndarray:
     """g_n = <f - R h, phi_n>_w / <phi_n, phi_n>_w for every pair, as one array.
 
-    d = f - R h is weighted once, dw = d (w weights), and the mesh rule
-    sum(phi_n * dw) is taken on the basis's panel points, against dw
-    restricted there.  numpy's pairwise sum along each row gives every g_n
-    the same bits for any leading slice and BLAS thread count.
+    The payoff is weighted once, fw = f (w weights), and the mesh rule
+    sum(phi_n * fw) is taken on the basis's panel points, against fw
+    restricted there; the solve took the same rule's <h, phi_n>_w.  numpy's
+    pairwise sum along each row gives every g_n the same bits for any
+    leading slice and BLAS thread count.
     """
-    d = payoff_grid(contract, pairs.mesh) - contract.rebate * pairs.h
-    return np.sum(pairs.nodes[0] * pairs.panels.restrict(d * pairs.ww), axis=-1) / pairs.norm_sq
+    fw = pairs.panels.restrict(payoff_grid(contract, pairs.mesh) * pairs.ww)
+    modes = np.sum(pairs.nodes[0] * fw, axis=-1)
+    return (modes - contract.rebate * pairs.h_inner) / pairs.norm_sq
 
 
 def is_band(band) -> bool:
@@ -212,11 +209,7 @@ def truncation(kept: int, found: int, tau: float, config: "NumericsConfig") -> s
 
 @dataclass(frozen=True)
 class Rows:
-    """phi_n, phi_n', h and h' at points y, from one interpolation stencil.
-
-    The points run along the last axis.  Every evaluation below reads these
-    rows.
-    """
+    """phi_n, phi_n', h and h' at points y (the last axis), from one read of the panels."""
 
     y: object
     phi: np.ndarray
@@ -227,8 +220,8 @@ class Rows:
 
 def rows_at(y, pairs: EigenBasis) -> Rows:
     """The basis and the steady state at price(s) y inside [L, U]."""
-    at = stencil(pairs.mesh, y)
-    return Rows(y, *pairs.rows_at(at), at(pairs.h), at(pairs.dh))
+    rows, steady = pairs.panels.read(y, pairs.nodes, pairs.steady)
+    return Rows(y, *rows, *steady)
 
 
 def decay_factors(pairs: EigenBasis, contract: OptionContract, t) -> np.ndarray:

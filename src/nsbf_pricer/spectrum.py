@@ -7,21 +7,17 @@ bracketed on a uniform omega grid of SCAN_PER_SPACING points per spacing
 and refined by safeguarded Newton steps on the analytic omega-slope (the
 series coefficients at U do not depend on omega, so value and slope come
 from one Bessel block); a window implying more roots than the mesh can
-show is refused before the scan.  The eigenfunctions are entire in omega
-and smooth in y, so they are evaluated where few points suffice: all roots
-at once, at the Gauss-Legendre nodes and ends of equal panels
-(mesh.gauss_panels) sized to the top root's half-waves, from one evaluation
-of sin(omega l) and cos(omega l) and one shared block of the odd Bessel
-orders, the only ones the series uses; the derivative's beta series,
-truncated no higher than alpha's, reads the block's leading rows.  The top
-Legendre coefficients of the top eigenfunction on each panel check that the
-panels resolve it.  The assembled basis (EigenBasis) is all a quote reads,
-each fact held once, as arrays: phi_n and phi_n' are kept at the panel
-points only, rows n - 1 of one (2, N, points) array, and their mesh values
-are the panels' interpolant.  An EigenPair holds one entry's scalars.
-Sturm's oscillation theorem checks that the scan skipped no root (phi_N has
-N - 1 interior zeros), and the slope at each root checks each Gauss norm
-through the Sturm-Liouville identity (norm_identity_residuals).
+show is refused before the scan.  The eigenfunctions are smooth in y, so
+they are evaluated for all roots at once at the Gauss-Legendre nodes and
+ends of equal panels (mesh.gauss_panels) sized to the top root's
+half-waves, from one shared block of the odd Bessel orders; the top
+Legendre coefficients of phi_N on each panel check that the panels resolve
+it.  The assembled basis (EigenBasis) is all a quote reads, held once as
+arrays at the panel points only: phi_n and phi_n' as one (2, N, points)
+array, h and h' beside it, and a point reads their panel interpolant.  An
+EigenPair holds one entry's scalars.  Sturm's oscillation theorem checks
+that the scan skipped no root, and the slope at each root checks each
+Gauss norm through the Sturm-Liouville identity (norm_identity_residuals).
 """
 
 from __future__ import annotations
@@ -79,14 +75,12 @@ class EigenPair:
 class EigenBasis:
     """The eigenpairs of one solve and the steady state, held once as arrays.
 
-    omega, lam, slope, norm_sq and boundary_residual hold one entry per
-    pair.  nodes[0] (nodes[1]) has rows phi_1, phi_2, ... (phi_1', ...) at
-    panels.points, where the solve evaluated them; the mesh values are their
-    panel interpolant.  h and dh are the steady state and its derivative on
-    the mesh, and ww is w times the mesh's quadrature weights, so the mesh
-    rule <f, phi_n>_w is sum(nodes[0, n-1] * panels.restrict(f * ww)).
-    Indexing or iterating builds the EigenPair of an entry when asked; a
-    leading slice gives the basis of the first pairs, as views.
+    omega, lam, slope, norm_sq, boundary_residual and h_inner hold one entry
+    per pair; nodes[0] (nodes[1]) has rows phi_1, ... (phi_1', ...) and steady
+    h and h' at panels.points.  With ww, w times the mesh's quadrature weights,
+    the mesh rule <f, phi_n>_w is sum(nodes[0, n-1] * panels.restrict(f * ww));
+    h_inner is its <h, phi_n>_w.  Indexing or iterating builds the EigenPair
+    of an entry; a leading slice gives the basis of the first pairs, as views.
     """
 
     mesh: Mesh
@@ -97,8 +91,8 @@ class EigenBasis:
     norm_sq: np.ndarray
     boundary_residual: np.ndarray
     nodes: np.ndarray
-    h: np.ndarray
-    dh: np.ndarray
+    steady: np.ndarray
+    h_inner: np.ndarray
     ww: np.ndarray
 
     def __len__(self) -> int:
@@ -115,20 +109,13 @@ class EigenBasis:
             return EigenBasis(self.mesh, self.panels, self.omega[:stop], self.lam[:stop],
                               self.slope[:stop], self.norm_sq[:stop],
                               self.boundary_residual[:stop], self.nodes[:, :stop],
-                              self.h, self.dh, self.ww)
+                              self.steady, self.h_inner[:stop], self.ww)
         i = range(len(self))[index]
         return EigenPair(
             n=i + 1, omega=float(self.omega[i]), lam=float(self.lam[i]),
             norm_sq=float(self.norm_sq[i]), boundary_residual=float(self.boundary_residual[i]),
             slope=float(self.slope[i]),
         )
-
-    def rows_at(self, at: Stencil) -> np.ndarray:
-        """phi_n and phi_n' of every pair at the stencil's points, (2, pairs, points).
-
-        The stencil's mesh points read the stacked array once, through the panels.
-        """
-        return at.combine(self.panels.mesh_values(self.nodes, at.nodes))
 
 
 def _signed_odd(coeff_rows: np.ndarray) -> np.ndarray:
@@ -266,7 +253,8 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
     hold at most PANEL_HALF_WAVES half-waves of the top root each, counted as
     omega_N l(U) / pi at l's steepest mesh step.  The checks read the same
     points, each norm is their Gauss sum of w phi_n^2, and one
-    characteristic call at the roots gives their slopes.
+    characteristic call at the roots gives their slopes.  h and h' on the
+    mesh are read at the points too, and <h, phi_n>_w taken by the mesh rule.
 
     If the top two Legendre coefficients of phi_N on any panel exceed
     RESOLVED_TAIL * sup |phi_N| the panels are too coarse, and
@@ -282,7 +270,8 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
     # the top root's half-wave count omega_N l(U) / pi, at l's steepest mesh step
     half_waves = omega[-1] * np.max(np.diff(c.l)) * (mesh.M - 1) / math.pi if n else 0.0
     panels = gauss_panels(mesh, math.ceil(half_waves / PANEL_HALF_WAVES))
-    nodes, w = _series_at(omega, coeffs, c, stencil(mesh, panels.points))
+    at = stencil(mesh, panels.points)
+    nodes, w = _series_at(omega, coeffs, c, at)
     phi = nodes[0]  # the points run in y order, L first and U last
     if n:
         tail = np.max(panels.legendre_tail(phi[-1])) / np.max(np.abs(phi[-1]))
@@ -310,8 +299,9 @@ def assemble_pairs(omega, coeffs: NSBFCoefficients, c: SLCoefficients, h, dh) ->
             )
     norm_sq = np.sum(phi * (phi * (w * panels.weights)), axis=-1)
     _, slope = characteristic(omega, coeffs, c)
-    return EigenBasis(mesh, panels, omega, omega * omega, slope, norm_sq, residual, nodes, h, dh,
-                      c.w * mesh.weights)
+    ww = c.w * mesh.weights
+    return EigenBasis(mesh, panels, omega, omega * omega, slope, norm_sq, residual, nodes,
+                      at(np.stack((h, dh))), np.sum(phi * panels.restrict(h * ww), axis=-1), ww)
 
 
 def norm_identity_residuals(basis: EigenBasis, c: SLCoefficients) -> np.ndarray:

@@ -7,7 +7,8 @@ define w and q, the integrals inside one recurrence step, Bessel blocks
 and eigenbases by the earlier masked, per-pair route, and eigenvalues by
 the earlier bisection sweeps.  The helpers rescale the Sturm-Liouville
 gauge for the invariance tests, read one grid function at points
-through mesh.stencil, and read a solved basis at every mesh point.
+through mesh.stencil, read a solved basis at every mesh point, and give
+the steady state on the mesh that a solve hands to assemble_pairs.
 Nothing in src calls them.
 """
 
@@ -35,7 +36,7 @@ from nsbf_pricer.mesh import (
 from nsbf_pricer.model import DiffusionSpec, SLCoefficients
 from nsbf_pricer.pricing import rows_at
 from nsbf_pricer.spectrum import REFINE_TOL, characteristic
-from nsbf_pricer.spps import ParticularSolution
+from nsbf_pricer.spps import ParticularSolution, build_formal_powers, steady_state
 
 
 def interpolate(mesh, values: np.ndarray, y):
@@ -53,6 +54,11 @@ def mesh_rows(basis, chunk: int = 1000) -> tuple[np.ndarray, np.ndarray]:
     y = basis.mesh.points
     rows = [rows_at(y[i : i + chunk], basis) for i in range(0, y.size, chunk)]
     return tuple(np.concatenate([getattr(r, k) for r in rows], axis=1) for k in ("phi", "dphi"))
+
+
+def mesh_steady_state(particular: ParticularSolution, c: SLCoefficients):
+    """h and h' on the mesh of c, by spps.steady_state, as a solve passes them to assemble_pairs."""
+    return steady_state(build_formal_powers(particular, c))
 
 
 def scale_gauge(c: SLCoefficients, kappa: float) -> SLCoefficients:

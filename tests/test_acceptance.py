@@ -38,7 +38,7 @@ from reference_tables import (
 )
 from spectral_oracle import Estimate, SpectralOracle, killed_gbm_quote
 
-from dual_routes import interpolate, mesh_rows, scale_gauge
+from dual_routes import interpolate, mesh_rows, mesh_steady_state, scale_gauge
 
 L, U, Y0 = 90.0, 120.0, 100.0
 MEDIUM_T = 0.5
@@ -424,7 +424,7 @@ def test_criterion_9_rebate(medium, short):
     rows, _ = mesh_rows(kept)
     recon0 = pricing.fourier_coefficients(plain, kept) @ rows
     recon_r = pricing.fourier_coefficients(rebate, kept) @ rows
-    recon_r = recon_r + rebate.rebate * kept.h
+    recon_r = recon_r + rebate.rebate * mesh_steady_state(s.particular, s.sl)[0]
     e0 = nb.GridFunction(s.mesh, recon0 - f.values)
     er = nb.GridFunction(s.mesh, recon_r - f.values)
     w = nb.GridFunction(s.mesh, s.sl.w)

@@ -11,7 +11,7 @@ from nsbf_pricer.fd import FDGrid, fd_price, solve_pde
 from nsbf_pricer.mesh import build_mesh, derivative_values, inner_product
 
 from conftest import make_solver
-from dual_routes import interpolate, mesh_rows
+from dual_routes import interpolate, mesh_rows, mesh_steady_state
 
 L, U, Y0 = 90.0, 120.0, 100.0
 
@@ -494,9 +494,13 @@ class TestContribution:
         cases += [(get(beta, gamma), T, 5.0, [(1, 3), (4, None)])
                   for get, T in ((medium, 0.5), (short, 1 / 360))
                   for beta, gamma in ((-2.0, 0.0), (-1.0, 2.0))]
+        # h(y0) is the panel read; the mesh stencil of h on the mesh meets it
+        # within 4.4e-16 (measured on these models)
         for s, T, R, bands in cases:
             r = s.price(contract(T=T, rebate=R), Y0, bands=bands)
-            assert r.contributions.steady == R * interpolate(s.mesh, s.pairs.h, Y0)
+            assert r.contributions.steady == R * pricing.rows_at(Y0, s.pairs).h[0]
+            h = interpolate(s.mesh, mesh_steady_state(s.particular, s.sl)[0], Y0)
+            assert abs(r.contributions.steady - R * h) <= 1e-15 * R
             assert r.contributions.total == pytest.approx(r.price, abs=1e-12)
 
     def test_bands_report_the_pairs_they_summed(self, medium):
@@ -548,7 +552,7 @@ class TestRebate:
     def test_steady_state_solves_the_boundary_problem(self, medium):
         # h(L) = 0, h(U) = 1, h' matches differencing, and (p h')' = q h
         s = medium(-2.0, 0.0)
-        h, dh = s.pairs.h, s.pairs.dh
+        h, dh = mesh_steady_state(s.particular, s.sl)
         assert h[0] == 0.0 and h[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(derivative_values(s.mesh, h) - dh)) < 1e-10 * np.max(np.abs(dh))
         flux = derivative_values(s.mesh, s.sl.p * dh)[5:-5]
@@ -568,7 +572,7 @@ class TestRebate:
         recon0 = pricing.fourier_coefficients(c0, pairs) @ phi
         err0 = nb.GridFunction(s.mesh, recon0 - f)
         recon_r = pricing.fourier_coefficients(cr, pairs) @ phi
-        recon_r = recon_r + cr.rebate * pairs.h
+        recon_r = recon_r + cr.rebate * mesh_steady_state(s.particular, s.sl)[0]
         err_r = nb.GridFunction(s.mesh, recon_r - f)
         w = nb.GridFunction(s.mesh, s.sl.w)
         e0 = math.sqrt(inner_product(err0, err0, w))
@@ -595,19 +599,21 @@ class TestRebate:
 
 
 class TestStackedBasis:
-    """The projection on the panel points and the shared stencil against a per-pair reference.
+    """The projection on the panel points and the panel read against a per-pair reference.
 
     The reference reads the basis at every mesh point (mesh_rows), takes each
     coefficient from mesh.inner_product on those rows and each point value
-    from its own mesh.stencil, one pair at a time, and sums the series in the
-    same order.  The solver's quote projects through the panels'
-    restriction, and reads the stencil's six mesh points from the panel
-    points, so it meets the reference within rounding, not bit for bit.
+    from its own mesh.stencil over them, one pair at a time, and sums the
+    series in the same order.  The solver's quote projects through the
+    panels' restriction and reads the panel interpolant at the point itself,
+    so it meets the reference within rounding and the stencil's own error,
+    not bit for bit.
     """
 
     @staticmethod
     def coefficients(s, c, phi):
-        d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * s.pairs.h)
+        h = mesh_steady_state(s.particular, s.sl)[0]
+        d = nb.GridFunction(s.mesh, pricing.payoff_grid(c, s.mesh) - c.rebate * h)
         w = nb.GridFunction(s.mesh, s.sl.w)
         return np.array([inner_product(d, nb.GridFunction(s.mesh, row), w) / norm_sq
                          for row, norm_sq in zip(phi, s.pairs.norm_sq)])
@@ -620,8 +626,7 @@ class TestStackedBasis:
         lam = np.array([p.lam for p in pairs])
         phi = np.array([interpolate(s.mesh, row, [y0]) for row in phi_rows])
         dphi = np.array([interpolate(s.mesh, row, y0) for row in dphi_rows])
-        h = interpolate(s.mesh, s.pairs.h, y0)
-        dh = interpolate(s.mesh, s.pairs.dh, y0)
+        h, dh = (interpolate(s.mesh, v, y0) for v in mesh_steady_state(s.particular, s.sl))
         price = np.tensordot(g * np.exp(-lam * (c.T - t)), phi, axes=(0, 0)) + c.rebate * h
         delta = float(np.sum(g * dphi * np.exp(-lam * (c.T - t)))) + c.rebate * dh
         theta = float(np.sum(g * lam * phi[:, 0] * np.exp(-lam * (c.T - t))))
@@ -645,16 +650,18 @@ class TestStackedBasis:
         y_grid = np.linspace(L, U, 41)
         phis = np.array([interpolate(s.mesh, row, y_grid) for row in phi_rows])
         tau = (c.T - np.linspace(0.0, c.T, 5))[:, None]
-        h_grid = interpolate(s.mesh, s.pairs.h, y_grid)
+        h_grid = interpolate(s.mesh, mesh_steady_state(s.particular, s.sl)[0], y_grid)
         return (g * np.exp(-lam * tau)) @ phis + c.rebate * h_grid
 
     @pytest.mark.parametrize("style", ["call", "put", "custom"])
     @pytest.mark.parametrize("R", [0.0, 5.0])
     @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
     def test_bit_identical_to_per_pair_reference(self, medium, short, horizon, style, R):
-        # measured over these cases: coefficients within 5.1e-16 of the
-        # largest |g_n|; price, Delta, Theta and bands within 1.8e-15 of their
-        # term mass, sum |term| (+ R |h|); surfaces within 1.0e-15 of their sup
+        # measured over these cases: coefficients within 7.3e-16 of the
+        # largest |g_n|; price, Delta, Theta and bands, whose reference reads
+        # the mesh rows through mesh.stencil, within 2.0e-15 of their term
+        # mass, sum |term| (+ R |h|), which bounds the stencil's own error
+        # here; surfaces within 1.5e-15 of their sup
         s, T = (medium(-1.0, 2.0), 0.5) if horizon == "six-month" else (short(-2.0, 2.0), 1 / 360)
         payoff = nb.GridFunction(s.mesh, np.sin(s.mesh.points / 7.0) ** 2 * (s.mesh.points - L))
         c = nb.OptionContract(style, L, U, T, None if style == "custom" else 101.5, rebate=R,
@@ -685,9 +692,9 @@ class TestStackedBasis:
         assert np.max(np.abs(got - surface)) <= 4e-15 * np.max(np.abs(surface))
 
     def test_one_day_quote_allocates_one_block_and_a_few_vectors(self, short):
-        # a few mesh vectors (the payoff, d and its weighting) and O(N x
+        # a few mesh vectors (the payoff and its weighting) and O(N x
         # points) blocks at the panel points; no (N, M) array, which would
-        # take 4.5 MB.  Measured: 0.37 MB, 4.7 mesh vectors
+        # take 4.5 MB.  Measured: 0.30 MB, 3.7 mesh vectors
         s = short(-2.0, 2.0)
         c = contract(T=1 / 360, rebate=5.0)
         quote = lambda: s.price(c, Y0, greeks=True, bands=[(1, 2), (3, 10), (11, None)])
@@ -702,9 +709,11 @@ class TestStackedBasis:
         assert peak <= 5 * s.mesh.M * 8 + n * points * 8
 
     def test_surface_read_stays_stencil_sized(self, short):
-        # a surface reads phi and phi' at y_count points through one stencil:
-        # six mesh values per point and pair, not the 24 panel nodes behind
-        # each.  Measured at y_count=2001: 12.8 MB, 2.4 x N x y_count x 6 floats
+        # a surface reads phi and phi' at y_count points one panel at a time:
+        # the rows, 2 x N x y_count floats, and one panel's products, not 26
+        # panel points per point and pair at once (which would take 47 MB).
+        # Measured at y_count=2001: 4.7 MB, 2.65 x 2 x N x y_count floats; the
+        # six-point mesh stencil it replaced took 12.8 MB
         s = short(-2.0, 3.0)
         c = contract(T=1 / 360)
         surface = lambda: s.surface(c, t_count=11, y_count=2001)
@@ -715,7 +724,28 @@ class TestStackedBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * len(s.pairs) * 2001 * 6 * 8
+        assert peak <= 3.5 * 2 * len(s.pairs) * 2001 * 8
+
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    def test_point_read_bits_do_not_depend_on_the_batch(self, medium, short, horizon):
+        # each value read is numpy's fixed-order sum over its own panel's
+        # points: a leading slice reads its pairs to the whole basis's bits,
+        # and one point of a grid read to the bits of a read at that point alone
+        basis = (medium if horizon == "six-month" else short)(-2.0, 3.0).pairs
+        grid = np.linspace(L, U, 301)
+        fields = ("phi", "dphi", "h", "dh")
+        for y in (100.0, 101.2345, 93.7, grid):
+            whole = pricing.rows_at(y, basis)
+            for k in range(1, len(basis) + 1):
+                part = pricing.rows_at(y, basis[:k])
+                for name in fields:
+                    want = getattr(whole, name)
+                    assert np.array_equal(getattr(part, name), want[:k] if want.ndim == 2 else want)
+        whole = pricing.rows_at(grid, basis)
+        for j, y in enumerate(grid):
+            one = pricing.rows_at(y, basis)
+            for name in fields:
+                assert np.array_equal(getattr(one, name), getattr(whole, name)[..., j : j + 1])
 
     @pytest.mark.parametrize("rows", [1, 3, 8, 64])
     def test_projection_bits_do_not_depend_on_the_chunk_height(self, short, rows):

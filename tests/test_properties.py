@@ -90,7 +90,12 @@ def test_zero_rebate_is_the_plain_series(solved, phi_rows, style, K, y0, t_share
     g = pricing.fourier_coefficients(c, pairs)
     decay = pricing.decay_factors(pairs, c, t)
     got = pricing.value(pricing.rows_at(y0, pairs), c, g, decay)
-    assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    # the expected sum reads the mesh rows through mesh.stencil, whose own
+    # error the quote's panel read does not share: on 5,600 spots (600 within
+    # six mesh steps of a barrier), 10 calls and puts and 3 times per solve it
+    # reached 2.8e-12 at one day, where the term mass reaches 254, and 1.8e-13
+    # at six months
+    assert got == pytest.approx(expected, rel=1e-12, abs=5e-12)
 
 
 @PROPERTY

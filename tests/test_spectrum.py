@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 import nsbf_pricer as nb
-from nsbf_pricer import spectrum
+from nsbf_pricer import pricing, spectrum
 from nsbf_pricer.engine import solve_from_sl
-from nsbf_pricer.mesh import GridFunction, derivative_values, gauss_panels, inner_product
+from nsbf_pricer.mesh import (
+    GAUSS_NODES, GridFunction, derivative_values, gauss_panels, inner_product, stencil,
+)
 from nsbf_pricer.spectrum import (
     assemble_pairs, characteristic, find_eigenvalues, norm_identity_residuals,
 )
 
 from conftest import make_solver
 from dual_routes import (
-    bisection_eigenvalues, masked_jn_block, mesh_rows, per_pair_basis, scale_gauge,
+    bisection_eigenvalues, masked_jn_block, mesh_rows, mesh_steady_state, per_pair_basis,
+    scale_gauge,
 )
 
 # the benchmark's model grid over the published ranges
@@ -160,7 +163,8 @@ class TestFindEigenvalues:
         # times, not N - 1 (Sturm's oscillation theorem)
         s = medium(-1.0, 2.0)
         with pytest.raises(nb.ConvergenceError, match="changes sign"):
-            assemble_pairs(np.delete(s.pairs.omega, 1), s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+            assemble_pairs(np.delete(s.pairs.omega, 1), s.coeffs, s.sl,
+                           *mesh_steady_state(s.particular, s.sl))
 
     def test_coarse_scan_raises(self, medium, monkeypatch):
         # a scan of one point per two spacings steps over roots; the solve
@@ -243,7 +247,8 @@ class TestEigenfunctions:
     def test_boundary_violation_raised(self, medium):
         s = medium(-1.0, 2.0)
         with pytest.raises(nb.BoundaryViolation, match="phi_1"):
-            assemble_pairs(s.pairs.omega[:1] * 1.05, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+            assemble_pairs(s.pairs.omega[:1] * 1.05, s.coeffs, s.sl,
+                           *mesh_steady_state(s.particular, s.sl))
 
     def test_non_finite_alpha_row_raises(self, medium):
         # a NaN coefficient row makes every row NaN; the boundary test is
@@ -252,9 +257,8 @@ class TestEigenfunctions:
         alpha = s.coeffs.alpha.copy()
         alpha[1] = np.nan
         with pytest.raises(nb.ConvergenceError, match="not finite"):
-            assemble_pairs(
-                s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl, s.pairs.h, s.pairs.dh
-            )
+            assemble_pairs(s.pairs.omega, replace(s.coeffs, alpha=alpha), s.sl,
+                           *mesh_steady_state(s.particular, s.sl))
 
 
 class TestGaussPanelAssembly:
@@ -264,7 +268,7 @@ class TestGaussPanelAssembly:
         s = short(-2.0, 3.0)
         monkeypatch.setattr(spectrum, "PANEL_HALF_WAVES", 12.0)
         with pytest.raises(nb.ConvergenceError, match="phi_56 is not resolved on 8 Gauss"):
-            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, *mesh_steady_state(s.particular, s.sl))
 
     def test_allocates_the_basis_and_node_work_only(self, monkeypatch):
         # O(N x points) at the panel points and no (N, M) array, which on a
@@ -275,7 +279,7 @@ class TestGaussPanelAssembly:
         monkeypatch.setattr(spectrum, "gauss_panels", lambda *a: used.append(gauss_panels(*a)) or used[-1])
         tracemalloc.start()
         try:
-            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, s.pairs.h, s.pairs.dh)
+            assemble_pairs(s.pairs.omega, s.coeffs, s.sl, *mesh_steady_state(s.particular, s.sl))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,6 +287,40 @@ class TestGaussPanelAssembly:
         (panels,) = used
         assert (n, panels.count, panels.points.size) == (56, 20, 20 * 25 + 1)
         assert peak <= 24 * n * panels.points.size * 8 < n * s.mesh.M * 8
+
+
+class TestPointRead:
+    @pytest.mark.parametrize("horizon", ["six-month", "one-day"])
+    @pytest.mark.parametrize("beta, gamma", GRID)
+    def test_reads_the_series_between_the_panel_points(self, medium, short, horizon, beta, gamma):
+        # phi and phi' read at 64 random points from the panel points, against
+        # the series evaluated at each point alone, its data read there by a
+        # one-point mesh stencil.  Measured over the 24 bases, relative to
+        # each row's sup over the panel points: within 7.1e-14 at one day and
+        # 2.6e-13 at six months, where the (-0.5, gamma) bases' 2.0-2.6e-13
+        # sits in the panel point values (a read through the mesh stencil
+        # missed by as much)
+        s = (medium if horizon == "six-month" else short)(beta, gamma)
+        y = np.random.default_rng(64).uniform(90.0, 120.0, 64)
+        read = pricing.rows_at(y, s.pairs)
+        series = np.concatenate([
+            spectrum._series_at(s.pairs.omega, s.coeffs, s.sl, stencil(s.mesh, [x]))[0] for x in y
+        ], axis=-1)
+        sup = np.max(np.abs(s.pairs.nodes), axis=-1, keepdims=True)
+        gap = np.max(np.abs(np.stack((read.phi, read.dphi)) - series) / sup)
+        assert gap <= (5e-13 if horizon == "six-month" else 2e-13)
+
+    def test_panel_ends_read_the_stored_values(self, medium, short):
+        # a point on a panel end reads the value the solve stored there:
+        # phi(L) = 0, h(L) = 0 and h(U) = 1 exactly
+        for s in (medium(-2.0, 3.0), short(-2.0, 3.0)):
+            basis = s.pairs
+            ends = basis.panels.points[:: GAUSS_NODES + 1]
+            at = pricing.rows_at(ends, basis)
+            assert np.array_equal(np.stack((at.phi, at.dphi)), basis.nodes[..., :: GAUSS_NODES + 1])
+            assert np.array_equal(np.stack((at.h, at.dh)), basis.steady[:, :: GAUSS_NODES + 1])
+            assert np.all(at.phi[:, 0] == 0.0)
+            assert (at.h[0], at.h[-1]) == (0.0, 1.0)
 
 
 class TestPairViews:
@@ -300,15 +338,16 @@ class TestPairViews:
         assert all(type(p.n) is int for p in pairs)
         assert all(type(v) is float for p in pairs
                    for v in (p.omega, p.lam, p.norm_sq, p.boundary_residual, p.slope))
-        nb.GridFunction(s.mesh, kept.h)  # the count sees a construction
+        nb.GridFunction(s.mesh, s.sl.w)  # the count sees a construction
         assert len(calls) == 1
 
 
 class TestEigenfunctionDerivative:
     def test_flat_cosine(self, flat_sl, flat_solved):
-        _, coeffs, pairs = flat_solved
+        particular, coeffs, pairs = flat_solved
         x = flat_sl.mesh.points - 1.0
-        basis = assemble_pairs(pairs.omega[:1], coeffs, flat_sl, pairs.h, pairs.dh)
+        basis = assemble_pairs(pairs.omega[:1], coeffs, flat_sl,
+                               *mesh_steady_state(particular, flat_sl))
         p1, dphi = basis[0], mesh_rows(basis)[1][0]
         exact = p1.omega * np.cos(p1.omega * x)
         assert np.max(np.abs(dphi - exact)) < 1e-8
@@ -334,7 +373,7 @@ class TestEigenfunctionDerivative:
         s = short(-2.0, 0.0)
         assert s.coeffs.M_beta < s.coeffs.M_trunc
         low = replace(s.coeffs, beta=s.coeffs.beta[:4], M_beta=3)
-        basis = assemble_pairs(s.pairs.omega, low, s.sl, s.pairs.h, s.pairs.dh)
+        basis = assemble_pairs(s.pairs.omega, low, s.sl, *mesh_steady_state(s.particular, s.sl))
         phi, dphi = basis.nodes
         assert np.array_equal(phi, s.pairs.nodes[0])
         assert np.array_equal(basis.norm_sq, s.pairs.norm_sq)
